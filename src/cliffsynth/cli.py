@@ -4,10 +4,11 @@ Subcommands: synth, transport, peg, verify, embed-check. All output is
 line-oriented plain text; programs print one gate per line (first applied
 first) followed by a ``# gates: <count>`` comment line.
 
-Exit codes: 0 success, 1 infeasible transport, 2 parse/usage error,
-3 invalid input (non-symplectic matrix, identity word), 4 verification
-failure, 5 scale cap exceeded. The environment variable ``CS_TOL`` sets
-the dense-oracle tolerance (default 1e-9).
+Exit codes: 0 success, 1 infeasible transport, 2 parse/usage error
+(including a ``CS_TOL`` that is not a number in (0, 1)), 3 invalid input
+(non-symplectic matrix, identity word), 4 verification failure, 5 scale
+cap exceeded. The environment variable ``CS_TOL`` sets the dense-oracle
+tolerance (default 1e-9); every subcommand checks it before any output.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .symplectic import (
     SymplecticMatrix,
     apply_to_word,
     format_gate,
-    is_symplectic,
     parse_matrix_text,
     sequence_matrix,
 )
@@ -51,7 +51,14 @@ EXIT_SCALE = 5
 
 
 def _tolerance() -> float:
-    return float(os.environ.get("CS_TOL", "1e-9"))
+    raw = os.environ.get("CS_TOL", "1e-9")
+    try:
+        tol = float(raw)
+    except ValueError:
+        raise ParseError(f"CS_TOL must be a number, got {raw!r}") from None
+    if not 0 < tol < 1:  # also rejects nan and inf
+        raise ParseError(f"CS_TOL must lie strictly between 0 and 1, got {raw!r}")
+    return tol
 
 
 def _read_text(path: str) -> str:
@@ -65,9 +72,10 @@ def _read_text(path: str) -> str:
 
 def _load_matrix(path: str) -> SymplecticMatrix:
     mat, dim = parse_matrix_text(_read_text(path))
-    if not is_symplectic(mat, dim):
-        raise NonSymplecticError(f"matrix in {path} is not symplectic mod {dim.D}")
-    return SymplecticMatrix(dim, mat)
+    try:
+        return SymplecticMatrix(dim, mat)
+    except NonSymplecticError:
+        raise NonSymplecticError(f"matrix in {path} is not symplectic mod {dim.D}") from None
 
 
 def _print_program(seq: GateSequence) -> None:
@@ -214,6 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _tolerance()
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

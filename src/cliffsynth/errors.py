@@ -33,3 +33,8 @@ class DegenerateWordError(CliffSynthError):
 
 class ScaleLimitError(CliffSynthError):
     """A dense-matrix computation would exceed the configured size cap."""
+
+
+class SynthesisCheckError(CliffSynthError):
+    """The synthesizer's own invariant check failed. This is a fault in the
+    library, not in its input; the message names the qudit and the line."""

@@ -114,6 +114,42 @@ def gate_matrix(g: Gate, n: int, dim: Dimension) -> np.ndarray:
     return m
 
 
+def act_left(work: np.ndarray, g: Gate, n: int, D: int) -> None:
+    """In place, ``work := gate_matrix(g) @ work mod D`` as row operations.
+
+    Each generator touches at most two rows, so one gate costs O(n), the
+    row update of a stabilizer tableau (Aaronson and Gottesman,
+    arXiv:quant-ph/0406196). ``work`` holds entries in [0, D) and the gate
+    exponent lies in [0, D), as in a ``GateSequence``, so no product wraps.
+    """
+    if isinstance(g, Fourier):
+        i = g.qudit
+        work[[i, n + i]] = work[[n + i, i]]
+        work[i] = -work[i] % D
+    elif isinstance(g, Phase):
+        q = g.qudit
+        work[n + q] = (work[n + q] + g.power * work[q]) % D
+    else:
+        c, t, e = g.control, g.target, g.power
+        work[t] = (work[t] + e * work[c]) % D
+        work[n + c] = (work[n + c] - e * work[n + t]) % D
+
+
+def act_right(work: np.ndarray, g: Gate, n: int, D: int) -> None:
+    """In place, ``work := work @ gate_matrix(g) mod D`` as column operations."""
+    if isinstance(g, Fourier):
+        i = g.qudit
+        work[:, [i, n + i]] = work[:, [n + i, i]]
+        work[:, n + i] = -work[:, n + i] % D
+    elif isinstance(g, Phase):
+        q = g.qudit
+        work[:, q] = (work[:, q] + g.power * work[:, n + q]) % D
+    else:
+        c, t, e = g.control, g.target, g.power
+        work[:, c] = (work[:, c] + e * work[:, t]) % D
+        work[:, n + t] = (work[:, n + t] - e * work[:, n + c]) % D
+
+
 def invert_gate(g: Gate, dim: Dimension) -> list[Gate]:
     """Gates whose sequence matrix is the inverse of ``g``'s matrix.
 
@@ -209,6 +245,12 @@ def symplectic_form(n: int, D: int) -> np.ndarray:
     return s
 
 
+def _s_times(mat: np.ndarray, D: int) -> np.ndarray:
+    """S @ mat mod D: a signed swap of the two row blocks, no products."""
+    n = mat.shape[0] // 2
+    return np.concatenate([mat[n:], -mat[:n] % D])
+
+
 def _as_matrix(mat: np.ndarray, dim: Dimension) -> np.ndarray:
     mat = np.asarray(mat, dtype=np.int64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -221,11 +263,14 @@ def _as_matrix(mat: np.ndarray, dim: Dimension) -> np.ndarray:
 
 
 def is_symplectic(mat: np.ndarray, dim: Dimension) -> bool:
-    """True iff N^T S N = S mod D."""
+    """True iff N^T S N = S mod D.
+
+    S N is formed by slicing, so the one product left sums 2n terms below
+    D^2 each and stays exact in int64 up to ``MAX_DIMENSION``.
+    """
     mat = _as_matrix(mat, dim)
-    n = mat.shape[0] // 2
-    s = symplectic_form(n, dim.D)
-    return bool(np.array_equal(mat.T @ s @ mat % dim.D, s))
+    s = symplectic_form(mat.shape[0] // 2, dim.D)
+    return bool(np.array_equal(mat.T @ _s_times(mat, dim.D) % dim.D, s))
 
 
 @dataclass(frozen=True)
@@ -269,10 +314,10 @@ def compose(a: SymplecticMatrix, b: SymplecticMatrix) -> SymplecticMatrix:
 
 
 def inverse(m: SymplecticMatrix) -> SymplecticMatrix:
-    """Inverse via the closed form -S M^T S, valid for any symplectic M."""
-    s = symplectic_form(m.n, m.dim.D)
-    inv = (-(s @ m.mat.T @ s)) % m.dim.D
-    return SymplecticMatrix(m.dim, inv)
+    """Inverse via the closed form -S M^T S = S (S M)^T, valid for any
+    symplectic M; both products by S are block swaps, so no entry grows."""
+    D = m.dim.D
+    return SymplecticMatrix(m.dim, _s_times(_s_times(m.mat, D).T, D))
 
 
 def apply_to_word(m: SymplecticMatrix, w: PauliWord) -> PauliWord:
@@ -342,10 +387,13 @@ class GateSequence:
 
 
 def sequence_matrix(seq: GateSequence) -> SymplecticMatrix:
-    """Product of the gate matrices, first-applied gate rightmost."""
+    """Product of the gate matrices, first-applied gate rightmost.
+
+    Each gate is applied to the accumulator as row operations (`act_left`).
+    """
     acc = np.eye(2 * seq.n, dtype=np.int64)
     for g in seq.gates:
-        acc = (gate_matrix(g, seq.n, seq.dim) @ acc) % seq.dim.D
+        act_left(acc, g, seq.n, seq.dim.D)
     return SymplecticMatrix(seq.dim, acc)
 
 

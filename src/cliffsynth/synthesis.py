@@ -6,7 +6,11 @@ row operations: left-multiplying by [[1,0],[m,1]] (a phase power) or by
 one exponent from the other. The same loop, run with sum gates on a pair
 of qudits, reduces a Z (x) Z exponent pair to its gcd. Stacking the two
 gives the word normal form, word-to-word transport, and the full n-qudit
-decomposition by column elimination and recursion.
+decomposition: a loop over the qudits, last to first, that eliminates one
+qudit's row and column at a time from a single working matrix. Every gate
+is applied to that matrix in place as O(n) row operations (`act_left`) or
+column operations (`act_right`), and the finished program is checked once
+against its input.
 
 All quotients are taken from canonical representatives, so every routine
 is deterministic.
@@ -19,7 +23,12 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import DegenerateWordError, DimensionMismatchError, NonSymplecticError
+from .errors import (
+    DegenerateWordError,
+    DimensionMismatchError,
+    NonSymplecticError,
+    SynthesisCheckError,
+)
 from .modring import Dimension, gcd0, mod_inverse
 from .pauli import PauliWord
 from .symplectic import (
@@ -29,7 +38,8 @@ from .symplectic import (
     Phase,
     Sum,
     SymplecticMatrix,
-    gate_matrix,
+    act_left,
+    act_right,
     invert_gate,
     merge_gates,
     sequence_matrix,
@@ -52,8 +62,8 @@ class SynthesisResult:
 # elementary Euclid loops
 
 
-def _peg_vector(a: int, b: int, D: int) -> tuple[list[Gate], int]:
-    """Single-qudit gates mapping exponent vector (a, b) to (0, g).
+def _peg_vector(a: int, b: int, D: int, qudit: int) -> tuple[list[Gate], int]:
+    """Gates on ``qudit`` mapping its exponent vector (a, b) to (0, g).
 
     ``a`` and ``b`` are canonical representatives; the loop never leaves
     canonical range, so it is plain integer Euclid. Returns the gates in
@@ -61,29 +71,30 @@ def _peg_vector(a: int, b: int, D: int) -> tuple[list[Gate], int]:
     """
     if a == 0 and b == 0:
         raise DegenerateWordError("cannot reduce the zero exponent pair")
+    f = Fourier(qudit)
     gates: list[Gate] = []
     while a != 0 and b != 0:
         if a >= b:
             q = a // b
             # [[1,-q],[0,1]] = F.P(q).F.F.F applied right-to-left
-            gates.extend([Fourier(0), Fourier(0), Fourier(0), Phase(0, q), Fourier(0)])
+            gates.extend([f, f, f, Phase(qudit, q), f])
             a -= q * b
         else:
             q = b // a
-            gates.append(Phase(0, (-q) % D))
+            gates.append(Phase(qudit, (-q) % D))
             b -= q * a
     if b == 0:
-        gates.append(Fourier(0))  # (a, 0) -> (0, a)
+        gates.append(f)  # (a, 0) -> (0, a)
         a, b = 0, a
     return gates, b
 
 
 def _sum_peg_vector(
-    a: int, b: int, D: int, slot: Literal["first", "second"]
+    a: int, b: int, D: int, slot: Literal["first", "second"], i: int, j: int
 ) -> tuple[list[Gate], int]:
-    """Two-qudit sum-only gates mapping z-exponents (a, b) to the gcd.
+    """Sum-only gates on qudits i, j mapping their z-exponents (a, b) to the gcd.
 
-    The gcd lands on qudit 0 (slot "first") or qudit 1 (slot "second");
+    The gcd lands on qudit i (slot "first") or qudit j (slot "second");
     a two-gate fix-up moves it over when the loop stops in the wrong slot.
     """
     if a == 0 and b == 0:
@@ -92,38 +103,28 @@ def _sum_peg_vector(
     while a != 0 and b != 0:
         if a >= b:
             q = a // b
-            gates.append(Sum(0, 1, q))  # z-block [[1,-q],[0,1]]
+            gates.append(Sum(i, j, q))  # z-block [[1,-q],[0,1]]
             a -= q * b
         else:
             q = b // a
-            gates.append(Sum(1, 0, q))  # z-block [[1,0],[-q,1]]
+            gates.append(Sum(j, i, q))  # z-block [[1,0],[-q,1]]
             b -= q * a
     g = a or b
     if slot == "second" and b == 0:
-        gates.extend([Sum(1, 0, D - 1), Sum(0, 1, 1)])  # (g,0) -> (g,g) -> (0,g)
+        gates.extend([Sum(j, i, D - 1), Sum(i, j, 1)])  # (g,0) -> (g,g) -> (0,g)
     elif slot == "first" and a == 0:
-        gates.extend([Sum(0, 1, D - 1), Sum(1, 0, 1)])  # (0,g) -> (g,g) -> (g,0)
+        gates.extend([Sum(i, j, D - 1), Sum(j, i, 1)])  # (0,g) -> (g,g) -> (g,0)
     return gates, g
 
 
-def _embed(gates: list[Gate], mapping: dict[int, int]) -> list[Gate]:
-    """Remap gate indices onto a larger register."""
-    out: list[Gate] = []
-    for g in gates:
-        if isinstance(g, Fourier):
-            out.append(Fourier(mapping[g.qudit]))
-        elif isinstance(g, Phase):
-            out.append(Phase(mapping[g.qudit], g.power))
-        else:
-            out.append(Sum(mapping[g.control], mapping[g.target], g.power))
-    return out
-
-
-def _invert_gates(gates: list[Gate], dim: Dimension) -> list[Gate]:
-    inv: list[Gate] = []
-    for g in reversed(gates):
-        inv.extend(invert_gate(g, dim))
-    return merge_gates(inv, dim)
+def _scale_gates(k: int, D: int, qudit: int) -> list[Gate]:
+    """The six gates of `scale_sequence` on ``qudit``."""
+    k = k % D
+    kinv = mod_inverse(k, D)
+    if kinv is None:
+        raise NonSymplecticError(f"scale factor {k} is not a unit mod {D}")
+    f = Fourier(qudit)
+    return [Phase(qudit, kinv), f, Phase(qudit, k), f, Phase(qudit, kinv), f]
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +136,7 @@ def peg_reduce(a: int, b: int, dim: Dimension) -> tuple[GateSequence, int]:
     a, b = a % dim.d, b % dim.d
     if a == 0 and b == 0:
         raise DegenerateWordError("the identity word has no reduction target")
-    gates, g = _peg_vector(a, b, dim.D)
+    gates, g = _peg_vector(a, b, dim.D, 0)
     return GateSequence(tuple(merge_gates(gates, dim)), 1, dim), g
 
 
@@ -146,22 +147,7 @@ def scale_sequence(k: int, dim: Dimension) -> GateSequence:
     F.P(k).F.P(k^-1).F.P(k) read right-to-left, i.e. the matrix
     F P^(k^-1) F P^k F P^(k^-1).
     """
-    k = k % dim.D
-    kinv = mod_inverse(k, dim.D)
-    if kinv is None:
-        raise NonSymplecticError(f"scale factor {k} is not a unit mod {dim.D}")
-    return GateSequence(
-        (
-            Phase(0, kinv),
-            Fourier(0),
-            Phase(0, k),
-            Fourier(0),
-            Phase(0, kinv),
-            Fourier(0),
-        ),
-        1,
-        dim,
-    )
+    return GateSequence(tuple(_scale_gates(k, dim.D, 0)), 1, dim)
 
 
 def sum_peg(
@@ -175,7 +161,7 @@ def sum_peg(
     a, b = a % dim.d, b % dim.d
     if a == 0 and b == 0:
         raise DegenerateWordError("the identity word has no reduction target")
-    gates, _ = _sum_peg_vector(a, b, dim.D, slot)
+    gates, _ = _sum_peg_vector(a, b, dim.D, slot, 0, 1)
     return GateSequence(tuple(merge_gates(gates, dim)), 2, dim)
 
 
@@ -195,15 +181,15 @@ def generalized_peg(w: PauliWord) -> tuple[GateSequence, int]:
         if (a, b) == (0, 0):
             zvals.append(0)
             continue
-        chunk, g = _peg_vector(a, b, dim.D)
-        gates.extend(_embed(chunk, {0: i}))
+        chunk, g = _peg_vector(a, b, dim.D, i)
+        gates.extend(chunk)
         zvals.append(g)
     cur = zvals[0]
     for i in range(n - 1):
         nxt = zvals[i + 1]
         if (cur, nxt) != (0, 0):
-            chunk, _ = _sum_peg_vector(cur, nxt, dim.D, "second")
-            gates.extend(_embed(chunk, {0: i, 1: i + 1}))
+            chunk, _ = _sum_peg_vector(cur, nxt, dim.D, "second", i, i + 1)
+            gates.extend(chunk)
         cur = gcd0(cur, nxt)
     return GateSequence(tuple(merge_gates(gates, dim)), n, dim), cur % dim.d
 
@@ -231,7 +217,7 @@ def transport(p: PauliWord, q: PauliWord) -> GateSequence | None:
         return None
     gates = list(to_tail.gates)
     if k != 1:
-        gates.extend(_embed(list(scale_sequence(k, p.dim).gates), {0: p.n - 1}))
+        gates.extend(_scale_gates(k, p.dim.D, p.n - 1))
     gates.extend(from_tail.inverse().gates)
     return GateSequence(tuple(merge_gates(gates, p.dim)), p.n, p.dim)
 
@@ -269,11 +255,14 @@ def decompose_single(m: SymplecticMatrix) -> GateSequence:
     """
     if m.n != 1:
         raise DimensionMismatchError(f"decompose_single needs a 2x2 matrix, got n={m.n}")
-    dim = m.dim
+    return GateSequence(tuple(merge_gates(_single_gates(m.mat, m.dim), m.dim)), 1, m.dim)
+
+
+def _single_gates(mat: np.ndarray, dim: Dimension) -> list[Gate]:
+    """The gates of `decompose_single` for the 2x2 symplectic ``mat``, on qudit 0."""
     D = dim.D
-    mat = m.mat
     if np.array_equal(mat, np.eye(2, dtype=np.int64)):
-        return GateSequence((), 1, dim)
+        return []
 
     def unit(v: int) -> bool:
         return gcd0(int(v) % D, D) == 1
@@ -292,128 +281,113 @@ def decompose_single(m: SymplecticMatrix) -> GateSequence:
         inner = _case1(_R2 @ mat % D, dim)  # top-right entry becomes -s
         gates = inner + [f, f, f]
     else:
-        # Euclid on the right column (q, s): left-multiply by [[1,-m],[0,1]]
-        # to reduce q, by [[1,0],[-m,1]] to reduce s, until one hits zero.
+        # Euclid on the right column (q, s) takes it to (0, gcd); F^3 then
+        # lifts the gcd, a unit, into the top-right corner
+        steps = _peg_vector(q, s, D, 0)[0] + [f, f, f]
         work = mat.copy()
-        ops: list[tuple[str, int]] = []
-        while work[0, 1] != 0 and work[1, 1] != 0:
-            qv, sv = int(work[0, 1]), int(work[1, 1])
-            if qv >= sv:
-                step = qv // sv
-                work = np.array([[1, -step], [0, 1]], dtype=np.int64) @ work % D
-                ops.append(("upper", step))
-            else:
-                step = sv // qv
-                work = np.array([[1, 0], [-step, 1]], dtype=np.int64) @ work % D
-                ops.append(("lower", step))
-        if work[0, 1] == 0:
-            # gcd sits in the bottom slot; rotate it up with F^3
-            work = _R2 @ _R2 @ _R2 @ work % D
-            ops.append(("rfix", 0))
+        for g in steps:
+            act_left(work, g, 1, D)
         gates = _case1(work, dim)
-        for kind, step in reversed(ops):
-            if kind == "upper":
-                gates.extend([f, f, f, Phase(0, (-step) % D), f])
-            elif kind == "lower":
-                gates.append(Phase(0, step))
-            else:
-                gates.append(f)
-    return GateSequence(tuple(merge_gates(gates, dim)), 1, dim)
+        for g in reversed(steps):
+            gates.extend(invert_gate(g, dim))
+    return gates
 
 
 # ---------------------------------------------------------------------------
 # full decomposition
 
 
+def _require_unit(vec: np.ndarray, idx: int, qudit: int, line: str) -> None:
+    """Raise unless ``vec`` (row or column ``idx``) is the unit vector e_idx."""
+    if vec[idx] != 1 or np.count_nonzero(vec) != 1:
+        raise SynthesisCheckError(
+            f"qudit {qudit}: {line} {idx} is not the unit vector e_{idx}: {vec.tolist()}"
+        )
+
+
 def decompose(m: SymplecticMatrix) -> GateSequence:
     """Fourier/phase/sum program for any symplectic matrix, any n.
 
-    The last qudit's Z column is reduced to a single unit entry with the
-    Euclid loops, the unit is rescaled to 1, the bottom row is cleared
-    with right-multiplied sum and phase powers (repeating the sum pass
-    once after the column swaps re-dirty it), and the survivor is an
-    embedded matrix on one fewer qudit, handled recursively.
+    A loop over the qudits j, last to first, on one working copy of the
+    matrix. Left steps (row operations) reduce qudit j's Z column to a
+    single unit entry with the Euclid loops and rescale the unit to 1.
+    Right steps (column operations) then clear qudit j's Z row: sum
+    powers, the corner phase power, column swaps for the X block, and
+    the sum powers once more, since the swaps re-dirty them. Qudit j is
+    then the identity and no later step touches it. Qudit 0 is left with
+    a 2x2 matrix, handled by `decompose_single`'s closed forms.
+
+    The program is the inverted right steps, the 2x2 program and the
+    inverted left steps, merged once. Each elimination is checked in O(n)
+    and the program is recomposed and compared with ``m`` at the end;
+    a failure raises `SynthesisCheckError`.
     """
     n, dim = m.n, m.dim
-    if n == 1:
-        return decompose_single(m)
     D = dim.D
     work = m.mat.copy()
-    if np.array_equal(work, np.eye(2 * n, dtype=np.int64)):
-        return GateSequence((), n, dim)
+    left: list[Gate] = []  # left steps, in the order applied
+    gates: list[Gate] = []  # inverted right steps, in program order
 
-    left_gates: list[Gate] = []
-    right_ops: list[list[Gate]] = []
+    def push_left(step: list[Gate]) -> None:
+        for g in step:
+            act_left(work, g, n, D)
+        left.extend(step)
 
-    def apply_left(gates: list[Gate]) -> None:
-        nonlocal work
-        for g in gates:
-            work = gate_matrix(g, n, dim) @ work % D
-        left_gates.extend(gates)
+    def push_right(step: list[Gate]) -> None:
+        # work @ (G_k ... G_1) applies G_k first; inverting reverses too
+        for g in reversed(step):
+            act_right(work, g, n, D)
+            gates.extend(invert_gate(g, dim))
 
-    def apply_right(gates: list[Gate]) -> None:
-        nonlocal work
-        acc = np.eye(2 * n, dtype=np.int64)
-        for g in gates:
-            acc = gate_matrix(g, n, dim) @ acc % D
-        work = work @ acc % D
-        right_ops.append(gates)
+    for j in range(n - 1, 0, -1):
+        z = n + j
+        # reduce column z to (0, ..., 0, k)
+        for i in range(j + 1):
+            a, b = int(work[i, z]), int(work[n + i, z])
+            if (a, b) != (0, 0):
+                push_left(_peg_vector(a, b, D, i)[0])
+        for i in range(j):
+            a, b = int(work[n + i, z]), int(work[n + i + 1, z])
+            if (a, b) != (0, 0):
+                push_left(_sum_peg_vector(a, b, D, "second", i, i + 1)[0])
+        k = int(work[z, z])
+        kinv = mod_inverse(k, D)
+        if kinv is None:
+            raise NonSymplecticError(f"column gcd {k} is not a unit mod {D}")
+        if k != 1:
+            push_left(_scale_gates(kinv, D, j))
+        _require_unit(work[:, z], z, j, "column")
 
-    last = 2 * n - 1
-    # reduce the last column to (0, ..., 0, k)
-    for i in range(n):
-        a, b = int(work[i, last]), int(work[n + i, last])
-        if (a, b) != (0, 0):
-            chunk, _ = _peg_vector(a, b, D)
-            apply_left(_embed(chunk, {0: i}))
-    for i in range(n - 1):
-        a, b = int(work[n + i, last]), int(work[n + i + 1, last])
-        if (a, b) != (0, 0):
-            chunk, _ = _sum_peg_vector(a, b, D, "second")
-            apply_left(_embed(chunk, {0: i, 1: i + 1}))
-    k = int(work[last, last])
-    kinv = mod_inverse(k, D)
-    if kinv is None:
-        raise NonSymplecticError(f"column gcd {k} is not a unit mod {D}")
-    if k != 1:
-        apply_left(_embed(list(scale_sequence(kinv, dim).gates), {0: n - 1}))
-    assert work[last, last] == 1 and not work[:last, last].any()
-
-    # clear the bottom row: sum powers, the corner phase power, column
-    # swaps for the left block, then one repeat pass of the sum powers
-    for i in range(n - 1):
-        e = int(work[last, n + i])
+        # clear row z: sum powers, the corner phase power, column swaps
+        # for the X block, then one repeat pass of the sum powers
+        for i in range(j):
+            e = int(work[z, n + i])
+            if e:
+                push_right([Sum(j, i, e)])
+        e = int(work[z, j])
         if e:
-            apply_right([Sum(n - 1, i, e)])
-    e = int(work[last, n - 1])
-    if e:
-        apply_right([Phase(n - 1, (-e) % D)])
-    for i in range(n - 1):
-        if work[last, i]:
-            apply_right(
-                [Fourier(i), Fourier(i), Phase(i, 1), Fourier(i), Phase(i, 1), Fourier(i)]
-            )
-    for i in range(n - 1):
-        e = int(work[last, n + i])
-        if e:
-            apply_right([Sum(n - 1, i, e)])
+            push_right([Phase(j, (-e) % D)])
+        for i in range(j):
+            if work[z, i]:
+                f = Fourier(i)
+                push_right([f, f, Phase(i, 1), f, Phase(i, 1), f])
+        for i in range(j):
+            e = int(work[z, n + i])
+            if e:
+                push_right([Sum(j, i, e)])
+        _require_unit(work[z], z, j, "row")
+        _require_unit(work[j], j, j, "row")
+        _require_unit(work[:, j], j, j, "column")
 
-    unit_last = np.zeros(2 * n, dtype=np.int64)
-    unit_last[last] = 1
-    unit_mid = np.zeros(2 * n, dtype=np.int64)
-    unit_mid[n - 1] = 1
-    assert np.array_equal(work[last], unit_last) and np.array_equal(work[:, last], unit_last)
-    assert np.array_equal(work[n - 1], unit_mid) and np.array_equal(work[:, n - 1], unit_mid)
-
-    keep = list(range(n - 1)) + list(range(n, last))
-    sub = SymplecticMatrix(dim, work[np.ix_(keep, keep)])
-    gates: list[Gate] = []
-    for op in right_ops:
-        gates.extend(_invert_gates(op, dim))
-    gates.extend(decompose(sub).gates)
-    gates.extend(_invert_gates(left_gates, dim))
+    base = np.array([[work[0, 0], work[0, n]], [work[n, 0], work[n, n]]], dtype=np.int64)
+    gates.extend(_single_gates(base, dim))
+    for g in reversed(left):
+        gates.extend(invert_gate(g, dim))
     seq = GateSequence(tuple(merge_gates(gates, dim)), n, dim)
-    assert sequence_matrix(seq) == m
+    if sequence_matrix(seq) != m:
+        raise SynthesisCheckError(
+            f"the {len(seq)}-gate program does not recompose the input (n={n}, d={dim.d})"
+        )
     return seq
 
 

@@ -1,5 +1,8 @@
+import os
 import random
+from pathlib import Path
 
+import cliffsynth
 from cliffsynth import Dimension, GateSequence
 from cliffsynth.symplectic import Fourier, Phase, Sum
 
@@ -29,3 +32,16 @@ def random_word_exponents(n: int, d: int, seed: int) -> tuple[tuple[int, ...], t
         tuple(rng.randrange(d) for _ in range(n)),
         tuple(rng.randrange(d) for _ in range(n)),
     )
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """Environment for a child interpreter that imports this checkout.
+
+    Puts the directory holding the imported ``cliffsynth`` package first
+    on PYTHONPATH and drops any inherited CS_TOL.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "CS_TOL"}
+    root = str(Path(cliffsynth.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    env.update(extra)
+    return env

@@ -1,14 +1,14 @@
 import io
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
+import pytest
 
-import cliffsynth
 from cliffsynth import Dimension, GateSequence, sequence_matrix
 from cliffsynth.cli import main
+
+from conftest import child_env
 
 GOLDEN_TEXT = "d 6 n 1\n10 9\n3 4\n"
 SWAP_D3_TEXT = "d 3 n 2\n0 1 0 0\n1 0 0 0\n0 0 0 1\n0 0 1 0\n"
@@ -59,6 +59,13 @@ class TestSynth:
         f.write_text("d 6 n 1\n1 1\n1 1\n")
         code, _, err = run(capsys, "synth", str(f))
         assert code == 3 and "invalid input" in err
+
+    def test_non_symplectic_names_path_only(self, tmp_path, capsys):
+        f = tmp_path / "m.txt"
+        f.write_text("d 6 n 1\n1 1\n1 1\n")
+        code, _, err = run(capsys, "synth", str(f))
+        assert code == 3
+        assert err == f"invalid input: matrix in {f} is not symplectic mod 12\n"
 
 
 class TestTransport:
@@ -126,6 +133,22 @@ class TestVerify:
         code, out2, _ = run(capsys, "verify", str(m))
         assert code == 0 and out2.strip() == "ok"
 
+    @pytest.mark.parametrize("tol", ["abc", "nan", "-1", "0"])
+    @pytest.mark.parametrize("command", ["verify", "synth"])
+    def test_bad_tolerance_exit_2(self, tmp_path, capsys, monkeypatch, tol, command):
+        m = tmp_path / "m.txt"
+        m.write_text(GOLDEN_TEXT)
+        prog = tmp_path / "prog.txt"
+        prog.write_text("F 0\n")
+        monkeypatch.setenv("CS_TOL", tol)
+        if command == "verify":
+            argv = ["verify", str(m), str(prog), "--mode", "unitary"]
+        else:
+            argv = ["synth", str(m), "--verify", "unitary"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("parse error: CS_TOL") and "Traceback" not in err
+
     def test_mismatch_exit_4(self, tmp_path, capsys):
         m = tmp_path / "m.txt"
         m.write_text(GOLDEN_TEXT)
@@ -162,19 +185,6 @@ class TestEmbedCheck:
     def test_bad_parameters_exit_2(self, capsys):
         code, _, _ = run(capsys, "embed-check", "1", "1", "1")
         assert code == 2
-
-
-def child_env(**extra: str) -> dict[str, str]:
-    """Environment for a child interpreter that imports this checkout.
-
-    Puts the directory holding the imported ``cliffsynth`` package first
-    on PYTHONPATH and drops any inherited CS_TOL.
-    """
-    env = {k: v for k, v in os.environ.items() if k != "CS_TOL"}
-    root = str(Path(cliffsynth.__file__).parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
-    env.update(extra)
-    return env
 
 
 class TestSubprocess:

@@ -11,6 +11,8 @@ from cliffsynth import (
     ParseError,
     PauliWord,
     SymplecticMatrix,
+    act_left,
+    act_right,
     apply_to_word,
     compose,
     format_matrix_text,
@@ -95,6 +97,13 @@ class TestInverse:
         assert compose(m, inverse(m)) == SymplecticMatrix.identity(1, DIM6)
         assert compose(inverse(m), m) == SymplecticMatrix.identity(1, DIM6)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_largest_dimension(self, seed):
+        # D = 2e6: a product through unreduced S entries would wrap int64
+        dim = Dimension.of(1_000_000)
+        m = sequence_matrix(random_gate_sequence(4, dim, 80, seed))
+        assert compose(inverse(m), m) == SymplecticMatrix.identity(4, dim)
+
     def test_non_symplectic_rejected_at_construction(self):
         with pytest.raises(NonSymplecticError):
             SymplecticMatrix(DIM6, np.array([[1, 1], [1, 1]]))
@@ -145,6 +154,31 @@ class TestGateMatrix:
         )
         p = gate_matrix(Phase(i, 1), n, dim)
         assert np.array_equal(sequence_matrix(seq).mat, p.T)
+
+
+class TestGateAction:
+    """The in-place kernel against the dense reference `gate_matrix`."""
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("d", [2, 5, 12])
+    def test_matches_dense_product(self, d, n):
+        dim = Dimension.of(d)
+        D = dim.D
+        rng = np.random.default_rng(100 * d + n)
+        powers = sorted({0, 1, D - 1, int(rng.integers(D))})
+        gates = [Fourier(i) for i in range(n)]
+        gates += [Phase(i, e) for i in range(n) for e in powers]
+        gates += [
+            Sum(c, t, e) for c in range(n) for t in range(n) if c != t for e in powers
+        ]
+        for g in gates:
+            w = rng.integers(0, D, size=(2 * n, 2 * n), dtype=np.int64)
+            g_mat = gate_matrix(g, n, dim)
+            left, right = w.copy(), w.copy()
+            act_left(left, g, n, D)
+            act_right(right, g, n, D)
+            assert np.array_equal(left, g_mat @ w % D), g
+            assert np.array_equal(right, w @ g_mat % D), g
 
 
 class TestCompose:

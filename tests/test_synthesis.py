@@ -1,8 +1,12 @@
+import hashlib
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cliffsynth.synthesis
 from cliffsynth import (
     DegenerateWordError,
     Dimension,
@@ -10,6 +14,7 @@ from cliffsynth import (
     NonSymplecticError,
     PauliWord,
     SymplecticMatrix,
+    SynthesisCheckError,
     apply_to_word,
     decompose,
     decompose_single,
@@ -26,7 +31,7 @@ from cliffsynth import (
 )
 from cliffsynth.symplectic import Fourier, Phase, Sum
 
-from conftest import random_gate_sequence
+from conftest import child_env, random_gate_sequence
 
 DIM5 = Dimension.of(5)
 DIM6 = Dimension.of(6)
@@ -77,6 +82,16 @@ class TestPegReduce:
 
 
 class TestDecomposeSingle:
+    def test_exhaustive_programs_frozen_d6(self):
+        # all 1152 matrices mod 12; the 32 with no unit entry take the
+        # Euclid branch, which the multi-qudit golden corpus may not reach
+        h = hashlib.sha256()
+        for a, b, c, e in itertools.product(range(12), repeat=4):
+            if (a * e - b * c) % 12 == 1:
+                m = SymplecticMatrix(DIM6, np.array([[a, b], [c, e]]))
+                h.update(f"{a} {b} {c} {e}\n{decompose_single(m).to_text()}\n".encode())
+        assert h.hexdigest() == "5670ee078f27783bd36bd62fc7f619d78376ffd79c3380b443c496fa76cee626"
+
     def test_worked_matrix(self):
         m = SymplecticMatrix(DIM6, GOLDEN_MATRIX)
         seq = decompose_single(m)
@@ -306,6 +321,69 @@ class TestDecompose:
         assert res.target == m
         assert res.gate_count == len(res.program)
         assert sequence_matrix(res.program) == m
+
+
+class TestDecomposeLargeSizes:
+    @pytest.mark.parametrize("d", [2, 97])
+    def test_round_trip_n32(self, d):
+        m = sequence_matrix(random_gate_sequence(32, Dimension.of(d), 1280, 1))
+        assert sequence_matrix(decompose(m)) == m
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_round_trip_largest_dimension(self, seed):
+        m = sequence_matrix(random_gate_sequence(4, Dimension.of(1_000_000), 80, seed))
+        assert sequence_matrix(decompose(m)) == m
+
+
+# A child interpreter under -O (asserts stripped) drops the last gate of
+# every merge and reports which error, if any, decompose raised.
+CORRUPTED_DECOMPOSE = """
+import cliffsynth.synthesis as syn
+from cliffsynth import CliffSynthError, Dimension, GateSequence, sequence_matrix
+merge = syn.merge_gates
+syn.merge_gates = lambda gates, dim: merge(gates, dim)[:-1]
+seq = GateSequence.from_text({text!r}, 3, Dimension.of(5))
+try:
+    syn.decompose(sequence_matrix(seq))
+except CliffSynthError as exc:
+    print(type(exc).__name__)
+"""
+
+
+class TestDecomposeChecks:
+    def _matrix(self):
+        return sequence_matrix(random_gate_sequence(3, DIM5, 30, 4))
+
+    def test_final_check_catches_dropped_gate(self, monkeypatch):
+        merge = cliffsynth.synthesis.merge_gates
+        monkeypatch.setattr(
+            cliffsynth.synthesis, "merge_gates", lambda gates, dim: merge(gates, dim)[:-1]
+        )
+        with pytest.raises(SynthesisCheckError, match="does not recompose"):
+            decompose(self._matrix())
+
+    def test_final_check_survives_optimize_flag(self):
+        text = random_gate_sequence(3, DIM5, 30, 4).to_text()
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", CORRUPTED_DECOMPOSE.format(text=text)],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "SynthesisCheckError"
+
+    def test_row_check_names_qudit_and_row(self, monkeypatch):
+        monkeypatch.setattr(cliffsynth.synthesis, "act_right", lambda *args: None)
+        with pytest.raises(SynthesisCheckError, match=r"^qudit 2: row 5 "):
+            decompose(self._matrix())
+
+    def test_column_check_names_qudit_and_column(self, monkeypatch):
+        # diag(1, 3^-1, 1, 3) needs the rescaling step on qudit 1
+        monkeypatch.setattr(cliffsynth.synthesis, "_scale_gates", lambda *args: [])
+        m = SymplecticMatrix(DIM5, np.diag([1, 2, 1, 3]))
+        with pytest.raises(SynthesisCheckError, match=r"^qudit 1: column 3 "):
+            decompose(m)
 
 
 class TestSwapSequence:
