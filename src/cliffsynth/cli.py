@@ -4,11 +4,13 @@ Subcommands: synth, transport, peg, verify, embed-check. All output is
 line-oriented plain text; programs print one gate per line (first applied
 first) followed by a ``# gates: <count>`` comment line.
 
-Exit codes: 0 success, 1 infeasible transport, 2 parse/usage error
-(including a ``CS_TOL`` that is not a number in (0, 1)), 3 invalid input
-(non-symplectic matrix, identity word), 4 verification failure, 5 scale
-cap exceeded. The environment variable ``CS_TOL`` sets the dense-oracle
-tolerance (default 1e-9); every subcommand checks it before any output.
+Exit codes (the table in ``main``): 0 success, 1 infeasible transport,
+2 parse/usage error (ParseError, a bad ``CS_TOL``, any other library
+error), 3 invalid input (NonSymplecticError, DegenerateWordError,
+DimensionMismatchError, MalformedMatrixError), 4 verification failure
+(also SynthesisCheckError), 5 scale cap exceeded (ScaleLimitError).
+``CS_TOL`` sets the dense-oracle tolerance (default 1e-9). Every subcommand
+checks it, and ``--verify unitary`` checks the oracle's cap, before any output.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import sys
 from pathlib import Path
 
 from .embedding import (
+    MAX_EMBED_CHECK_D,
     Embedding,
     logical_feasible_single,
     logical_feasible_sum,
@@ -26,9 +29,12 @@ from .embedding import (
 from .errors import (
     CliffSynthError,
     DegenerateWordError,
+    DimensionMismatchError,
+    MalformedMatrixError,
     NonSymplecticError,
     ParseError,
     ScaleLimitError,
+    SynthesisCheckError,
 )
 from .pauli import PauliWord, parse_word
 from .symplectic import (
@@ -40,7 +46,7 @@ from .symplectic import (
     sequence_matrix,
 )
 from .synthesis import decompose, generalized_peg, transport
-from .unitary import check_program, equal_up_to_phase, sequence_unitary, word_unitary
+from .unitary import MAX_DENSE_SIDE, _check_scale, _conjugates, check_program, sequence_unitary
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -84,19 +90,31 @@ def _print_program(seq: GateSequence) -> None:
     print(f"# gates: {len(seq)}")
 
 
-def _conjugates_to(seq: GateSequence, source: PauliWord, target: PauliWord) -> bool:
-    u = sequence_unitary(seq)
-    conj = u @ word_unitary(source) @ u.dagger()
-    return equal_up_to_phase(conj, word_unitary(target), _tolerance())
+def _check_oracle_scale(args: argparse.Namespace, layout: SymplecticMatrix | PauliWord) -> None:
+    if args.verify == "unitary":
+        _check_scale(layout.dim.d**layout.n, MAX_DENSE_SIDE, "dense oracle")
+
+
+def _verify_word_map(
+    args: argparse.Namespace, seq: GateSequence, source: PauliWord, target: PauliWord, what: str
+) -> int:
+    if args.verify == "symplectic" and apply_to_word(sequence_matrix(seq), source) != target:
+        print(f"verification failed: program does not {what}", file=sys.stderr)
+        return EXIT_VERIFY
+    if args.verify == "unitary" and not _conjugates(
+        sequence_unitary(seq), source, target, _tolerance()
+    ):
+        print("verification failed: unitary oracle mismatch", file=sys.stderr)
+        return EXIT_VERIFY
+    return EXIT_OK
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    # --verify symplectic adds nothing to decompose's own final recomposition.
     m = _load_matrix(args.matrix)
+    _check_oracle_scale(args, m)
     seq = decompose(m)
     _print_program(seq)
-    if args.verify == "symplectic" and sequence_matrix(seq) != m:
-        print("verification failed: program does not recompose the matrix", file=sys.stderr)
-        return EXIT_VERIFY
     if args.verify == "unitary" and not check_program(seq, m, _tolerance()):
         print("verification failed: unitary oracle mismatch", file=sys.stderr)
         return EXIT_VERIFY
@@ -105,33 +123,23 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_transport(args: argparse.Namespace) -> int:
     p, q = parse_word(args.source), parse_word(args.target)
+    _check_oracle_scale(args, p)
     seq = transport(p, q)
     if seq is None:
         print("infeasible")
         return EXIT_INFEASIBLE
     _print_program(seq)
-    if args.verify == "symplectic" and apply_to_word(sequence_matrix(seq), p) != q:
-        print("verification failed: program does not map source to target", file=sys.stderr)
-        return EXIT_VERIFY
-    if args.verify == "unitary" and not _conjugates_to(seq, p, q):
-        print("verification failed: unitary oracle mismatch", file=sys.stderr)
-        return EXIT_VERIFY
-    return EXIT_OK
+    return _verify_word_map(args, seq, p, q, "map source to target")
 
 
 def _cmd_peg(args: argparse.Namespace) -> int:
     w = parse_word(args.word)
+    _check_oracle_scale(args, w)
     seq, k = generalized_peg(w)
     _print_program(seq)
     print(f"# gcd: {k}")
     normal = PauliWord(w.dim, (0,) * w.n, (0,) * (w.n - 1) + (k,))
-    if args.verify == "symplectic" and apply_to_word(sequence_matrix(seq), w) != normal:
-        print("verification failed: program does not normalize the word", file=sys.stderr)
-        return EXIT_VERIFY
-    if args.verify == "unitary" and not _conjugates_to(seq, w, normal):
-        print("verification failed: unitary oracle mismatch", file=sys.stderr)
-        return EXIT_VERIFY
-    return EXIT_OK
+    return _verify_word_map(args, seq, w, normal, "normalize the word")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -154,9 +162,7 @@ def _format_witness(m: SymplecticMatrix) -> str:
 
 def _cmd_embed_check(args: argparse.Namespace) -> int:
     emb = Embedding(args.n, args.r_x, args.r_z)
-    if emb.d > 36:
-        print(f"ambient dimension {emb.d} exceeds the embed-check cap 36", file=sys.stderr)
-        return EXIT_SCALE
+    _check_scale(emb.d, MAX_EMBED_CHECK_D, "embed-check ambient dimension")
     qft = logical_feasible_single(emb, "qft")
     phase = logical_feasible_single(emb, "phase")
     summ = logical_feasible_sum(emb)
@@ -224,18 +230,20 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _tolerance()
         return args.func(args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (NonSymplecticError, DegenerateWordError) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ScaleLimitError as exc:
-        print(f"scale limit: {exc}", file=sys.stderr)
-        return EXIT_SCALE
     except CliffSynthError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        # Error class -> (stderr prefix, exit code); the first match wins.
+        for cls, prefix, code in (
+            (ParseError, "parse error", EXIT_PARSE),
+            ((NonSymplecticError, DegenerateWordError, DimensionMismatchError,
+              MalformedMatrixError), "invalid input", EXIT_INVALID),
+            (SynthesisCheckError, "verification failed", EXIT_VERIFY),
+            (ScaleLimitError, "scale limit", EXIT_SCALE),
+            (CliffSynthError, "error", EXIT_PARSE),
+        ):
+            if isinstance(exc, cls):
+                break
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -13,12 +13,17 @@ relations X -> XZ (odd) and X -> omega_hat * XZ (even) hold exactly.
 The sum gate is the plain permutation |i, j> -> |i, i+j mod d> in every
 dimension, which conjugates all four two-qudit Pauli generators to their
 images with no stray phase.
+
+No gate is built as a side x side matrix and multiplied in: ``_apply_gate``
+acts on one tensor axis of the row index, a d x d product for Fourier, a
+row scaling for phase, a row gather for sum. A Pauli word is an index map
+times a phase vector (``_word_maps``), so ``_conjugates`` tests a
+conjugation by a column gather, a row scatter and one inner product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -30,12 +35,15 @@ from .symplectic import (
     Gate,
     GateSequence,
     Phase,
+    Sum,
     SymplecticMatrix,
     apply_to_word,
 )
 
-# Dense conjugation is O(d^(3n)); keep oracle runs to fractions of a second.
+# Caps on the side d^n, checked before allocating: a program's unitary,
+# and a single operator (one gate, one word, the two-qudit embedding check).
 MAX_DENSE_SIDE = 256
+MAX_SUM_CHECK_SIDE = 1024
 
 
 @dataclass(frozen=True)
@@ -87,18 +95,16 @@ def omega_hat(dim: Dimension) -> complex:
 def pauli_unitaries(dim: Dimension) -> tuple[DenseOperator, DenseOperator]:
     """The single-qudit shift X and clock Z unitaries."""
     d = dim.d
-    x = np.zeros((d, d), dtype=np.complex128)
-    for col in range(d):
-        x[(col + 1) % d, col] = 1.0
+    _check_scale(d, MAX_SUM_CHECK_SIDE, "dense operator")
+    x = np.roll(np.eye(d, dtype=np.complex128), 1, axis=0)
     z = np.diag(omega(dim) ** np.arange(d))
     return DenseOperator(dim, 1, x), DenseOperator(dim, 1, z)
 
 
 def _fourier_1q(dim: Dimension) -> np.ndarray:
-    d = dim.d
-    j, k = np.meshgrid(np.arange(d), np.arange(d), indexing="xy")
+    k = np.arange(dim.d)
     # column j holds omega^(j*k) / sqrt(d)
-    return omega(dim) ** (j * k) / np.sqrt(d)
+    return omega(dim) ** np.outer(k, k) / np.sqrt(dim.d)
 
 
 def _phase_1q(dim: Dimension, power: int) -> np.ndarray:
@@ -108,72 +114,69 @@ def _phase_1q(dim: Dimension, power: int) -> np.ndarray:
         phases = omega(dim) ** ((j * (j - 1) // 2) % d)
     else:
         phases = omega_hat(dim) ** ((j * j) % dim.D)
-    return np.diag(phases**power)
+    return phases**power
 
 
-def _embed_single(op: np.ndarray, i: int, n: int, d: int) -> np.ndarray:
-    acc = np.eye(1, dtype=np.complex128)
-    for q in range(n):
-        acc = np.kron(acc, op if q == i else np.eye(d, dtype=np.complex128))
-    return acc
+def _check_scale(side: int, cap: int, what: str) -> None:
+    """Raise before a dense array of this side is allocated."""
+    if side > cap:
+        raise ScaleLimitError(f"{what} capped at side {cap}, need {side}")
 
 
-def _sum_permutation(control: int, target: int, power: int, n: int, d: int) -> np.ndarray:
-    side = d**n
-    m = np.zeros((side, side), dtype=np.complex128)
-    for digits in product(range(d), repeat=n):
-        src = 0
-        for v in digits:
-            src = src * d + v
-        out = list(digits)
-        out[target] = (out[target] + power * out[control]) % d
-        dst = 0
-        for v in out:
-            dst = dst * d + v
-        m[dst, src] = 1.0
-    return m
+def _digits(dim: Dimension, n: int) -> np.ndarray:
+    """Row q holds qudit q's digit of every basis index (qudit 0 most significant)."""
+    return np.indices((dim.d,) * n).reshape(n, -1)
+
+
+def _apply_gate(u: np.ndarray, g: Gate, dim: Dimension, digits: np.ndarray) -> np.ndarray:
+    """``gate_unitary(g) @ u``, acting on one tensor axis of u's row index."""
+    d = dim.d
+    if isinstance(g, Fourier):
+        rows = u.reshape(d**g.qudit, d, -1)
+        return (_fourier_1q(dim) @ rows).reshape(u.shape)
+    if isinstance(g, Phase):
+        return u * _phase_1q(dim, g.power)[digits[g.qudit]][:, None]
+    c, t = g.control, g.target
+    # |x> goes to |x + power * x_c e_t>, so output row x is input row x - power * x_c e_t.
+    place = d ** (digits.shape[0] - 1 - t)
+    source = np.arange(u.shape[0]) + ((digits[t] - g.power * digits[c]) % d - digits[t]) * place
+    return u[source]
+
+
+def _word_maps(w: PauliWord) -> tuple[np.ndarray, np.ndarray]:
+    """Index map and phase vector of a word: ``W |x> = phase[x] |shift[x]>``."""
+    d = w.dim.d
+    digits = _digits(w.dim, w.n)
+    shift = np.ravel_multi_index((digits + np.array(w.xexp)[:, None]) % d, (d,) * w.n)
+    return shift, omega(w.dim) ** ((np.array(w.zexp) @ digits) % d)
 
 
 def gate_unitary(g: Gate, n: int, dim: Dimension) -> DenseOperator:
     """Tensor-embedded unitary of a generator gate (qudit 0 leftmost)."""
-    d = dim.d
-    if isinstance(g, Fourier):
-        if g.qudit >= n:
-            raise DimensionMismatchError(f"gate {g} out of range for n={n}")
-        return DenseOperator(dim, n, _embed_single(_fourier_1q(dim), g.qudit, n, d))
-    if isinstance(g, Phase):
-        if g.qudit >= n:
-            raise DimensionMismatchError(f"gate {g} out of range for n={n}")
-        return DenseOperator(dim, n, _embed_single(_phase_1q(dim, g.power), g.qudit, n, d))
-    if max(g.control, g.target) >= n:
+    if (max(g.control, g.target) if isinstance(g, Sum) else g.qudit) >= n:
         raise DimensionMismatchError(f"gate {g} out of range for n={n}")
-    return DenseOperator(dim, n, _sum_permutation(g.control, g.target, g.power, n, d))
+    _check_scale(dim.d**n, MAX_SUM_CHECK_SIDE, "dense operator")
+    eye = np.eye(dim.d**n, dtype=np.complex128)
+    return DenseOperator(dim, n, _apply_gate(eye, g, dim, _digits(dim, n)))
 
 
 def word_unitary(w: PauliWord) -> DenseOperator:
     """Tensor product of X^a Z^b factors (X powers left of Z powers)."""
-    x, z = pauli_unitaries(w.dim)
-    acc = np.eye(1, dtype=np.complex128)
-    for a, b in zip(w.xexp, w.zexp):
-        factor = np.linalg.matrix_power(x.matrix, a) @ np.linalg.matrix_power(z.matrix, b)
-        acc = np.kron(acc, factor)
-    return DenseOperator(w.dim, w.n, acc)
-
-
-def _check_scale(dim: Dimension, n: int) -> None:
-    if dim.d**n > MAX_DENSE_SIDE:
-        raise ScaleLimitError(
-            f"dense oracle capped at side {MAX_DENSE_SIDE}, need {dim.d**n}"
-        )
+    side = w.dim.d**w.n
+    _check_scale(side, MAX_SUM_CHECK_SIDE, "dense operator")
+    shift, phase = _word_maps(w)
+    m = np.zeros((side, side), dtype=np.complex128)
+    m[shift, np.arange(side)] = phase
+    return DenseOperator(w.dim, w.n, m)
 
 
 def sequence_unitary(seq: GateSequence) -> DenseOperator:
     """Unitary of a gate program (first gate applied first)."""
-    _check_scale(seq.dim, seq.n)
-    side = seq.dim.d**seq.n
-    acc = np.eye(side, dtype=np.complex128)
+    _check_scale(seq.dim.d**seq.n, MAX_DENSE_SIDE, "dense oracle")
+    digits = _digits(seq.dim, seq.n)
+    acc = np.eye(seq.dim.d**seq.n, dtype=np.complex128)
     for g in seq.gates:
-        acc = gate_unitary(g, seq.n, seq.dim).matrix @ acc
+        acc = _apply_gate(acc, g, seq.dim, digits)
     return DenseOperator(seq.dim, seq.n, acc)
 
 
@@ -196,6 +199,21 @@ def relative_phase(a: DenseOperator, b: DenseOperator) -> complex:
     return complex(np.trace(b.matrix.conj().T @ a.matrix) / a.side)
 
 
+def _conjugates(u: DenseOperator, source: PauliWord, target: PauliWord, tol: float) -> bool:
+    """True iff ``u W u^dagger = lambda W'`` for a unit scalar lambda.
+
+    Tests ``|<u W, W' u>| >= side*(1-tol)``: the overlap of
+    :func:`equal_up_to_phase` moved round the trace, with no matrix product.
+    """
+    u = u.matrix
+    shift, phase = _word_maps(source)
+    uw = u[:, shift] * phase
+    shift, phase = _word_maps(target)
+    wu = np.empty_like(u)
+    wu[shift] = phase[:, None] * u
+    return bool(abs(np.vdot(uw, wu)) >= u.shape[0] * (1.0 - tol))
+
+
 def check_program(seq: GateSequence, m: SymplecticMatrix, tol: float = 1e-9) -> bool:
     """Verify a gate program realizes a classical matrix, up to phases.
 
@@ -205,16 +223,6 @@ def check_program(seq: GateSequence, m: SymplecticMatrix, tol: float = 1e-9) -> 
     """
     if seq.n != m.n or seq.dim != m.dim:
         raise DimensionMismatchError("program and matrix disagree on layout")
-    _check_scale(seq.dim, seq.n)
     u = sequence_unitary(seq)
-    u_dag = u.dagger()
-    for i in range(seq.n):
-        for word in (
-            PauliWord.x_generator(i, seq.n, seq.dim),
-            PauliWord.z_generator(i, seq.n, seq.dim),
-        ):
-            conjugated = u @ word_unitary(word) @ u_dag
-            expected = word_unitary(apply_to_word(m, word))
-            if not equal_up_to_phase(conjugated, expected, tol):
-                return False
-    return True
+    generators = [PauliWord.from_vector(v, seq.dim) for v in np.eye(2 * seq.n, dtype=np.int64)]
+    return all(_conjugates(u, w, apply_to_word(m, w), tol) for w in generators)

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import cliffsynth
 from cliffsynth import Dimension, GateSequence, sequence_matrix
 from cliffsynth.cli import main
 
@@ -12,6 +13,9 @@ from conftest import child_env
 
 GOLDEN_TEXT = "d 6 n 1\n10 9\n3 4\n"
 SWAP_D3_TEXT = "d 3 n 2\n0 1 0 0\n1 0 0 0\n0 0 0 1\n0 0 1 0\n"
+# side 17^2 = 289 is over the dense oracle's cap of 256
+IDENTITY_D17_N2_TEXT = "d 17 n 2\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"
+WORD_D17_N2 = "d=17 n=2 a=1,0 b=0,3"
 
 
 def run(capsys, *argv):
@@ -67,6 +71,36 @@ class TestSynth:
         assert code == 3
         assert err == f"invalid input: matrix in {f} is not symplectic mod 12\n"
 
+    def test_synthesis_check_failure_exit_4(self, tmp_path, capsys, monkeypatch):
+        # decompose's own final check is what --verify symplectic relies on
+        merge = cliffsynth.synthesis.merge_gates
+        monkeypatch.setattr(
+            cliffsynth.synthesis, "merge_gates", lambda gates, dim: merge(gates, dim)[:-1]
+        )
+        f = tmp_path / "m.txt"
+        f.write_text(GOLDEN_TEXT)
+        code, out, err = run(capsys, "synth", str(f), "--verify", "symplectic")
+        assert code == 4 and out == ""
+        assert err.startswith("verification failed: ") and "Traceback" not in err
+
+
+class TestOracleCapBeforeOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "{matrix}"],
+            ["transport", WORD_D17_N2, WORD_D17_N2],
+            ["peg", WORD_D17_N2],
+        ],
+    )
+    def test_verify_unitary_over_cap_prints_nothing(self, tmp_path, capsys, argv):
+        f = tmp_path / "m.txt"
+        f.write_text(IDENTITY_D17_N2_TEXT)
+        argv = [a.format(matrix=f) for a in argv]
+        code, out, err = run(capsys, *argv, "--verify", "unitary")
+        assert code == 5 and out == ""
+        assert err == "scale limit: dense oracle capped at side 256, need 289\n"
+
 
 class TestTransport:
     def test_feasible_pair(self, capsys):
@@ -98,6 +132,12 @@ class TestTransport:
     def test_identity_word_exit_3(self, capsys):
         code, _, err = run(capsys, "transport", "d=4 n=1 a=0 b=0", "d=4 n=1 a=0 b=1")
         assert code == 3
+
+    @pytest.mark.parametrize("target", ["d=5 n=2 a=1,0 b=0,0", "d=7 n=1 a=1 b=0"])
+    def test_layout_mismatch_exit_3(self, capsys, target):
+        code, out, err = run(capsys, "transport", "d=5 n=1 a=1 b=0", target)
+        assert code == 3 and out == ""
+        assert err.startswith("invalid input: ")
 
 
 class TestPeg:
@@ -149,6 +189,15 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err.startswith("parse error: CS_TOL") and "Traceback" not in err
 
+    def test_gate_out_of_range_exit_3(self, tmp_path, capsys):
+        m = tmp_path / "m.txt"
+        m.write_text(GOLDEN_TEXT)
+        prog = tmp_path / "prog.txt"
+        prog.write_text("F 5\n")
+        code, out, err = run(capsys, "verify", str(m), str(prog))
+        assert code == 3 and out == ""
+        assert err.startswith("invalid input: ") and "out of range for n=1" in err
+
     def test_mismatch_exit_4(self, tmp_path, capsys):
         m = tmp_path / "m.txt"
         m.write_text(GOLDEN_TEXT)
@@ -179,8 +228,9 @@ class TestEmbedCheck:
         assert out.strip().splitlines()[0] == "symplectic: yes"
 
     def test_scale_cap_exit_5(self, capsys):
-        code, _, err = run(capsys, "embed-check", "2", "3", "7")
-        assert code == 5
+        code, out, err = run(capsys, "embed-check", "2", "3", "7")
+        assert code == 5 and out == ""
+        assert err == "scale limit: embed-check ambient dimension capped at side 36, need 42\n"
 
     def test_bad_parameters_exit_2(self, capsys):
         code, _, _ = run(capsys, "embed-check", "1", "1", "1")

@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 
+import cliffsynth
 from cliffsynth import (
     DenseOperator,
     Dimension,
@@ -18,11 +20,15 @@ from cliffsynth import (
     omega_hat,
     pauli_unitaries,
     relative_phase,
+    sequence_matrix,
     sequence_unitary,
     sip,
     word_unitary,
 )
 from cliffsynth.symplectic import Fourier, Phase, Sum
+from cliffsynth.unitary import MAX_DENSE_SIDE, MAX_SUM_CHECK_SIDE, _conjugates
+
+from conftest import random_gate_sequence
 
 
 def close(a, b, tol=1e-9):
@@ -227,3 +233,192 @@ class TestSequenceUnitary:
             v = PauliWord(dim, (ap,), (bp,))
             uu, vv = word_unitary(u).matrix, word_unitary(v).matrix
             assert close(uu @ vv, w ** sip(v, u) * (vv @ uu))
+
+
+# Independent references for the axis-local kernel: kron chains and a loop
+# over basis states, written from the gate definitions alone.
+
+
+def kron_embed(op, i, n, d):
+    acc = np.eye(1, dtype=np.complex128)
+    for q in range(n):
+        acc = np.kron(acc, op if q == i else np.eye(d, dtype=np.complex128))
+    return acc
+
+
+def sum_permutation(control, target, power, n, d):
+    side = d**n
+    m = np.zeros((side, side), dtype=np.complex128)
+    for digits in itertools.product(range(d), repeat=n):
+        src = 0
+        for v in digits:
+            src = src * d + v
+        out = list(digits)
+        out[target] = (out[target] + power * out[control]) % d
+        dst = 0
+        for v in out:
+            dst = dst * d + v
+        m[dst, src] = 1.0
+    return m
+
+
+def reference_gate(g, n, dim):
+    d = dim.d
+    j = np.arange(d)
+    if isinstance(g, Fourier):
+        return kron_embed(np.exp(2j * np.pi * np.outer(j, j) / d) / np.sqrt(d), g.qudit, n, d)
+    if isinstance(g, Phase):
+        if d % 2:
+            diag = np.exp(2j * np.pi * (j * (j - 1) // 2) / d)
+        else:
+            diag = np.exp(2j * np.pi * j * j / dim.D)
+        return kron_embed(np.diag(diag**g.power), g.qudit, n, d)
+    return sum_permutation(g.control, g.target, g.power, n, d)
+
+
+def reference_word(w):
+    d = w.dim.d
+    x = np.roll(np.eye(d), 1, axis=0)
+    z = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    acc = np.eye(1, dtype=np.complex128)
+    for a, b in zip(w.xexp, w.zexp):
+        acc = np.kron(acc, np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b))
+    return acc
+
+
+KERNEL_SHAPES = [(2, 3), (3, 2), (4, 2), (6, 2)]
+
+
+class TestAxisLocalKernel:
+    @pytest.mark.parametrize("d, n", KERNEL_SHAPES)
+    def test_every_gate_matches_reference(self, d, n):
+        dim = Dimension.of(d)
+        gates = [Fourier(q) for q in range(n)]
+        gates += [Phase(q, e) for q in range(n) for e in range(dim.D)]
+        gates += [
+            Sum(c, t, e)
+            for c, t in itertools.permutations(range(n), 2)
+            for e in range(dim.D)
+        ]
+        for g in gates:
+            assert close(gate_unitary(g, n, dim).matrix, reference_gate(g, n, dim), 1e-12), g
+
+    @pytest.mark.parametrize("d, n", KERNEL_SHAPES)
+    def test_every_word_matches_reference(self, d, n):
+        dim = Dimension.of(d)
+        for xs in itertools.product(range(d), repeat=n):
+            for zs in [(0,) * n, (1,) * n, tuple(range(n)), xs[::-1]]:
+                w = PauliWord(dim, xs, zs)
+                assert close(word_unitary(w).matrix, reference_word(w), 1e-12), w
+
+    @pytest.mark.parametrize("d, n", KERNEL_SHAPES)
+    def test_sequence_matches_reference_product(self, d, n):
+        dim = Dimension.of(d)
+        seq = random_gate_sequence(n, dim, 20, seed=d * n)
+        acc = np.eye(d**n)
+        for g in seq:
+            acc = reference_gate(g, n, dim) @ acc
+        assert close(sequence_unitary(seq).matrix, acc, 1e-12)
+
+    @pytest.mark.parametrize("d, n", KERNEL_SHAPES)
+    def test_conjugation_test_matches_dense_products(self, d, n):
+        # u W u^dagger ~ W' by index maps, against the dense triple product;
+        # swapping the gather and the scatter fails this at once
+        dim = Dimension.of(d)
+        rng = random.Random(d + 10 * n)
+        seq = random_gate_sequence(n, dim, 12, seed=n * d + 1)
+        u, m = sequence_unitary(seq), sequence_matrix(seq)
+        verdicts = []
+        for _ in range(12):
+            w = PauliWord(dim, *(tuple(rng.randrange(d) for _ in range(n)) for _ in "xz"))
+            image = cliffsynth.apply_to_word(m, w)
+            other = PauliWord(dim, *(tuple(rng.randrange(d) for _ in range(n)) for _ in "xz"))
+            for target in (image, other):
+                dense = u @ word_unitary(w) @ u.dagger()
+                expected = equal_up_to_phase(dense, word_unitary(target))
+                assert _conjugates(u, w, target, 1e-9) == expected
+                verdicts.append(expected)
+        assert any(verdicts) and not all(verdicts)
+
+
+def _alter_one_exponent(seq, rng):
+    gates = list(seq.gates)
+    spots = [i for i, g in enumerate(gates) if not isinstance(g, Fourier)]
+    i = rng.choice(spots)
+    g = gates[i]
+    if isinstance(g, Phase):
+        gates[i] = Phase(g.qudit, g.power + 1)
+    else:
+        gates[i] = Sum(g.control, g.target, g.power + 1)
+    return GateSequence(tuple(gates), seq.n, seq.dim)
+
+
+ORACLE_SHAPES = [(2, 6), (2, 8), (3, 4), (3, 5), (4, 4), (6, 3), (16, 2)]
+
+
+def _oracle_cases():
+    """Seeded programs at sides 64 to 256, every second one altered."""
+    rng = random.Random(2024)
+    cases = []
+    for k, (d, n) in enumerate(ORACLE_SHAPES * 2):
+        dim = Dimension.of(d)
+        seq = random_gate_sequence(n, dim, 12 * n, seed=500 + k)
+        m = sequence_matrix(seq)
+        if k % 2:
+            seq = _alter_one_exponent(seq, rng)
+        cases.append((seq, m))
+    return cases
+
+
+def _recomposes_mod_d(seq, m):
+    d = seq.dim.d
+    return bool(np.array_equal(sequence_matrix(seq).mat % d, m.mat % d))
+
+
+class TestCheckProgramAgainstRecomposition:
+    def test_agrees_with_sequence_matrix_mod_d(self):
+        verdicts = []
+        for seq, m in _oracle_cases():
+            expected = _recomposes_mod_d(seq, m)
+            assert check_program(seq, m) == expected, (seq.dim.d, seq.n)
+            verdicts.append(expected)
+        assert any(verdicts) and not all(verdicts)
+
+    def test_independent_of_symplectic_path(self, monkeypatch):
+        cases = [(seq, m, _recomposes_mod_d(seq, m)) for seq, m in _oracle_cases()[:6]]
+
+        def boom(*args, **kwargs):
+            raise AssertionError("the dense oracle used the symplectic path")
+
+        for module in (cliffsynth.symplectic, cliffsynth.unitary):
+            for name in ("act_left", "act_right", "gate_matrix", "sequence_matrix"):
+                monkeypatch.setattr(module, name, boom, raising=False)
+        for seq, m, expected in cases:
+            assert check_program(seq, m) == expected
+
+
+class TestScaleCaps:
+    def test_gate_unitary_capped_before_allocation(self):
+        with pytest.raises(ScaleLimitError) as err:
+            gate_unitary(Fourier(0), 3, Dimension.of(11))
+        assert str(err.value) == (
+            f"dense operator capped at side {MAX_SUM_CHECK_SIDE}, need 1331"
+        )
+
+    def test_word_unitary_capped_before_allocation(self):
+        with pytest.raises(ScaleLimitError, match="need 88529281"):
+            word_unitary(PauliWord.identity(4, Dimension.of(97)))
+
+    def test_pauli_unitaries_capped_before_allocation(self):
+        with pytest.raises(ScaleLimitError, match="need 1000000"):
+            pauli_unitaries(Dimension.of(1_000_000))
+
+    def test_single_operator_cap_is_inclusive(self):
+        w = PauliWord(Dimension.of(32), (1, 0), (0, 1))
+        assert word_unitary(w).side == MAX_SUM_CHECK_SIDE
+
+    def test_sequence_unitary_message(self):
+        seq = GateSequence((Fourier(0),), 2, Dimension.of(17))
+        with pytest.raises(ScaleLimitError) as err:
+            sequence_unitary(seq)
+        assert str(err.value) == f"dense oracle capped at side {MAX_DENSE_SIDE}, need 289"
