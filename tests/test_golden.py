@@ -1,17 +1,31 @@
-"""Golden corpus: the exact program text `decompose` emits.
+"""Golden corpora: the exact program text of `decompose` and of the word programs.
 
 Over 504 seeded matrices (d in {2, 3, 4, 5, 6, 12, 97}, n from 1 to 12,
 sparse and dense, three seeds each) the sha256 of every program's text is
 frozen. Any change to the synthesizer that alters a single gate of any
 program changes the digest. Inputs are recomposed with the dense
 reference `gate_matrix`, so they do not depend on the code under test.
+
+A second digest covers `generalized_peg`, `transport` and
+`GateSequence.inverse` on seeded words (d in {2, 6, 12, 97, 1024}, n in
+{1, 2, 5, 16, 64}), with feasible and infeasible pairs and composite gcds.
 """
 
 import hashlib
+import random
+from math import gcd
 
 import numpy as np
 
-from cliffsynth import Dimension, SymplecticMatrix, decompose, gate_matrix
+from cliffsynth import (
+    Dimension,
+    PauliWord,
+    SymplecticMatrix,
+    decompose,
+    gate_matrix,
+    generalized_peg,
+    transport,
+)
 
 from conftest import random_gate_sequence
 
@@ -51,3 +65,66 @@ def test_golden_programs_unchanged():
     count, digest = golden_digest()
     assert count == 504
     assert digest == GOLDEN_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# word programs: generalized_peg, transport and GateSequence.inverse
+
+WORD_DIMS = (2, 6, 12, 97, 1024)
+WORD_NS = (1, 2, 5, 16, 64)
+WORD_SEEDS = range(4)
+
+WORD_DIGEST = "a201f0b0f73fc941395b677d4912ac89d6f4b13ddcd2d4741b7d122efcd6e02f"
+
+
+def divisors_below(d):
+    return [c for c in range(1, d) if d % c == 0]
+
+
+def random_word(rng, n, dim, factor):
+    """A nonidentity word whose exponents are all multiples of ``factor``."""
+    d = dim.d
+    xs = [factor * rng.randrange(d) % d for _ in range(n)]
+    zs = [factor * rng.randrange(d) % d for _ in range(n)]
+    if not any(xs) and not any(zs):
+        zs[-1] = factor
+    return PauliWord(dim, tuple(xs), tuple(zs))
+
+
+def word_cases():
+    """(d, n, seed, p, q): random pairs, half of them sharing a factor,
+    plus p mapped to itself and to a unit multiple of itself."""
+    for d in WORD_DIMS:
+        dim = Dimension.of(d)
+        factors = divisors_below(d)
+        for n in WORD_NS:
+            for s in WORD_SEEDS:
+                rng = random.Random(f"golden-words/{d}/{n}/{s}")
+                f = rng.choice(factors)
+                p = random_word(rng, n, dim, f)
+                q = random_word(rng, n, dim, f if s % 2 == 0 else rng.choice(factors))
+                unit = next(u for u in range(rng.randrange(2, d + 1), 2 * d) if gcd(u, d) == 1)
+                for target in (q, p, p.scale(unit)):
+                    yield d, n, s, p, target
+
+
+def word_digest():
+    h = hashlib.sha256()
+    feasible = infeasible = 0
+    for d, n, s, p, q in word_cases():
+        seq, k = generalized_peg(p)
+        h.update(f"peg {d} {n} {s}\n{seq.to_text()}\n# k {k}\n{seq.inverse().to_text()}\n".encode())
+        out = transport(p, q)
+        if out is None:
+            infeasible += 1
+            h.update(b"transport None\n")
+        else:
+            feasible += 1
+            h.update(f"transport\n{out.to_text()}\n# inverse\n{out.inverse().to_text()}\n".encode())
+    return feasible, infeasible, h.hexdigest()
+
+
+def test_golden_word_programs_unchanged():
+    feasible, infeasible, digest = word_digest()
+    assert (feasible, infeasible) == (276, 24)
+    assert digest == WORD_DIGEST
