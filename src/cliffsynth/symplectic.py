@@ -79,18 +79,18 @@ Gate = Union[Fourier, Phase, Sum]
 
 
 def _gate_max_index(g: Gate) -> int:
-    if isinstance(g, Sum):
+    if type(g) is Sum:
         return max(g.control, g.target)
     return g.qudit
 
 
 def _normalize_gate(g: Gate, D: int) -> Gate:
-    """Reduce gate exponents into [0, D)."""
-    if isinstance(g, Phase):
+    """Reduce gate exponents into [0, D); a gate already in range is returned as is."""
+    if type(g) is Fourier or 0 <= g.power < D:
+        return g
+    if type(g) is Phase:
         return Phase(g.qudit, g.power % D)
-    if isinstance(g, Sum):
-        return Sum(g.control, g.target, g.power % D)
-    return g
+    return Sum(g.control, g.target, g.power % D)
 
 
 def gate_matrix(g: Gate, n: int, dim: Dimension) -> np.ndarray:
@@ -169,44 +169,48 @@ def merge_gates(gates: Iterable[Gate], dim: Dimension) -> list[Gate]:
     Runs of Fourier gates on one qudit reduce mod 4, adjacent phase powers
     on one qudit and sum powers on one (control, target) pair add mod D,
     and gates that reduce to the identity are dropped.
+
+    The output is the reduced word of the input in the free product of
+    the cyclic groups <F_i | F_i^4>, <P_i> mod D and <C_{c,t}> mod D, one
+    per qudit or qudit pair: the list is a stack, and each gate either
+    joins the top letter of its own group or is pushed, and a letter
+    that reduces to the identity is popped, which exposes the letter
+    below it to the next gate. Reduced words in a free product are unique,
+    so the result depends only on the element the input represents:
+    ``merge(a + b) == merge(merge(a) + merge(b))``, and a program built
+    from raw pieces can be merged once at the end. Those relations all
+    hold among the gate matrices, so merging keeps ``sequence_matrix``.
     """
     D = dim.D
     out: list[Gate] = []
     for g in gates:
         g = _normalize_gate(g, D)
-        merged = False
-        if out:
-            prev = out[-1]
-            if isinstance(g, Fourier) and isinstance(prev, Fourier) and prev.qudit == g.qudit:
+        prev = out[-1] if out else None
+        kind = type(g)
+        if kind is Fourier:
+            if type(prev) is Fourier and prev.qudit == g.qudit:
                 # count the trailing run, wrap at 4
                 run = 0
-                while out and isinstance(out[-1], Fourier) and out[-1].qudit == g.qudit:
+                while out and type(out[-1]) is Fourier and out[-1].qudit == g.qudit:
                     out.pop()
                     run += 1
-                run = (run + 1) % 4
-                out.extend([Fourier(g.qudit)] * run)
-                merged = True
-            elif isinstance(g, Phase) and isinstance(prev, Phase) and prev.qudit == g.qudit:
+                out.extend([g] * ((run + 1) % 4))
+            else:
+                out.append(g)
+        elif kind is Phase:
+            if type(prev) is Phase and prev.qudit == g.qudit:
                 out.pop()
                 p = (prev.power + g.power) % D
                 if p:
                     out.append(Phase(g.qudit, p))
-                merged = True
-            elif (
-                isinstance(g, Sum)
-                and isinstance(prev, Sum)
-                and (prev.control, prev.target) == (g.control, g.target)
-            ):
-                out.pop()
-                p = (prev.power + g.power) % D
-                if p:
-                    out.append(Sum(g.control, g.target, p))
-                merged = True
-        if not merged:
-            if isinstance(g, Phase) and g.power == 0:
-                continue
-            if isinstance(g, Sum) and g.power == 0:
-                continue
+            elif g.power:
+                out.append(g)
+        elif type(prev) is Sum and prev.control == g.control and prev.target == g.target:
+            out.pop()
+            p = (prev.power + g.power) % D
+            if p:
+                out.append(Sum(g.control, g.target, p))
+        elif g.power:
             out.append(g)
     return out
 

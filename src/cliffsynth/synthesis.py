@@ -18,6 +18,7 @@ is deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -165,15 +166,11 @@ def sum_peg(
     return GateSequence(tuple(merge_gates(gates, dim)), 2, dim)
 
 
-def generalized_peg(w: PauliWord) -> tuple[GateSequence, int]:
-    """Program mapping a word to I x ... x I x Z^k, k = gcd of all exponents.
-
-    Each qudit is first reduced to a pure Z power, then the sum-gate loop
-    folds the Z exponents left to right onto the last qudit.
-    """
+def _peg_gates(w: PauliWord) -> tuple[list[Gate], int]:
+    """The unmerged gates of `generalized_peg` and the gcd k."""
     if w.is_identity:
         raise DegenerateWordError("the identity word has no reduction target")
-    n, dim = w.n, w.dim
+    n, D = w.n, w.dim.D
     gates: list[Gate] = []
     zvals: list[int] = []
     for i in range(n):
@@ -181,45 +178,69 @@ def generalized_peg(w: PauliWord) -> tuple[GateSequence, int]:
         if (a, b) == (0, 0):
             zvals.append(0)
             continue
-        chunk, g = _peg_vector(a, b, dim.D, i)
+        chunk, g = _peg_vector(a, b, D, i)
         gates.extend(chunk)
         zvals.append(g)
     cur = zvals[0]
     for i in range(n - 1):
         nxt = zvals[i + 1]
         if (cur, nxt) != (0, 0):
-            chunk, _ = _sum_peg_vector(cur, nxt, dim.D, "second", i, i + 1)
+            chunk, _ = _sum_peg_vector(cur, nxt, D, "second", i, i + 1)
             gates.extend(chunk)
         cur = gcd0(cur, nxt)
-    return GateSequence(tuple(merge_gates(gates, dim)), n, dim), cur % dim.d
+    return gates, cur % w.dim.d
+
+
+def generalized_peg(w: PauliWord) -> tuple[GateSequence, int]:
+    """Program mapping a word to I x ... x I x Z^k, k = gcd of all exponents.
+
+    Each qudit is first reduced to a pure Z power, then the sum-gate loop
+    folds the Z exponents left to right onto the last qudit.
+    """
+    gates, k = _peg_gates(w)
+    return GateSequence(tuple(merge_gates(gates, w.dim)), w.n, w.dim), k
+
+
+def _transport_unit(gp: int, gq: int, d: int) -> int | None:
+    """The smallest unit k mod d with k * gp = gq mod d, or None.
+
+    Such a k exists exactly when gcd(gp, d) = gcd(gq, d) = g. The
+    solutions of k * gp = gq mod d are then k0 + t * (d/g), with k0 the
+    solution mod d/g, and some of them are units, since every unit mod d/g
+    lifts to one mod d. Walking t upwards from 0 finds the smallest of
+    them within a few gcds; a scan of every k below d would cost O(d).
+    """
+    g = gcd0(gp, d)
+    if gcd0(gq, d) != g:
+        return None
+    step = d // g
+    k0 = (gq // g) * mod_inverse(gp // g, step) % step
+    return next((k for k in range(k0, d, step) if gcd0(k, d) == 1), None)
 
 
 def transport(p: PauliWord, q: PauliWord) -> GateSequence | None:
     """A program whose conjugation action maps word p to word q, if any.
 
     Feasible exactly when gcd(q's exponents) = k * gcd(p's exponents)
-    mod d for some unit k mod d; returns None otherwise.
+    mod d for some unit k mod d; returns None otherwise. The program is
+    p's peg gates, the scale gates and q's inverted peg gates, merged once.
     """
     if p.dim != q.dim or p.n != q.n:
         raise DimensionMismatchError("transport endpoints disagree on layout")
     if p.is_identity or q.is_identity:
         raise DegenerateWordError("transport endpoints must be nonidentity words")
+    n, dim = p.n, p.dim
     if p == q:
-        return GateSequence((), p.n, p.dim)
-    d = p.dim.d
-    to_tail, gp = generalized_peg(p)
-    from_tail, gq = generalized_peg(q)
-    k = next(
-        (k for k in range(1, d) if gcd0(k, d) == 1 and (k * gp) % d == gq % d),
-        None,
-    )
+        return GateSequence((), n, dim)
+    k = _transport_unit(math.gcd(*p.xexp, *p.zexp), math.gcd(*q.xexp, *q.zexp), dim.d)
     if k is None:
         return None
-    gates = list(to_tail.gates)
+    gates, _ = _peg_gates(p)
     if k != 1:
-        gates.extend(_scale_gates(k, p.dim.D, p.n - 1))
-    gates.extend(from_tail.inverse().gates)
-    return GateSequence(tuple(merge_gates(gates, p.dim)), p.n, p.dim)
+        gates.extend(_scale_gates(k, dim.D, n - 1))
+    for g in reversed(_peg_gates(q)[0]):
+        gates.extend(invert_gate(g, dim))
+    return GateSequence(tuple(merge_gates(gates, dim)), n, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +249,8 @@ def transport(p: PauliWord, q: PauliWord) -> GateSequence | None:
 
 def _case1(mat: np.ndarray, dim: Dimension) -> list[Gate]:
     """Closed-form program for a 2x2 symplectic matrix with invertible
-    top-right entry: P^m F P^q F P^n with m, n read off the entries."""
+    top-right entry: P^m F P^q F P^n with m, n read off the entries.
+    Unmerged: every caller merges the program it is part of."""
     D = dim.D
     p, q = int(mat[0, 0]), int(mat[0, 1])
     s = int(mat[1, 1])
@@ -237,8 +259,7 @@ def _case1(mat: np.ndarray, dim: Dimension) -> list[Gate]:
         raise NonSymplecticError(f"top-right entry {q} is not a unit mod {D}")
     m = qinv * (s + 1) % D
     n = qinv * (p + 1) % D
-    gates = [Phase(0, n), Fourier(0), Phase(0, q), Fourier(0), Phase(0, m)]
-    return merge_gates(gates, dim)
+    return [Phase(0, n), Fourier(0), Phase(0, q), Fourier(0), Phase(0, m)]
 
 
 _R2 = np.array([[0, -1], [1, 0]], dtype=np.int64)

@@ -184,11 +184,12 @@ def equal_up_to_phase(a: DenseOperator, b: DenseOperator, tol: float = 1e-9) -> 
     """True iff a = lambda*b for a unit scalar, assuming both are unitary.
 
     Uses |trace(a_dagger b)| >= side*(1-tol), which for unitaries holds
-    exactly when they are proportional.
+    exactly when they are proportional. The trace is the entrywise inner
+    product ``vdot(a, b)``, so no matrix product is formed.
     """
     if a.side != b.side:
         raise DimensionMismatchError(f"operator sizes differ: {a.side} vs {b.side}")
-    overlap = abs(np.trace(a.matrix.conj().T @ b.matrix))
+    overlap = abs(np.vdot(a.matrix, b.matrix))
     return bool(overlap >= a.side * (1.0 - tol))
 
 
@@ -196,7 +197,7 @@ def relative_phase(a: DenseOperator, b: DenseOperator) -> complex:
     """The scalar lambda with a ~ lambda*b (meaningful when proportional)."""
     if a.side != b.side:
         raise DimensionMismatchError(f"operator sizes differ: {a.side} vs {b.side}")
-    return complex(np.trace(b.matrix.conj().T @ a.matrix) / a.side)
+    return complex(np.vdot(b.matrix, a.matrix) / a.side)
 
 
 def _conjugates(u: DenseOperator, source: PauliWord, target: PauliWord, tol: float) -> bool:

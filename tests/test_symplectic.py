@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cliffsynth import (
     Dimension,
@@ -24,7 +26,7 @@ from cliffsynth import (
     sequence_matrix,
     sip,
 )
-from cliffsynth.symplectic import Fourier, Phase, Sum
+from cliffsynth.symplectic import Fourier, Phase, Sum, _normalize_gate, invert_gate
 
 from conftest import random_gate_sequence, random_word_exponents
 
@@ -293,3 +295,98 @@ class TestTextFormats:
             GateSequence.from_text("F x", 1, DIM6)
         with pytest.raises(ParseError):
             GateSequence.from_text("C 0 0 1", 2, DIM6)
+
+
+# ---------------------------------------------------------------------------
+# merge_gates as a normal form
+
+
+@st.composite
+def gate_lists(draw):
+    """(gates, n, dim): up to 40 gates on n <= 8 qudits, powers in [-2D, 2D]."""
+    d = draw(st.sampled_from([2, 3, 12, 97]))
+    n = draw(st.integers(1, 8))
+    dim = Dimension.of(d)
+    qudit = st.integers(0, n - 1)
+    power = st.integers(-2 * dim.D, 2 * dim.D)
+    kinds = [st.builds(Fourier, qudit), st.builds(Phase, qudit, power)]
+    if n > 1:
+        pair = st.tuples(qudit, qudit).filter(lambda ct: ct[0] != ct[1])
+        kinds.append(st.builds(lambda ct, e: Sum(ct[0], ct[1], e), pair, power))
+    return draw(st.lists(st.one_of(kinds), max_size=40)), n, dim
+
+
+def split(gates, data):
+    cut = data.draw(st.integers(0, len(gates)))
+    return gates[:cut], gates[cut:]
+
+
+def group_of(g):
+    return (type(g), g.control, g.target) if type(g) is Sum else (type(g), g.qudit)
+
+
+def inverted(gates, dim):
+    return [h for g in reversed(gates) for h in invert_gate(g, dim)]
+
+
+class TestMergeNormalForm:
+    @given(gate_lists())
+    def test_idempotent(self, case):
+        gates, _, dim = case
+        once = merge_gates(gates, dim)
+        assert merge_gates(once, dim) == once
+
+    @given(gate_lists(), st.data())
+    def test_merge_of_concatenation(self, case, data):
+        gates, _, dim = case
+        a, b = split(gates, data)
+        assert merge_gates(a + b, dim) == merge_gates(
+            merge_gates(a, dim) + merge_gates(b, dim), dim
+        )
+
+    @given(gate_lists())
+    def test_keeps_sequence_matrix(self, case):
+        gates, n, dim = case
+        merged = GateSequence(tuple(merge_gates(gates, dim)), n, dim)
+        assert sequence_matrix(merged) == sequence_matrix(GateSequence(tuple(gates), n, dim))
+
+    @given(gate_lists())
+    def test_word_times_inverse_is_empty(self, case):
+        gates, _, dim = case
+        assert merge_gates(gates + inverted(gates, dim), dim) == []
+        assert merge_gates(inverted(gates, dim) + gates, dim) == []
+
+    @given(gate_lists())
+    def test_output_is_reduced(self, case):
+        gates, _, dim = case
+        out = merge_gates(gates, dim)
+        assert all(type(g) is Fourier or 0 < g.power < dim.D for g in out)
+        for prev, g in zip(out, out[1:]):
+            assert type(g) is Fourier or group_of(prev) != group_of(g)
+        for run in zip(out, out[1:], out[2:], out[3:]):  # F^4 = I
+            assert len({group_of(g) for g in run}) > 1
+
+
+class TestNormalization:
+    def test_in_range_gate_is_returned_as_is(self):
+        for g in (Fourier(0), Phase(0, 0), Phase(1, 11), Sum(0, 1, 5)):
+            assert _normalize_gate(g, DIM6.D) is g
+
+    def test_out_of_range_powers_reduce(self):
+        seq = GateSequence((Phase(0, -1), Sum(0, 1, DIM6.D + 3)), 2, DIM6)
+        assert seq.gates == (Phase(0, DIM6.D - 1), Sum(0, 1, 3))
+
+    def test_in_range_gates_are_kept(self):
+        gates = (Fourier(1), Phase(0, 4), Sum(1, 0, 2))
+        seq = GateSequence(gates, 2, DIM6)
+        assert all(a is b for a, b in zip(seq.gates, gates))
+
+    @pytest.mark.parametrize("g", [Fourier(2), Phase(2, 1), Sum(0, 2, 1), Sum(2, 1, 1)])
+    def test_qudit_out_of_range_raises(self, g):
+        with pytest.raises(MalformedMatrixError, match="out of range for n=2"):
+            GateSequence((Phase(0, 1), g), 2, DIM6)
+
+    def test_negative_powers_round_trip(self):
+        seq = GateSequence.from_text("P 0 -1\nF 1\nC 1 0 -13\nP 1 -24", 2, DIM6)
+        assert seq.to_text() == "P 0 11\nF 1\nC 1 0 11\nP 1 0"
+        assert GateSequence.from_text(seq.to_text(), 2, DIM6) == seq

@@ -31,6 +31,8 @@ from cliffsynth import (
 )
 from cliffsynth.symplectic import Fourier, Phase, Sum
 
+from cliffsynth.synthesis import _transport_unit
+
 from conftest import child_env, random_gate_sequence
 
 DIM5 = Dimension.of(5)
@@ -283,6 +285,34 @@ class TestTransport:
         dim = Dimension.of(d)
         p = PauliWord(dim, (1, 0), (0, 1))
         q = PauliWord(dim, (0, 1), (1, 1))
+        seq = transport(p, q)
+        assert seq is not None
+        assert apply_to_word(sequence_matrix(seq), p) == q
+
+
+def scan_units(d):
+    """{(gp, gq): smallest unit k in range(1, d) with k * gp = gq mod d}."""
+    units = [k for k in range(1, d) if gcd0(k, d) == 1]
+    table = {}
+    for gp in range(1, d):
+        for k in units:
+            table.setdefault((gp, k * gp % d), k)
+    return table
+
+
+class TestTransportUnit:
+    @pytest.mark.parametrize("d", range(2, 61))
+    def test_matches_linear_scan(self, d):
+        table = scan_units(d)
+        for gp in range(1, d):
+            for gq in range(1, d):
+                assert _transport_unit(gp, gq, d) == table.get((gp, gq)), (gp, gq)
+
+    def test_large_d(self):
+        dim = Dimension.of(10**6)
+        p = PauliWord(dim, (2, 0), (4, 6))  # gcd 2
+        assert transport(p, PauliWord(dim, (0, 3), (9, 0))) is None  # gcd 3
+        q = PauliWord(dim, (0, 14), (6, 0))  # gcd 2
         seq = transport(p, q)
         assert seq is not None
         assert apply_to_word(sequence_matrix(seq), p) == q

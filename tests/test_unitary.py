@@ -158,6 +158,21 @@ class TestEqualUpToPhase:
         assert equal_up_to_phase(u, a) and equal_up_to_phase(a, b)
         assert equal_up_to_phase(u, b)
 
+    @pytest.mark.parametrize("d,n", [(2, 3), (3, 2), (4, 2), (6, 2)])
+    def test_vdot_matches_trace_product(self, d, n):
+        # the reference: the trace of the full product a^dagger b
+        dim = Dimension.of(d)
+        rng = np.random.default_rng(100 * d + n)
+        for seed in range(6):
+            a = sequence_unitary(random_gate_sequence(n, dim, 6 * n, seed))
+            b = sequence_unitary(random_gate_sequence(n, dim, 6 * n, seed + 50))
+            c = DenseOperator(dim, n, np.exp(1j * rng.uniform(0, 7)) * a.matrix)
+            for x, y in ((a, b), (a, c), (c, a), (b, b)):
+                trace = np.trace(x.matrix.conj().T @ y.matrix)
+                assert abs(relative_phase(y, x) - trace / x.side) < 1e-12
+                assert equal_up_to_phase(x, y) == (abs(trace) >= x.side * (1 - 1e-9))
+            assert equal_up_to_phase(a, c) and abs(abs(relative_phase(c, a)) - 1) < 1e-12
+
 
 class TestCheckProgram:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
