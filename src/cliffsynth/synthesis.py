@@ -326,8 +326,8 @@ def _require_unit(vec: np.ndarray, idx: int, qudit: int, line: str) -> None:
         )
 
 
-def decompose(m: SymplecticMatrix) -> GateSequence:
-    """Fourier/phase/sum program for any symplectic matrix, any n.
+def _eliminate(m: SymplecticMatrix) -> list[Gate]:
+    """The merged elimination program of `decompose`, as a list of gates.
 
     A loop over the qudits j, last to first, on one working copy of the
     matrix. Left steps (row operations) reduce qudit j's Z column to a
@@ -339,8 +339,7 @@ def decompose(m: SymplecticMatrix) -> GateSequence:
     a 2x2 matrix, handled by `decompose_single`'s closed forms.
 
     The program is the inverted right steps, the 2x2 program and the
-    inverted left steps, merged once. Each elimination is checked in O(n)
-    and the program is recomposed and compared with ``m`` at the end;
+    inverted left steps, merged once. Each elimination is checked in O(n);
     a failure raises `SynthesisCheckError`.
     """
     n, dim = m.n, m.dim
@@ -404,7 +403,17 @@ def decompose(m: SymplecticMatrix) -> GateSequence:
     gates.extend(_single_gates(base, dim))
     for g in reversed(left):
         gates.extend(invert_gate(g, dim))
-    seq = GateSequence(tuple(merge_gates(gates, dim)), n, dim)
+    return merge_gates(gates, dim)
+
+
+def decompose(m: SymplecticMatrix) -> GateSequence:
+    """Fourier/phase/sum program for any symplectic matrix, any n.
+
+    The program of `_eliminate`, recomposed and compared with ``m`` at
+    the end; a failure raises `SynthesisCheckError`.
+    """
+    n, dim = m.n, m.dim
+    seq = GateSequence(tuple(_eliminate(m)), n, dim)
     if sequence_matrix(seq) != m:
         raise SynthesisCheckError(
             f"the {len(seq)}-gate program does not recompose the input (n={n}, d={dim.d})"

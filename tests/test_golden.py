@@ -1,10 +1,11 @@
 """Golden corpora: the exact program text of `decompose` and of the word programs.
 
 Over 504 seeded matrices (d in {2, 3, 4, 5, 6, 12, 97}, n from 1 to 12,
-sparse and dense, three seeds each) the sha256 of every program's text is
-frozen. Any change to the synthesizer that alters a single gate of any
-program changes the digest. Inputs are recomposed with the dense
-reference `gate_matrix`, so they do not depend on the code under test.
+sparse and dense, three seeds each) the sha256 of the elimination
+program's text (`_eliminate`) is frozen. Any change to the elimination
+that alters a single gate of any program changes the digest. Inputs are
+recomposed with the dense reference `gate_matrix`, so they do not depend
+on the code under test.
 
 A second digest covers `generalized_peg`, `transport` and
 `GateSequence.inverse` on seeded words (d in {2, 6, 12, 97, 1024}, n in
@@ -19,13 +20,15 @@ import numpy as np
 
 from cliffsynth import (
     Dimension,
+    GateSequence,
     PauliWord,
     SymplecticMatrix,
-    decompose,
     gate_matrix,
     generalized_peg,
     transport,
 )
+
+from cliffsynth.synthesis import _eliminate
 
 from conftest import random_gate_sequence
 
@@ -56,7 +59,8 @@ def golden_digest():
     count = 0
     for d, n, kind, length, seed in golden_cases():
         m = reference_matrix(random_gate_sequence(n, Dimension.of(d), length, seed))
-        h.update(f"{d} {n} {kind} {seed}\n{decompose(m).to_text()}\n".encode())
+        text = GateSequence(tuple(_eliminate(m)), n, m.dim).to_text()
+        h.update(f"{d} {n} {kind} {seed}\n{text}\n".encode())
         count += 1
     return count, h.hexdigest()
 
