@@ -247,22 +247,18 @@ def transport(p: PauliWord, q: PauliWord) -> GateSequence | None:
 # 2x2 decomposition
 
 
-def _case1(mat: np.ndarray, dim: Dimension) -> list[Gate]:
-    """Closed-form program for a 2x2 symplectic matrix with invertible
-    top-right entry: P^m F P^q F P^n with m, n read off the entries.
+def _case1(p: int, q: int, s: int, dim: Dimension, qudit: int) -> list[Gate]:
+    """Closed-form program for a 2x2 symplectic matrix [[p, q], [r, s]] with
+    invertible top-right entry: P^m F P^q F P^n with m, n read off the entries.
     Unmerged: every caller merges the program it is part of."""
     D = dim.D
-    p, q = int(mat[0, 0]), int(mat[0, 1])
-    s = int(mat[1, 1])
     qinv = mod_inverse(q, D)
     if qinv is None:
         raise NonSymplecticError(f"top-right entry {q} is not a unit mod {D}")
     m = qinv * (s + 1) % D
     n = qinv * (p + 1) % D
-    return [Phase(0, n), Fourier(0), Phase(0, q), Fourier(0), Phase(0, m)]
-
-
-_R2 = np.array([[0, -1], [1, 0]], dtype=np.int64)
+    f = Fourier(qudit)
+    return [Phase(qudit, n), f, Phase(qudit, q), f, Phase(qudit, m)]
 
 
 def decompose_single(m: SymplecticMatrix) -> GateSequence:
@@ -276,39 +272,46 @@ def decompose_single(m: SymplecticMatrix) -> GateSequence:
     """
     if m.n != 1:
         raise DimensionMismatchError(f"decompose_single needs a 2x2 matrix, got n={m.n}")
-    return GateSequence(tuple(merge_gates(_single_gates(m.mat, m.dim), m.dim)), 1, m.dim)
+    p, q, r, s = (int(v) for v in m.mat.ravel())
+    gates = _single_gates(p, q, r, s, m.dim, 0)
+    return GateSequence(tuple(merge_gates(gates, m.dim)), 1, m.dim)
 
 
-def _single_gates(mat: np.ndarray, dim: Dimension) -> list[Gate]:
-    """The gates of `decompose_single` for the 2x2 symplectic ``mat``, on qudit 0."""
+def _act2(g: Gate, p: int, q: int, r: int, s: int, D: int) -> tuple[int, int, int, int]:
+    """The entries of ``g``'s 2x2 block times [[p, q], [r, s]], mod D."""
+    if type(g) is Fourier:
+        return -r % D, -s % D, p, q
+    e = g.power
+    return p, q, (r + e * p) % D, (s + e * q) % D
+
+
+def _single_gates(p: int, q: int, r: int, s: int, dim: Dimension, qudit: int) -> list[Gate]:
+    """The gates of `decompose_single` for the 2x2 symplectic matrix
+    [[p, q], [r, s]] (entries in [0, D)), on ``qudit``."""
     D = dim.D
-    if np.array_equal(mat, np.eye(2, dtype=np.int64)):
+    if (p, q, r, s) == (1, 0, 0, 1):
         return []
 
     def unit(v: int) -> bool:
-        return gcd0(int(v) % D, D) == 1
+        return gcd0(v, D) == 1
 
-    p, q, r, s = int(mat[0, 0]), int(mat[0, 1]), int(mat[1, 0]), int(mat[1, 1])
-    f = Fourier(0)
+    f = Fourier(qudit)
+    # F M F, M F and F M move r, -p and -s into the top-right corner
     if unit(q):
-        gates = _case1(mat, dim)
+        gates = _case1(p, q, s, dim, qudit)
     elif unit(r):
-        inner = _case1(_R2 @ mat @ _R2 % D, dim)  # top-right entry becomes r
-        gates = [f] + inner + [f]
+        gates = [f] + _case1(-s % D, r, -p % D, dim, qudit) + [f]
     elif unit(p):
-        inner = _case1(mat @ _R2 % D, dim)  # top-right entry becomes -p
-        gates = [f, f, f] + inner
+        gates = [f, f, f] + _case1(q, -p % D, -r % D, dim, qudit)
     elif unit(s):
-        inner = _case1(_R2 @ mat % D, dim)  # top-right entry becomes -s
-        gates = inner + [f, f, f]
+        gates = _case1(-r % D, -s % D, q, dim, qudit) + [f, f, f]
     else:
         # Euclid on the right column (q, s) takes it to (0, gcd); F^3 then
         # lifts the gcd, a unit, into the top-right corner
-        steps = _peg_vector(q, s, D, 0)[0] + [f, f, f]
-        work = mat.copy()
+        steps = _peg_vector(q, s, D, qudit)[0] + [f, f, f]
         for g in steps:
-            act_left(work, g, 1, D)
-        gates = _case1(work, dim)
+            p, q, r, s = _act2(g, p, q, r, s, D)
+        gates = _case1(p, q, s, dim, qudit)
         for g in reversed(steps):
             gates.extend(invert_gate(g, dim))
     return gates
@@ -399,8 +402,8 @@ def _eliminate(m: SymplecticMatrix) -> list[Gate]:
         _require_unit(work[j], j, j, "row")
         _require_unit(work[:, j], j, j, "column")
 
-    base = np.array([[work[0, 0], work[0, n]], [work[n, 0], work[n, n]]], dtype=np.int64)
-    gates.extend(_single_gates(base, dim))
+    corner = int(work[0, 0]), int(work[0, n]), int(work[n, 0]), int(work[n, n])
+    gates.extend(_single_gates(*corner, dim, 0))
     for g in reversed(left):
         gates.extend(invert_gate(g, dim))
     return merge_gates(gates, dim)
