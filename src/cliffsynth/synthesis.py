@@ -6,11 +6,16 @@ row operations: left-multiplying by [[1,0],[m,1]] (a phase power) or by
 one exponent from the other. The same loop, run with sum gates on a pair
 of qudits, reduces a Z (x) Z exponent pair to its gcd. Stacking the two
 gives the word normal form, word-to-word transport, and the full n-qudit
-decomposition: a loop over the qudits, last to first, that eliminates one
-qudit's row and column at a time from a single working matrix. Every gate
-is applied to that matrix in place as O(n) row operations (`act_left`) or
-column operations (`act_right`), and the finished program is checked once
-against its input.
+decomposition, in two stages. Elimination (`_eliminate`) is a loop over
+the qudits, last to first, that eliminates one qudit's row and column at
+a time from a single working matrix; every gate is applied to that matrix
+in place as O(n) row operations (`act_left`) or column operations
+(`act_right`). Then one scan (`_shorten_runs`) replaces each qudit's run
+of Fourier and phase gates between sum gates by a shorter program for its
+2x2 matrix: a shortest one from a breadth-first table of SL(2, Z_D) for
+D <= MAX_TABLE_D = 24, else the closed forms of `decompose_single`. The
+finished program is checked once against its input. The golden tests pin
+the text of both stages: the elimination digest and the final digest.
 
 All quotients are taken from canonical representatives, so every routine
 is deterministic.
@@ -18,6 +23,7 @@ is deterministic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Literal
@@ -318,6 +324,104 @@ def _single_gates(p: int, q: int, r: int, s: int, dim: Dimension, qudit: int) ->
 
 
 # ---------------------------------------------------------------------------
+# shortest single-qudit runs
+
+# Largest D whose shortest programs come from a breadth-first table of
+# SL(2, Z_D), D^4 bytes (0.33 MB at D = 24). Above it, `_single_gates`.
+MAX_TABLE_D = 24
+
+
+@functools.cache
+def _shortest_table(D: int) -> bytearray:
+    """Breadth-first search over SL(2, Z_D) from the identity.
+
+    The generators are F, then P^1 ... P^(D-1), in that order, so the
+    table is deterministic. Entry ((p*D + q)*D + r)*D + s holds the last
+    letter of a shortest program for [[p, q], [r, s]]: 1 for F, 1 + e for
+    P^e, D + 1 for the identity and 0 for a matrix outside the group.
+    """
+    table = bytearray(D**4)
+    table[D**3 + 1] = D + 1
+    frontier = [(1, 0, 0, 1)]
+    while frontier:
+        found = []
+        for p, q, r, s in frontier:
+            i = ((-r % D * D + -s % D) * D + p) * D + q  # F M
+            if not table[i]:
+                table[i] = 1
+                found.append((-r % D, -s % D, p, q))
+            row = (p * D + q) * D * D
+            for e in range(1, D):  # P^e M
+                r, s = (r + p) % D, (s + q) % D
+                i = row + r * D + s
+                if not table[i]:
+                    table[i] = 1 + e
+                    found.append((p, q, r, s))
+        frontier = found
+    return table
+
+
+def _table_word(p: int, q: int, r: int, s: int, D: int, qudit: int) -> list[Gate]:
+    """A shortest Fourier/phase program for [[p, q], [r, s]], D <= MAX_TABLE_D."""
+    table = _shortest_table(D)
+    word: list[Gate] = []
+    while (p, q, r, s) != (1, 0, 0, 1):
+        letter = table[((p * D + q) * D + r) * D + s]
+        if letter == 1:  # M = F M'
+            word.append(Fourier(qudit))
+            p, q, r, s = r, s, -p % D, -q % D
+        else:  # M = P^e M'
+            e = letter - 1
+            word.append(Phase(qudit, e))
+            r, s = (r - e * p) % D, (s - e * q) % D
+    word.reverse()
+    return word
+
+
+def _shorter_run(run: list[Gate], dim: Dimension, qudit: int) -> list[Gate]:
+    """A shortest known program for the product of ``run``, if shorter than it."""
+    D = dim.D
+    p, q, r, s = 1, 0, 0, 1
+    for g in run:
+        p, q, r, s = _act2(g, p, q, r, s, D)
+    if D <= MAX_TABLE_D:
+        short = _table_word(p, q, r, s, D, qudit)
+    else:
+        short = merge_gates(_single_gates(p, q, r, s, dim, qudit), dim)
+    return short if len(short) < len(run) else run
+
+
+def _shorten_runs(gates: list[Gate], dim: Dimension) -> list[Gate]:
+    """Re-synthesize each qudit's runs of Fourier and phase gates.
+
+    A run is the single-qudit gates on one qudit between two sum gates
+    that touch it. They commute with every gate between them on other
+    qudits, so one scan gathers each run and emits it, or a shorter
+    program for its 2x2 matrix, just before the sum gate that ends it,
+    or at the end of the program. The output is a fixed point of the pass
+    and never longer than the input.
+    """
+    runs: dict[int, list[Gate]] = {}
+    out: list[Gate] = []
+
+    def flush(qudit: int) -> None:
+        run = runs.pop(qudit, None)
+        if run:
+            out.extend(_shorter_run(run, dim, qudit))
+
+    for g in gates:
+        if type(g) is Sum:
+            flush(g.control)
+            flush(g.target)
+            out.append(g)
+        else:
+            runs.setdefault(g.qudit, []).append(g)
+    for qudit in sorted(runs):
+        flush(qudit)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # full decomposition
 
 
@@ -330,7 +434,7 @@ def _require_unit(vec: np.ndarray, idx: int, qudit: int, line: str) -> None:
 
 
 def _eliminate(m: SymplecticMatrix) -> list[Gate]:
-    """The merged elimination program of `decompose`, as a list of gates.
+    """The merged elimination program of `decompose`, before `_shorten_runs`.
 
     A loop over the qudits j, last to first, on one working copy of the
     matrix. Left steps (row operations) reduce qudit j's Z column to a
@@ -412,11 +516,13 @@ def _eliminate(m: SymplecticMatrix) -> list[Gate]:
 def decompose(m: SymplecticMatrix) -> GateSequence:
     """Fourier/phase/sum program for any symplectic matrix, any n.
 
-    The program of `_eliminate`, recomposed and compared with ``m`` at
-    the end; a failure raises `SynthesisCheckError`.
+    The program of `_eliminate` with its single-qudit runs shortened by
+    `_shorten_runs`, merged, then recomposed and compared with ``m``; a
+    failure raises `SynthesisCheckError`.
     """
     n, dim = m.n, m.dim
-    seq = GateSequence(tuple(_eliminate(m)), n, dim)
+    gates = merge_gates(_shorten_runs(_eliminate(m), dim), dim)
+    seq = GateSequence(tuple(gates), n, dim)
     if sequence_matrix(seq) != m:
         raise SynthesisCheckError(
             f"the {len(seq)}-gate program does not recompose the input (n={n}, d={dim.d})"

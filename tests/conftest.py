@@ -2,6 +2,8 @@ import os
 import random
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 import cliffsynth
 from cliffsynth import Dimension, GateSequence
 from cliffsynth.symplectic import Fourier, Phase, Sum
@@ -24,6 +26,21 @@ def random_gate_sequence(n: int, dim: Dimension, length: int, seed: int) -> Gate
                 t += 1
             gates.append(Sum(c, t, rng.randrange(dim.D)))
     return GateSequence(tuple(gates), n, dim)
+
+
+@st.composite
+def gate_lists(draw):
+    """(gates, n, dim): up to 40 gates on n <= 8 qudits, powers in [-2D, 2D]."""
+    d = draw(st.sampled_from([2, 3, 12, 97]))
+    n = draw(st.integers(1, 8))
+    dim = Dimension.of(d)
+    qudit = st.integers(0, n - 1)
+    power = st.integers(-2 * dim.D, 2 * dim.D)
+    kinds = [st.builds(Fourier, qudit), st.builds(Phase, qudit, power)]
+    if n > 1:
+        pair = st.tuples(qudit, qudit).filter(lambda ct: ct[0] != ct[1])
+        kinds.append(st.builds(lambda ct, e: Sum(ct[0], ct[1], e), pair, power))
+    return draw(st.lists(st.one_of(kinds), max_size=40)), n, dim
 
 
 def random_word_exponents(n: int, d: int, seed: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -3,7 +3,9 @@
 Over 504 seeded matrices (d in {2, 3, 4, 5, 6, 12, 97}, n from 1 to 12,
 sparse and dense, three seeds each) the sha256 of the elimination
 program's text (`_eliminate`) is frozen. Any change to the elimination
-that alters a single gate of any program changes the digest. Inputs are
+that alters a single gate of any program changes the digest. A second
+digest, `FINAL_DIGEST`, covers the final programs of `decompose` on the
+same cases, after the pass that shortens single-qudit runs. Inputs are
 recomposed with the dense reference `gate_matrix`, so they do not depend
 on the code under test.
 
@@ -23,6 +25,7 @@ from cliffsynth import (
     GateSequence,
     PauliWord,
     SymplecticMatrix,
+    decompose,
     gate_matrix,
     generalized_peg,
     transport,
@@ -37,6 +40,7 @@ KINDS = {"sparse": 2, "dense": 20}  # gates per qudit
 SEEDS = range(3)
 
 GOLDEN_DIGEST = "606748d756127d29ff540889ba7184b89927d7a9c12a62140ffd3198c560e268"
+FINAL_DIGEST = "80963851a27bcfa299f33aa23c00a9837ada728f15adcdc9f9e653a4ece7f25a"
 
 
 def golden_cases():
@@ -54,21 +58,24 @@ def reference_matrix(seq):
     return SymplecticMatrix(seq.dim, acc)
 
 
-def golden_digest():
-    h = hashlib.sha256()
+def golden_digests():
+    """(count, elimination digest, final digest) over the golden cases."""
+    eliminated, final = hashlib.sha256(), hashlib.sha256()
     count = 0
     for d, n, kind, length, seed in golden_cases():
         m = reference_matrix(random_gate_sequence(n, Dimension.of(d), length, seed))
         text = GateSequence(tuple(_eliminate(m)), n, m.dim).to_text()
-        h.update(f"{d} {n} {kind} {seed}\n{text}\n".encode())
+        eliminated.update(f"{d} {n} {kind} {seed}\n{text}\n".encode())
+        final.update(f"{d} {n} {kind} {seed}\n{decompose(m).to_text()}\n".encode())
         count += 1
-    return count, h.hexdigest()
+    return count, eliminated.hexdigest(), final.hexdigest()
 
 
 def test_golden_programs_unchanged():
-    count, digest = golden_digest()
+    count, eliminated, final = golden_digests()
     assert count == 504
-    assert digest == GOLDEN_DIGEST
+    assert eliminated == GOLDEN_DIGEST
+    assert final == FINAL_DIGEST
 
 
 # ---------------------------------------------------------------------------

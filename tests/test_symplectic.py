@@ -28,7 +28,7 @@ from cliffsynth import (
 )
 from cliffsynth.symplectic import Fourier, Phase, Sum, _normalize_gate, invert_gate
 
-from conftest import random_gate_sequence, random_word_exponents
+from conftest import gate_lists, random_gate_sequence, random_word_exponents
 
 DIM6 = Dimension.of(6)  # D = 12
 GOLDEN_MATRIX = np.array([[10, 9], [3, 4]])
@@ -299,21 +299,6 @@ class TestTextFormats:
 
 # ---------------------------------------------------------------------------
 # merge_gates as a normal form
-
-
-@st.composite
-def gate_lists(draw):
-    """(gates, n, dim): up to 40 gates on n <= 8 qudits, powers in [-2D, 2D]."""
-    d = draw(st.sampled_from([2, 3, 12, 97]))
-    n = draw(st.integers(1, 8))
-    dim = Dimension.of(d)
-    qudit = st.integers(0, n - 1)
-    power = st.integers(-2 * dim.D, 2 * dim.D)
-    kinds = [st.builds(Fourier, qudit), st.builds(Phase, qudit, power)]
-    if n > 1:
-        pair = st.tuples(qudit, qudit).filter(lambda ct: ct[0] != ct[1])
-        kinds.append(st.builds(lambda ct, e: Sum(ct[0], ct[1], e), pair, power))
-    return draw(st.lists(st.one_of(kinds), max_size=40)), n, dim
 
 
 def split(gates, data):

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 import cliffsynth.synthesis
 from cliffsynth import (
@@ -29,11 +30,17 @@ from cliffsynth import (
     synthesize,
     transport,
 )
-from cliffsynth.symplectic import Fourier, Phase, Sum
+from cliffsynth.symplectic import Fourier, Phase, Sum, act_left, merge_gates
 
-from cliffsynth.synthesis import _transport_unit
+from cliffsynth.synthesis import (
+    MAX_TABLE_D,
+    _eliminate,
+    _shorten_runs,
+    _table_word,
+    _transport_unit,
+)
 
-from conftest import child_env, random_gate_sequence
+from conftest import child_env, gate_lists, random_gate_sequence
 
 DIM5 = Dimension.of(5)
 DIM6 = Dimension.of(6)
@@ -140,6 +147,81 @@ class TestDecomposeSingle:
     def test_rejects_non_2x2(self):
         with pytest.raises(Exception):
             decompose_single(SymplecticMatrix.identity(2, DIM6))
+
+
+class TestShortestTable:
+    @staticmethod
+    def sl2(D):
+        return [
+            m for m in itertools.product(range(D), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % D == 1
+        ]
+
+    @staticmethod
+    def brute_force_lengths(D, max_len=7):
+        """Shortest length of every F / P^e word up to ``max_len``, by matrix."""
+        best = {}
+
+        def walk(m, length):
+            if best.get(m, max_len + 1) <= length:
+                return
+            best[m] = length
+            if length == max_len:
+                return
+            p, q, r, s = m
+            walk((-r % D, -s % D, p, q), length + 1)
+            for e in range(1, D):
+                walk((p, q, (r + e * p) % D, (s + e * q) % D), length + 1)
+
+        walk((1, 0, 0, 1), 0)
+        return best
+
+    @pytest.mark.parametrize("D", [3, 4, 5, 12, 24])
+    def test_every_element_recomposes(self, D):
+        assert D <= MAX_TABLE_D
+        for p, q, r, s in self.sl2(D):
+            acc = np.eye(2, dtype=np.int64)
+            for g in _table_word(p, q, r, s, D, 0):
+                assert type(g) is Fourier or 0 < g.power < D
+                act_left(acc, g, 1, D)
+            assert acc.tolist() == [[p, q], [r, s]]
+
+    @pytest.mark.parametrize("D", [3, 4, 5])
+    def test_words_are_shortest(self, D):
+        best = self.brute_force_lengths(D)
+        elements = self.sl2(D)
+        assert sorted(best) == elements
+        for m in elements:
+            assert len(_table_word(*m, D, 0)) == best[m]
+
+
+class TestShortenRuns:
+    @given(gate_lists())
+    def test_keeps_sequence_matrix(self, case):
+        gates, n, dim = case
+        out = GateSequence(tuple(_shorten_runs(gates, dim)), n, dim)
+        assert sequence_matrix(out) == sequence_matrix(GateSequence(tuple(gates), n, dim))
+
+    @given(gate_lists())
+    def test_never_lengthens_merged_program(self, case):
+        gates, _, dim = case
+        merged = merge_gates(gates, dim)
+        out = _shorten_runs(merged, dim)
+        assert len(merge_gates(out, dim)) <= len(out) <= len(merged)
+
+    @given(gate_lists())
+    def test_fixed_point(self, case):
+        gates, _, dim = case
+        out = _shorten_runs(gates, dim)
+        assert _shorten_runs(out, dim) == out
+
+    def test_run_moves_to_its_sum(self):
+        # F F on qudit 0 is [[-1, 0], [0, -1]], two gates at best: kept, but
+        # moved past the phase gate on qudit 1 up to the sum gate; the closing
+        # run P P on qudit 0 becomes one gate
+        gates = [Fourier(0), Phase(1, 2), Fourier(0), Sum(1, 0, 1), Phase(0, 1), Phase(0, 1)]
+        assert _shorten_runs(gates, DIM5) == [
+            Phase(1, 2), Fourier(0), Fourier(0), Sum(1, 0, 1), Phase(0, 2)
+        ]
 
 
 class TestScaleSequence:
@@ -357,7 +439,9 @@ class TestDecomposeLargeSizes:
     @pytest.mark.parametrize("d", [2, 97])
     def test_round_trip_n32(self, d):
         m = sequence_matrix(random_gate_sequence(32, Dimension.of(d), 1280, 1))
-        assert sequence_matrix(decompose(m)) == m
+        seq = decompose(m)
+        assert sequence_matrix(seq) == m
+        assert len(seq) < len(_eliminate(m))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_round_trip_largest_dimension(self, seed):
@@ -372,6 +456,20 @@ import cliffsynth.synthesis as syn
 from cliffsynth import CliffSynthError, Dimension, GateSequence, sequence_matrix
 merge = syn.merge_gates
 syn.merge_gates = lambda gates, dim: merge(gates, dim)[:-1]
+seq = GateSequence.from_text({text!r}, 3, Dimension.of(5))
+try:
+    syn.decompose(sequence_matrix(seq))
+except CliffSynthError as exc:
+    print(type(exc).__name__)
+"""
+
+
+# The same, with every table word of the shortening pass one gate short.
+CORRUPTED_TABLE = """
+import cliffsynth.synthesis as syn
+from cliffsynth import CliffSynthError, Dimension, GateSequence, sequence_matrix
+table_word = syn._table_word
+syn._table_word = lambda *args: table_word(*args)[:-1]
 seq = GateSequence.from_text({text!r}, 3, Dimension.of(5))
 try:
     syn.decompose(sequence_matrix(seq))
@@ -396,6 +494,25 @@ class TestDecomposeChecks:
         text = random_gate_sequence(3, DIM5, 30, 4).to_text()
         proc = subprocess.run(
             [sys.executable, "-O", "-c", CORRUPTED_DECOMPOSE.format(text=text)],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "SynthesisCheckError"
+
+    def test_final_check_covers_shortening_pass(self, monkeypatch):
+        table_word = cliffsynth.synthesis._table_word
+        monkeypatch.setattr(
+            cliffsynth.synthesis, "_table_word", lambda *args: table_word(*args)[:-1]
+        )
+        with pytest.raises(SynthesisCheckError, match="does not recompose"):
+            decompose(self._matrix())
+
+    def test_final_check_covers_shortening_pass_under_optimize_flag(self):
+        text = random_gate_sequence(3, DIM5, 30, 4).to_text()
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", CORRUPTED_TABLE.format(text=text)],
             capture_output=True,
             text=True,
             env=child_env(),
