@@ -8,7 +8,9 @@ Exit codes (the table in ``main``): 0 success, 1 infeasible transport,
 2 parse/usage error (ParseError, a bad ``CS_TOL``, any other library
 error), 3 invalid input (NonSymplecticError, DegenerateWordError,
 DimensionMismatchError, MalformedMatrixError), 4 verification failure
-(also SynthesisCheckError), 5 scale cap exceeded (ScaleLimitError).
+(also SynthesisCheckError), 5 scale cap exceeded (ScaleLimitError: the
+dense oracle's side, embed-check's ambient dimension, or d above
+MAX_DIMENSION).
 ``CS_TOL`` sets the dense-oracle tolerance (default 1e-9). Every subcommand
 checks it, and ``--verify unitary`` checks the oracle's cap, before any output.
 """

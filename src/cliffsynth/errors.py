@@ -32,7 +32,7 @@ class DegenerateWordError(CliffSynthError):
 
 
 class ScaleLimitError(CliffSynthError):
-    """A dense-matrix computation would exceed the configured size cap."""
+    """An input dimension or a dense-matrix computation exceeds a size cap."""
 
 
 class SynthesisCheckError(CliffSynthError):

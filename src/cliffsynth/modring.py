@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CliffSynthError
+from .errors import CliffSynthError, ScaleLimitError
 
 # Keeps 2n * (D-1)^2 far below 2^63 for any plausible qudit count, so all
 # int64 matrix products are overflow-free.
@@ -31,7 +31,7 @@ class Dimension:
         if not isinstance(self.d, int) or self.d < 2:
             raise CliffSynthError(f"dimension d must be an integer >= 2, got {self.d}")
         if self.d > MAX_DIMENSION:
-            raise CliffSynthError(
+            raise ScaleLimitError(
                 f"dimension d={self.d} exceeds the supported cap {MAX_DIMENSION}"
             )
         expected = self.d if self.d % 2 == 1 else 2 * self.d
@@ -44,8 +44,6 @@ class Dimension:
     def of(cls, d: int) -> "Dimension":
         """Build the dimension pair for Hilbert-space dimension ``d``."""
         d = int(d)
-        if d < 2:
-            raise CliffSynthError(f"dimension d must be an integer >= 2, got {d}")
         return cls(d, d if d % 2 == 1 else 2 * d)
 
     @property

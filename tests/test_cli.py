@@ -102,6 +102,23 @@ class TestOracleCapBeforeOutput:
         assert err == "scale limit: dense oracle capped at side 256, need 289\n"
 
 
+class TestDimensionCap:
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["peg", "d=2000001 n=1 a=1 b=0"], None),
+            (["synth", "{matrix}"], "d 1000001 n 1\n1 0\n0 1\n"),
+        ],
+    )
+    def test_dimension_over_cap_exit_5(self, tmp_path, capsys, argv, text):
+        f = tmp_path / "m.txt"
+        if text is not None:
+            f.write_text(text)
+        code, out, err = run(capsys, *[a.format(matrix=f) for a in argv])
+        assert code == 5 and out == ""
+        assert err.startswith("scale limit: dimension d=") and "1000000" in err
+
+
 class TestTransport:
     def test_feasible_pair(self, capsys):
         code, out, _ = run(

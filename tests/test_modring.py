@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cliffsynth import CliffSynthError, Dimension, euclid_steps, gcd0, mod_inverse
+from cliffsynth import (
+    CliffSynthError,
+    Dimension,
+    ScaleLimitError,
+    euclid_steps,
+    gcd0,
+    mod_inverse,
+)
+from cliffsynth.modring import MAX_DIMENSION
 
 
 class TestDimension:
@@ -19,6 +27,11 @@ class TestDimension:
             Dimension(4, 4)
         with pytest.raises(CliffSynthError):
             Dimension.of(10**9)
+
+    def test_cap_is_a_scale_limit(self):
+        assert Dimension.of(MAX_DIMENSION).d == MAX_DIMENSION
+        with pytest.raises(ScaleLimitError, match=f"exceeds the supported cap {MAX_DIMENSION}"):
+            Dimension.of(MAX_DIMENSION + 1)
 
 
 class TestGcd0:
