@@ -341,22 +341,23 @@ def _shortest_table(D: int) -> bytearray:
     P^e, D + 1 for the identity and 0 for a matrix outside the group.
     """
     table = bytearray(D**4)
-    table[D**3 + 1] = D + 1
-    frontier = [(1, 0, 0, 1)]
+    frontier = [D**3 + 1]  # indices, not tuples: a level holds thousands
+    table[frontier[0]] = D + 1
     while frontier:
         found = []
-        for p, q, r, s in frontier:
-            i = ((-r % D * D + -s % D) * D + p) * D + q  # F M
-            if not table[i]:
-                table[i] = 1
-                found.append((-r % D, -s % D, p, q))
-            row = (p * D + q) * D * D
+        for i in frontier:
+            p, q, r, s = i // D**3, i // D**2 % D, i // D % D, i % D
+            j = ((-r % D * D + -s % D) * D + p) * D + q  # F M
+            if not table[j]:
+                table[j] = 1
+                found.append(j)
+            row = i - i % (D * D)
             for e in range(1, D):  # P^e M
                 r, s = (r + p) % D, (s + q) % D
-                i = row + r * D + s
-                if not table[i]:
-                    table[i] = 1 + e
-                    found.append((p, q, r, s))
+                j = row + r * D + s
+                if not table[j]:
+                    table[j] = 1 + e
+                    found.append(j)
         frontier = found
     return table
 
