@@ -380,7 +380,8 @@ def _table_word(p: int, q: int, r: int, s: int, D: int, qudit: int) -> list[Gate
 
 
 def _shorter_run(run: list[Gate], dim: Dimension, qudit: int) -> list[Gate]:
-    """A shortest known program for the product of ``run``, if shorter than it."""
+    """The shortest known program for the product of ``run`` if it is
+    shorter than ``run``, else ``run`` itself."""
     D = dim.D
     p, q, r, s = 1, 0, 0, 1
     for g in run:

@@ -152,9 +152,8 @@ class TestDecomposeSingle:
 class TestShortestTable:
     @staticmethod
     def sl2(D):
-        return [
-            m for m in itertools.product(range(D), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % D == 1
-        ]
+        entries = itertools.product(range(D), repeat=4)
+        return [(p, q, r, s) for p, q, r, s in entries if (p * s - q * r) % D == 1]
 
     @staticmethod
     def brute_force_lengths(D, max_len=7):
@@ -222,6 +221,15 @@ class TestShortenRuns:
         assert _shorten_runs(gates, DIM5) == [
             Phase(1, 2), Fourier(0), Fourier(0), Sum(1, 0, 1), Phase(0, 2)
         ]
+
+    def test_identity_run_is_dropped(self):
+        # (F P)^3 = I: the run goes, and the two sum gates meet, which is
+        # why decompose merges after the pass
+        run = [Phase(0, 1), Fourier(0)] * 3
+        for dim in (DIM5, Dimension.of(97)):
+            out = _shorten_runs([Sum(0, 1, 1)] + run + [Sum(0, 1, 1)], dim)
+            assert out == [Sum(0, 1, 1), Sum(0, 1, 1)]
+            assert merge_gates(out, dim) == [Sum(0, 1, 2)]
 
 
 class TestScaleSequence:
