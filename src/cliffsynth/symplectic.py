@@ -135,21 +135,6 @@ def act_left(work: np.ndarray, g: Gate, n: int, D: int) -> None:
         work[n + c] = (work[n + c] - e * work[n + t]) % D
 
 
-def act_right(work: np.ndarray, g: Gate, n: int, D: int) -> None:
-    """In place, ``work := work @ gate_matrix(g) mod D`` as column operations."""
-    if isinstance(g, Fourier):
-        i = g.qudit
-        work[:, [i, n + i]] = work[:, [n + i, i]]
-        work[:, n + i] = -work[:, n + i] % D
-    elif isinstance(g, Phase):
-        q = g.qudit
-        work[:, q] = (work[:, q] + g.power * work[:, n + q]) % D
-    else:
-        c, t, e = g.control, g.target, g.power
-        work[:, c] = (work[:, c] + e * work[:, t]) % D
-        work[:, n + t] = (work[:, n + t] - e * work[:, n + c]) % D
-
-
 def invert_gate(g: Gate, dim: Dimension) -> list[Gate]:
     """Gates whose sequence matrix is the inverse of ``g``'s matrix.
 

@@ -5,13 +5,15 @@ row operations: left-multiplying by [[1,0],[m,1]] (a phase power) or by
 [[1,-m],[0,1]] (a Fourier-conjugated phase power) subtracts multiples of
 one exponent from the other. The same loop, run with sum gates on a pair
 of qudits, reduces a Z (x) Z exponent pair to its gcd. Stacking the two
-gives the word normal form, word-to-word transport, and the full n-qudit
-decomposition, in two stages. Elimination (`_eliminate`) is a loop over
-the qudits, last to first, that eliminates one qudit's row and column at
-a time from a single working matrix; every gate is applied to that matrix
-in place as O(n) row operations (`act_left`) or column operations
-(`act_right`). Then one scan (`_shorten_runs`) replaces each qudit's run
-of Fourier and phase gates between sum gates by a shorter program for its
+gives the word normal form (`_peg_gates`): any word goes to a power of Z
+on its last qudit. Word-to-word transport and the full n-qudit
+decomposition are built on it; `decompose` works in two stages.
+Elimination (`_eliminate`) reduces the inverse of the input to the
+identity with row operations only (`act_left`), last qudit first: the
+normal form takes each Z_j column to Z_j, then gates that fix Z_j clear
+the X_j column. The gates, in the order applied, are a program for the
+input. Then one scan (`_shorten_runs`) replaces each qudit's run of
+Fourier and phase gates between sum gates by a shorter program for its
 2x2 matrix: a shortest one from a breadth-first table of SL(2, Z_D) for
 D <= MAX_TABLE_D = 24, else the closed forms of `decompose_single`. The
 finished program is checked once against its input. The golden tests pin
@@ -26,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -46,7 +48,7 @@ from .symplectic import (
     Sum,
     SymplecticMatrix,
     act_left,
-    act_right,
+    inverse,
     invert_gate,
     merge_gates,
     sequence_matrix,
@@ -172,15 +174,13 @@ def sum_peg(
     return GateSequence(tuple(merge_gates(gates, dim)), 2, dim)
 
 
-def _peg_gates(w: PauliWord) -> tuple[list[Gate], int]:
-    """The unmerged gates of `generalized_peg` and the gcd k."""
-    if w.is_identity:
-        raise DegenerateWordError("the identity word has no reduction target")
-    n, D = w.n, w.dim.D
+def _peg_gates(xs: Sequence[int], zs: Sequence[int], D: int) -> tuple[list[Gate], int]:
+    """Unmerged gates mapping the word with exponents ``xs``, ``zs`` (in
+    [0, D), not all zero) to a power of Z on its last qudit, and that power:
+    the gcd of all the exponents."""
     gates: list[Gate] = []
     zvals: list[int] = []
-    for i in range(n):
-        a, b = w.xexp[i], w.zexp[i]
+    for i, (a, b) in enumerate(zip(xs, zs)):
         if (a, b) == (0, 0):
             zvals.append(0)
             continue
@@ -188,13 +188,13 @@ def _peg_gates(w: PauliWord) -> tuple[list[Gate], int]:
         gates.extend(chunk)
         zvals.append(g)
     cur = zvals[0]
-    for i in range(n - 1):
+    for i in range(len(zvals) - 1):
         nxt = zvals[i + 1]
         if (cur, nxt) != (0, 0):
             chunk, _ = _sum_peg_vector(cur, nxt, D, "second", i, i + 1)
             gates.extend(chunk)
         cur = gcd0(cur, nxt)
-    return gates, cur % w.dim.d
+    return gates, cur
 
 
 def generalized_peg(w: PauliWord) -> tuple[GateSequence, int]:
@@ -203,7 +203,9 @@ def generalized_peg(w: PauliWord) -> tuple[GateSequence, int]:
     Each qudit is first reduced to a pure Z power, then the sum-gate loop
     folds the Z exponents left to right onto the last qudit.
     """
-    gates, k = _peg_gates(w)
+    if w.is_identity:
+        raise DegenerateWordError("the identity word has no reduction target")
+    gates, k = _peg_gates(w.xexp, w.zexp, w.dim.D)
     return GateSequence(tuple(merge_gates(gates, w.dim)), w.n, w.dim), k
 
 
@@ -241,10 +243,10 @@ def transport(p: PauliWord, q: PauliWord) -> GateSequence | None:
     k = _transport_unit(math.gcd(*p.xexp, *p.zexp), math.gcd(*q.xexp, *q.zexp), dim.d)
     if k is None:
         return None
-    gates, _ = _peg_gates(p)
+    gates, _ = _peg_gates(p.xexp, p.zexp, dim.D)
     if k != 1:
         gates.extend(_scale_gates(k, dim.D, n - 1))
-    for g in reversed(_peg_gates(q)[0]):
+    for g in reversed(_peg_gates(q.xexp, q.zexp, dim.D)[0]):
         gates.extend(invert_gate(g, dim))
     return GateSequence(tuple(merge_gates(gates, dim)), n, dim)
 
@@ -438,89 +440,67 @@ def _require_unit(vec: np.ndarray, idx: int, qudit: int, line: str) -> None:
 def _eliminate(m: SymplecticMatrix) -> list[Gate]:
     """The merged elimination program of `decompose`, before `_shorten_runs`.
 
-    A loop over the qudits j, last to first, on one working copy of the
-    matrix. Left steps (row operations) reduce qudit j's Z column to a
-    single unit entry with the Euclid loops and rescale the unit to 1.
-    Right steps (column operations) then clear qudit j's Z row: sum
-    powers, the corner phase power, column swaps for the X block, and
-    the sum powers once more, since the swaps re-dirty them. Qudit j is
-    then the identity and no later step touches it. Qudit 0 is left with
-    a 2x2 matrix, handled by `decompose_single`'s closed forms.
+    Row operations (`act_left`) only, on one working copy of ``m``'s
+    inverse: the gates that reduce it to the identity are, in the order
+    applied, a program for ``m``. A loop over the qudits j, last to first:
+    the Z_j column, a word on qudits 0 to j, goes to a power of Z_j with
+    the word normal form (`_peg_gates`) and is rescaled to Z_j. The X_j
+    column then has x_j = 1 (symplecticity), and gates that fix Z_j clear
+    the rest of it: a sum gate from j for each x_i, a Fourier gate and a
+    sum gate for each z_i, and a phase power on j for z_j. Qudit j is then
+    the identity and no later step touches it; j = 0 is the same step on
+    a one-qudit word.
 
-    The program is the inverted right steps, the 2x2 program and the
-    inverted left steps, merged once. Each elimination is checked in O(n);
-    a failure raises `SynthesisCheckError`.
+    Each elimination is checked in O(n); a failure raises
+    `SynthesisCheckError`, and a column gcd that is not a unit raises
+    `NonSymplecticError`.
     """
     n, dim = m.n, m.dim
     D = dim.D
-    work = m.mat.copy()
-    left: list[Gate] = []  # left steps, in the order applied
-    gates: list[Gate] = []  # inverted right steps, in program order
+    work = inverse(m).mat.copy()
+    gates: list[Gate] = []
 
-    def push_left(step: list[Gate]) -> None:
+    def push(step: list[Gate]) -> None:
         for g in step:
             act_left(work, g, n, D)
-        left.extend(step)
+        gates.extend(step)
 
-    def push_right(step: list[Gate]) -> None:
-        # work @ (G_k ... G_1) applies G_k first; inverting reverses too
-        for g in reversed(step):
-            act_right(work, g, n, D)
-            gates.extend(invert_gate(g, dim))
-
-    for j in range(n - 1, 0, -1):
+    for j in range(n - 1, -1, -1):
         z = n + j
-        # reduce column z to (0, ..., 0, k)
-        for i in range(j + 1):
-            a, b = int(work[i, z]), int(work[n + i, z])
-            if (a, b) != (0, 0):
-                push_left(_peg_vector(a, b, D, i)[0])
-        for i in range(j):
-            a, b = int(work[n + i, z]), int(work[n + i + 1, z])
-            if (a, b) != (0, 0):
-                push_left(_sum_peg_vector(a, b, D, "second", i, i + 1)[0])
+        col = work[:, z].tolist()
+        push(_peg_gates(col[: j + 1], col[n : z + 1], D)[0])
         k = int(work[z, z])
         kinv = mod_inverse(k, D)
         if kinv is None:
             raise NonSymplecticError(f"column gcd {k} is not a unit mod {D}")
         if k != 1:
-            push_left(_scale_gates(kinv, D, j))
+            push(_scale_gates(kinv, D, j))
         _require_unit(work[:, z], z, j, "column")
 
-        # clear row z: sum powers, the corner phase power, column swaps
-        # for the X block, then one repeat pass of the sum powers
+        # clear column j with gates that fix Z_j; each reads x_j = 1
         for i in range(j):
-            e = int(work[z, n + i])
+            e = int(work[i, j])
             if e:
-                push_right([Sum(j, i, e)])
+                push([Sum(j, i, -e % D)])
+            e = int(work[n + i, j])
+            if e:
+                push([Fourier(i), Sum(j, i, e)])
         e = int(work[z, j])
         if e:
-            push_right([Phase(j, (-e) % D)])
-        for i in range(j):
-            if work[z, i]:
-                f = Fourier(i)
-                push_right([f, f, Phase(i, 1), f, Phase(i, 1), f])
-        for i in range(j):
-            e = int(work[z, n + i])
-            if e:
-                push_right([Sum(j, i, e)])
+            push([Phase(j, -e % D)])
+        _require_unit(work[:, j], j, j, "column")
         _require_unit(work[z], z, j, "row")
         _require_unit(work[j], j, j, "row")
-        _require_unit(work[:, j], j, j, "column")
-
-    corner = int(work[0, 0]), int(work[0, n]), int(work[n, 0]), int(work[n, n])
-    gates.extend(_single_gates(*corner, dim, 0))
-    for g in reversed(left):
-        gates.extend(invert_gate(g, dim))
     return merge_gates(gates, dim)
 
 
 def decompose(m: SymplecticMatrix) -> GateSequence:
     """Fourier/phase/sum program for any symplectic matrix, any n.
 
-    The program of `_eliminate` with its single-qudit runs shortened by
-    `_shorten_runs`, merged, then recomposed and compared with ``m``; a
-    failure raises `SynthesisCheckError`.
+    The program of `_eliminate`, which reduces ``m``'s inverse with row
+    operations and the word normal form, with its single-qudit runs
+    shortened by `_shorten_runs`, merged, then recomposed and compared
+    with ``m``; a failure raises `SynthesisCheckError`.
     """
     n, dim = m.n, m.dim
     gates = merge_gates(_shorten_runs(_eliminate(m), dim), dim)

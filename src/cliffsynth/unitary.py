@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ScaleLimitError
+from .errors import DimensionMismatchError, MalformedMatrixError, ScaleLimitError
 from .modring import Dimension
 from .pauli import PauliWord
 from .symplectic import (
@@ -35,8 +35,8 @@ from .symplectic import (
     Gate,
     GateSequence,
     Phase,
-    Sum,
     SymplecticMatrix,
+    _gate_max_index,
     apply_to_word,
 )
 
@@ -153,8 +153,8 @@ def _word_maps(w: PauliWord) -> tuple[np.ndarray, np.ndarray]:
 
 def gate_unitary(g: Gate, n: int, dim: Dimension) -> DenseOperator:
     """Tensor-embedded unitary of a generator gate (qudit 0 leftmost)."""
-    if (max(g.control, g.target) if isinstance(g, Sum) else g.qudit) >= n:
-        raise DimensionMismatchError(f"gate {g} out of range for n={n}")
+    if _gate_max_index(g) >= n:
+        raise MalformedMatrixError(f"gate {g} out of range for n={n}")
     _check_scale(dim.d**n, MAX_SUM_CHECK_SIDE, "dense operator")
     eye = np.eye(dim.d**n, dtype=np.complex128)
     return DenseOperator(dim, n, _apply_gate(eye, g, dim, _digits(dim, n)))

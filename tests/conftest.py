@@ -29,10 +29,11 @@ def random_gate_sequence(n: int, dim: Dimension, length: int, seed: int) -> Gate
 
 
 @st.composite
-def gate_lists(draw):
-    """(gates, n, dim): up to 40 gates on n <= 8 qudits, powers in [-2D, 2D]."""
-    d = draw(st.sampled_from([2, 3, 12, 97]))
-    n = draw(st.integers(1, 8))
+def gate_lists(draw, dims=(2, 3, 12, 97), max_n=8, max_size=40):
+    """(gates, n, dim): up to ``max_size`` gates on n <= ``max_n`` qudits,
+    d drawn from ``dims``, powers in [-2D, 2D]."""
+    d = draw(st.sampled_from(dims))
+    n = draw(st.integers(1, max_n))
     dim = Dimension.of(d)
     qudit = st.integers(0, n - 1)
     power = st.integers(-2 * dim.D, 2 * dim.D)
@@ -40,7 +41,7 @@ def gate_lists(draw):
     if n > 1:
         pair = st.tuples(qudit, qudit).filter(lambda ct: ct[0] != ct[1])
         kinds.append(st.builds(lambda ct, e: Sum(ct[0], ct[1], e), pair, power))
-    return draw(st.lists(st.one_of(kinds), max_size=40)), n, dim
+    return draw(st.lists(st.one_of(kinds), max_size=max_size)), n, dim
 
 
 def random_word_exponents(n: int, d: int, seed: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -39,8 +39,8 @@ DIMS = (2, 3, 4, 5, 6, 12, 97)
 KINDS = {"sparse": 2, "dense": 20}  # gates per qudit
 SEEDS = range(3)
 
-GOLDEN_DIGEST = "606748d756127d29ff540889ba7184b89927d7a9c12a62140ffd3198c560e268"
-FINAL_DIGEST = "80963851a27bcfa299f33aa23c00a9837ada728f15adcdc9f9e653a4ece7f25a"
+GOLDEN_DIGEST = "87d2e7d1e0d9f5ba00a0c9741d1dd3428326574ded7cb32a5f7cf9c020a7b03a"
+FINAL_DIGEST = "01c5c7ffe2631c17717bd09956524ade417bc7387a793820b6f20d48ebad5535"
 
 
 def golden_cases():

