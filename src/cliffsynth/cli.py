@@ -5,7 +5,8 @@ line-oriented plain text; programs print one gate per line (first applied
 first) followed by a ``# gates: <count>`` comment line.
 
 Exit codes (the table in ``main``): 0 success, 1 infeasible transport,
-2 parse/usage error (ParseError, a bad ``CS_TOL``, any other library
+2 parse/usage error (ParseError: also an input that is not UTF-8, or
+``verify`` with both inputs on stdin; a bad ``CS_TOL``; any other library
 error), 3 invalid input (NonSymplecticError, DegenerateWordError,
 DimensionMismatchError, MalformedMatrixError), 4 verification failure
 (also SynthesisCheckError), 5 scale cap exceeded (ScaleLimitError: the
@@ -70,11 +71,9 @@ def _tolerance() -> float:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        return sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -145,6 +144,8 @@ def _cmd_peg(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.matrix == args.program == "-":
+        raise ParseError("the matrix and the program cannot both be read from stdin")
     m = _load_matrix(args.matrix)
     seq = GateSequence.from_text(_read_text(args.program), m.n, m.dim)
     if args.mode == "symplectic":
@@ -211,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_peg.set_defaults(func=_cmd_peg)
 
     p_ver = sub.add_parser("verify", help="check a gate program against a matrix")
-    p_ver.add_argument("matrix", help="matrix file")
+    p_ver.add_argument("matrix", help="matrix file (or - for stdin, with a program file)")
     p_ver.add_argument("program", nargs="?", default="-", help="program file (default stdin)")
     p_ver.add_argument(
         "--mode", choices=["symplectic", "unitary"], default="symplectic"

@@ -62,26 +62,6 @@ def gcd0(a: int, b: int) -> int:
     return math.gcd(a, b)
 
 
-def euclid_steps(a: int, b: int) -> list[int]:
-    """Quotient sequence of the Euclidean remainder chain for ``(a, b)``.
-
-    The chain is a = m1*b + c1, b = m2*c1 + c2, ... ending at remainder 0;
-    the last nonzero remainder is gcd0(a, b). Degenerate starts (either
-    argument zero) have an empty chain.
-    """
-    if a < 0 or b < 0:
-        raise CliffSynthError(f"euclid_steps expects nonnegative inputs, got ({a}, {b})")
-    if a == 0 and b == 0:
-        raise CliffSynthError("euclid_steps(0, 0): no quotient chain exists")
-    if a == 0 or b == 0:
-        return []
-    quotients = []
-    while b != 0:
-        quotients.append(a // b)
-        a, b = b, a % b
-    return quotients
-
-
 def mod_inverse(a: int, m: int) -> int | None:
     """Inverse of ``a`` modulo ``m`` in ``[0, m)``, or None if not a unit."""
     if m < 2:

@@ -15,9 +15,11 @@ the X_j column. The gates, in the order applied, are a program for the
 input. Then one scan (`_shorten_runs`) replaces each qudit's run of
 Fourier and phase gates between sum gates by a shorter program for its
 2x2 matrix: a shortest one from a breadth-first table of SL(2, Z_D) for
-D <= MAX_TABLE_D = 24, else the closed forms of `decompose_single`. The
-finished program is checked once against its input. The golden tests pin
-the text of both stages: the elimination digest and the final digest.
+D <= MAX_TABLE_D = 24, else one closed form of at most 9 gates
+(`_closed_form`). The finished program is merged once and checked once
+against its input. `decompose_single` is `decompose` on one qudit. The
+golden tests pin the text of both stages: the merged elimination digest
+and the final digest.
 
 All quotients are taken from canonical representatives, so every routine
 is deterministic.
@@ -27,8 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,18 +54,6 @@ from .symplectic import (
     merge_gates,
     sequence_matrix,
 )
-
-
-@dataclass(frozen=True)
-class SynthesisResult:
-    """A decomposition together with its target matrix and gate count."""
-
-    program: GateSequence
-    target: SymplecticMatrix
-
-    @property
-    def gate_count(self) -> int:
-        return len(self.program)
 
 
 # ---------------------------------------------------------------------------
@@ -98,13 +87,10 @@ def _peg_vector(a: int, b: int, D: int, qudit: int) -> tuple[list[Gate], int]:
     return gates, b
 
 
-def _sum_peg_vector(
-    a: int, b: int, D: int, slot: Literal["first", "second"], i: int, j: int
-) -> tuple[list[Gate], int]:
-    """Sum-only gates on qudits i, j mapping their z-exponents (a, b) to the gcd.
-
-    The gcd lands on qudit i (slot "first") or qudit j (slot "second");
-    a two-gate fix-up moves it over when the loop stops in the wrong slot.
+def _sum_peg_vector(a: int, b: int, D: int, i: int, j: int) -> list[Gate]:
+    """Sum-only gates on qudits i, j mapping their z-exponents (a, b) to
+    (0, gcd0(a, b)); a two-gate fix-up moves the gcd over to qudit j when
+    the loop stops with it on qudit i.
     """
     if a == 0 and b == 0:
         raise DegenerateWordError("cannot reduce the zero exponent pair")
@@ -118,12 +104,9 @@ def _sum_peg_vector(
             q = b // a
             gates.append(Sum(j, i, q))  # z-block [[1,0],[-q,1]]
             b -= q * a
-    g = a or b
-    if slot == "second" and b == 0:
+    if b == 0:
         gates.extend([Sum(j, i, D - 1), Sum(i, j, 1)])  # (g,0) -> (g,g) -> (0,g)
-    elif slot == "first" and a == 0:
-        gates.extend([Sum(i, j, D - 1), Sum(j, i, 1)])  # (0,g) -> (g,g) -> (g,0)
-    return gates, g
+    return gates
 
 
 def _scale_gates(k: int, D: int, qudit: int) -> list[Gate]:
@@ -140,15 +123,6 @@ def _scale_gates(k: int, D: int, qudit: int) -> list[Gate]:
 # single-qudit word reduction and transport building blocks
 
 
-def peg_reduce(a: int, b: int, dim: Dimension) -> tuple[GateSequence, int]:
-    """Single-qudit program mapping the word X^a Z^b to Z^gcd0(a, b)."""
-    a, b = a % dim.d, b % dim.d
-    if a == 0 and b == 0:
-        raise DegenerateWordError("the identity word has no reduction target")
-    gates, g = _peg_vector(a, b, dim.D, 0)
-    return GateSequence(tuple(merge_gates(gates, dim)), 1, dim), g
-
-
 def scale_sequence(k: int, dim: Dimension) -> GateSequence:
     """Single-qudit program for diag(k^-1, k), mapping Z to Z^k.
 
@@ -157,21 +131,6 @@ def scale_sequence(k: int, dim: Dimension) -> GateSequence:
     F P^(k^-1) F P^k F P^(k^-1).
     """
     return GateSequence(tuple(_scale_gates(k, dim.D, 0)), 1, dim)
-
-
-def sum_peg(
-    a: int, b: int, dim: Dimension, slot: Literal["first", "second"] = "second"
-) -> GateSequence:
-    """Two-qudit sum-only program mapping Z^a (x) Z^b to the gcd word.
-
-    The surviving exponent gcd0(a, b) ends on qudit 0 for slot "first"
-    or qudit 1 for slot "second".
-    """
-    a, b = a % dim.d, b % dim.d
-    if a == 0 and b == 0:
-        raise DegenerateWordError("the identity word has no reduction target")
-    gates, _ = _sum_peg_vector(a, b, dim.D, slot, 0, 1)
-    return GateSequence(tuple(merge_gates(gates, dim)), 2, dim)
 
 
 def _peg_gates(xs: Sequence[int], zs: Sequence[int], D: int) -> tuple[list[Gate], int]:
@@ -191,8 +150,7 @@ def _peg_gates(xs: Sequence[int], zs: Sequence[int], D: int) -> tuple[list[Gate]
     for i in range(len(zvals) - 1):
         nxt = zvals[i + 1]
         if (cur, nxt) != (0, 0):
-            chunk, _ = _sum_peg_vector(cur, nxt, D, "second", i, i + 1)
-            gates.extend(chunk)
+            gates.extend(_sum_peg_vector(cur, nxt, D, i, i + 1))
         cur = gcd0(cur, nxt)
     return gates, cur
 
@@ -207,6 +165,16 @@ def generalized_peg(w: PauliWord) -> tuple[GateSequence, int]:
         raise DegenerateWordError("the identity word has no reduction target")
     gates, k = _peg_gates(w.xexp, w.zexp, w.dim.D)
     return GateSequence(tuple(merge_gates(gates, w.dim)), w.n, w.dim), k
+
+
+def peg_reduce(a: int, b: int, dim: Dimension) -> tuple[GateSequence, int]:
+    """`generalized_peg` of the one-qudit word X^a Z^b: a program to Z^g, and g."""
+    return generalized_peg(PauliWord(dim, (a,), (b,)))
+
+
+def sum_peg(a: int, b: int, dim: Dimension) -> GateSequence:
+    """`generalized_peg` of Z^a (x) Z^b: a sum-only program to I (x) Z^gcd0(a, b)."""
+    return generalized_peg(PauliWord(dim, (0, 0), (a, b)))[0]
 
 
 def _transport_unit(gp: int, gq: int, d: int) -> int | None:
@@ -252,37 +220,7 @@ def transport(p: PauliWord, q: PauliWord) -> GateSequence | None:
 
 
 # ---------------------------------------------------------------------------
-# 2x2 decomposition
-
-
-def _case1(p: int, q: int, s: int, dim: Dimension, qudit: int) -> list[Gate]:
-    """Closed-form program for a 2x2 symplectic matrix [[p, q], [r, s]] with
-    invertible top-right entry: P^m F P^q F P^n with m, n read off the entries.
-    Unmerged: every caller merges the program it is part of."""
-    D = dim.D
-    qinv = mod_inverse(q, D)
-    if qinv is None:
-        raise NonSymplecticError(f"top-right entry {q} is not a unit mod {D}")
-    m = qinv * (s + 1) % D
-    n = qinv * (p + 1) % D
-    f = Fourier(qudit)
-    return [Phase(qudit, n), f, Phase(qudit, q), f, Phase(qudit, m)]
-
-
-def decompose_single(m: SymplecticMatrix) -> GateSequence:
-    """Fourier/phase program for any 2x2 symplectic matrix.
-
-    If some entry is a unit mod D the closed form applies, after at most
-    a few framing Fourier gates to rotate that entry into the top-right
-    corner. Otherwise the Euclid loop is run on the right column until
-    its gcd (always a unit) surfaces there, the closed form is applied,
-    and the loop's inverses are appended.
-    """
-    if m.n != 1:
-        raise DimensionMismatchError(f"decompose_single needs a 2x2 matrix, got n={m.n}")
-    p, q, r, s = (int(v) for v in m.mat.ravel())
-    gates = _single_gates(p, q, r, s, m.dim, 0)
-    return GateSequence(tuple(merge_gates(gates, m.dim)), 1, m.dim)
+# single-qudit runs
 
 
 def _act2(g: Gate, p: int, q: int, r: int, s: int, D: int) -> tuple[int, int, int, int]:
@@ -293,43 +231,42 @@ def _act2(g: Gate, p: int, q: int, r: int, s: int, D: int) -> tuple[int, int, in
     return p, q, (r + e * p) % D, (s + e * q) % D
 
 
-def _single_gates(p: int, q: int, r: int, s: int, dim: Dimension, qudit: int) -> list[Gate]:
-    """The gates of `decompose_single` for the 2x2 symplectic matrix
-    [[p, q], [r, s]] (entries in [0, D)), on ``qudit``."""
-    D = dim.D
+def _closed_form(p: int, q: int, r: int, s: int, D: int, qudit: int) -> list[Gate]:
+    """Unmerged Fourier/phase gates on ``qudit`` for the 2x2 symplectic
+    matrix M = [[p, q], [r, s]] (entries in [0, D)), at most 9 of them.
+
+    The core, for a unit top-right entry q, is the matrix P^m F P^q F P^n
+    with m, n read off the entries. F M F and M F move r and -p into that
+    corner. Otherwise gcd(q, s, D) = 1, as det M = 1, so s + t*q is a unit
+    for some t in [0, D); with the smallest such t, F P^t M has the unit
+    -(s + t*q) in the corner, and M = P^(-t) F^3 (F P^t M).
+    """
     if (p, q, r, s) == (1, 0, 0, 1):
         return []
+    f = Fourier(qudit)
 
     def unit(v: int) -> bool:
         return gcd0(v, D) == 1
 
-    f = Fourier(qudit)
-    # F M F, M F and F M move r, -p and -s into the top-right corner
+    def core(p: int, q: int, s: int) -> list[Gate]:
+        qinv = pow(q, -1, D)
+        m, n = qinv * (s + 1) % D, qinv * (p + 1) % D
+        return [Phase(qudit, n), f, Phase(qudit, q), f, Phase(qudit, m)]
+
     if unit(q):
-        gates = _case1(p, q, s, dim, qudit)
-    elif unit(r):
-        gates = [f] + _case1(-s % D, r, -p % D, dim, qudit) + [f]
-    elif unit(p):
-        gates = [f, f, f] + _case1(q, -p % D, -r % D, dim, qudit)
-    elif unit(s):
-        gates = _case1(-r % D, -s % D, q, dim, qudit) + [f, f, f]
-    else:
-        # Euclid on the right column (q, s) takes it to (0, gcd); F^3 then
-        # lifts the gcd, a unit, into the top-right corner
-        steps = _peg_vector(q, s, D, qudit)[0] + [f, f, f]
-        for g in steps:
-            p, q, r, s = _act2(g, p, q, r, s, D)
-        gates = _case1(p, q, s, dim, qudit)
-        for g in reversed(steps):
-            gates.extend(invert_gate(g, dim))
-    return gates
+        return core(p, q, s)
+    if unit(r):
+        return [f] + core(-s % D, r, -p % D) + [f]
+    if unit(p):
+        return [f, f, f] + core(q, -p % D, -r % D)
+    t = next((t for t in range(D) if unit((s + t * q) % D)), None)
+    if t is None:
+        raise NonSymplecticError(f"[[{p}, {q}], [{r}, {s}]] is not symplectic mod {D}")
+    return core(-(r + t * p) % D, -(s + t * q) % D, q) + [f, f, f, Phase(qudit, -t % D)]
 
-
-# ---------------------------------------------------------------------------
-# shortest single-qudit runs
 
 # Largest D whose shortest programs come from a breadth-first table of
-# SL(2, Z_D), D^4 bytes (0.33 MB at D = 24). Above it, `_single_gates`.
+# SL(2, Z_D), D^4 bytes (0.33 MB at D = 24). Above it, `_closed_form`.
 MAX_TABLE_D = 24
 
 
@@ -391,7 +328,7 @@ def _shorter_run(run: list[Gate], dim: Dimension, qudit: int) -> list[Gate]:
     if D <= MAX_TABLE_D:
         short = _table_word(p, q, r, s, D, qudit)
     else:
-        short = merge_gates(_single_gates(p, q, r, s, dim, qudit), dim)
+        short = merge_gates(_closed_form(p, q, r, s, D, qudit), dim)
     return short if len(short) < len(run) else run
 
 
@@ -438,7 +375,7 @@ def _require_unit(vec: np.ndarray, idx: int, qudit: int, line: str) -> None:
 
 
 def _eliminate(m: SymplecticMatrix) -> list[Gate]:
-    """The merged elimination program of `decompose`, before `_shorten_runs`.
+    """The unmerged elimination program of `decompose`, before `_shorten_runs`.
 
     Row operations (`act_left`) only, on one working copy of ``m``'s
     inverse: the gates that reduce it to the identity are, in the order
@@ -491,16 +428,16 @@ def _eliminate(m: SymplecticMatrix) -> list[Gate]:
         _require_unit(work[:, j], j, j, "column")
         _require_unit(work[z], z, j, "row")
         _require_unit(work[j], j, j, "row")
-    return merge_gates(gates, dim)
+    return gates
 
 
 def decompose(m: SymplecticMatrix) -> GateSequence:
     """Fourier/phase/sum program for any symplectic matrix, any n.
 
-    The program of `_eliminate`, which reduces ``m``'s inverse with row
-    operations and the word normal form, with its single-qudit runs
-    shortened by `_shorten_runs`, merged, then recomposed and compared
-    with ``m``; a failure raises `SynthesisCheckError`.
+    The gates of `_eliminate`, which reduces ``m``'s inverse with row
+    operations and the word normal form, with their single-qudit runs
+    shortened by `_shorten_runs`, merged once, then recomposed and
+    compared with ``m``; a failure raises `SynthesisCheckError`.
     """
     n, dim = m.n, m.dim
     gates = merge_gates(_shorten_runs(_eliminate(m), dim), dim)
@@ -512,9 +449,12 @@ def decompose(m: SymplecticMatrix) -> GateSequence:
     return seq
 
 
-def synthesize(m: SymplecticMatrix) -> SynthesisResult:
-    """Decompose ``m`` and bundle the program with its target."""
-    return SynthesisResult(decompose(m), m)
+def decompose_single(m: SymplecticMatrix) -> GateSequence:
+    """`decompose` of a 2x2 symplectic matrix: a Fourier/phase program, a
+    shortest one for D <= MAX_TABLE_D and at most 9 gates above."""
+    if m.n != 1:
+        raise DimensionMismatchError(f"decompose_single needs a 2x2 matrix, got n={m.n}")
+    return decompose(m)
 
 
 def swap_sequence(i: int, j: int, n: int, dim: Dimension) -> GateSequence:

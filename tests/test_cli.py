@@ -54,6 +54,20 @@ class TestSynth:
         code, _, err = run(capsys, "synth", str(f))
         assert code == 2 and "parse error" in err
 
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys):
+        f = tmp_path / "m.txt"
+        f.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "synth", str(f))
+        assert code == 2 and out == ""
+        assert err.startswith("parse error: cannot read ") and "utf-8" in err
+
+    def test_non_utf8_stdin_exit_2(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run(capsys, "synth", "-")
+        assert code == 2 and out == ""
+        assert err.startswith("parse error: cannot read -")
+
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "synth", "/nonexistent/m.txt")
         assert code == 2
@@ -189,6 +203,31 @@ class TestVerify:
         monkeypatch.setattr(sys, "stdin", io.StringIO(out))
         code, out2, _ = run(capsys, "verify", str(m))
         assert code == 0 and out2.strip() == "ok"
+
+    @pytest.mark.parametrize("argv", [["-"], ["-", "-"]])
+    def test_matrix_and_program_both_stdin_exit_2(self, capsys, monkeypatch, argv):
+        # the program would come from the stdin the matrix drained, and an
+        # empty program would pass for the identity
+        monkeypatch.setattr(sys, "stdin", io.StringIO("d 5 n 1\n1 0\n0 1\n"))
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("parse error: ") and "stdin" in err
+
+    def test_matrix_from_stdin(self, tmp_path, capsys, monkeypatch):
+        prog = tmp_path / "prog.txt"
+        prog.write_text("F 0\nF 0\nF 0\nF 0\n")
+        monkeypatch.setattr(sys, "stdin", io.StringIO("d 5 n 1\n1 0\n0 1\n"))
+        code, out, _ = run(capsys, "verify", "-", str(prog))
+        assert code == 0 and out.strip() == "ok"
+
+    def test_non_utf8_program_exit_2(self, tmp_path, capsys):
+        m = tmp_path / "m.txt"
+        m.write_text(GOLDEN_TEXT)
+        prog = tmp_path / "prog.txt"
+        prog.write_bytes(b"F 0\n\xff\xfe\n")
+        code, out, err = run(capsys, "verify", str(m), str(prog))
+        assert code == 2 and out == ""
+        assert err.startswith(f"parse error: cannot read {prog}")
 
     @pytest.mark.parametrize("tol", ["abc", "nan", "-1", "0"])
     @pytest.mark.parametrize("command", ["verify", "synth"])

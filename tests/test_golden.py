@@ -1,9 +1,10 @@
 """Golden corpora: the exact program text of `decompose` and of the word programs.
 
 Over 504 seeded matrices (d in {2, 3, 4, 5, 6, 12, 97}, n from 1 to 12,
-sparse and dense, three seeds each) the sha256 of the elimination
-program's text (`_eliminate`) is frozen. Any change to the elimination
-that alters a single gate of any program changes the digest. A second
+sparse and dense, three seeds each) the sha256 of the merged elimination
+program's text, `merge_gates(_eliminate(m), dim)`, is frozen. Any change
+to the elimination that alters a single gate of any program changes the
+digest. A second
 digest, `FINAL_DIGEST`, covers the final programs of `decompose` on the
 same cases, after the pass that shortens single-qudit runs. Inputs are
 recomposed with the dense reference `gate_matrix`, so they do not depend
@@ -31,6 +32,7 @@ from cliffsynth import (
     transport,
 )
 
+from cliffsynth.symplectic import merge_gates
 from cliffsynth.synthesis import _eliminate
 
 from conftest import random_gate_sequence
@@ -64,7 +66,7 @@ def golden_digests():
     count = 0
     for d, n, kind, length, seed in golden_cases():
         m = reference_matrix(random_gate_sequence(n, Dimension.of(d), length, seed))
-        text = GateSequence(tuple(_eliminate(m)), n, m.dim).to_text()
+        text = GateSequence(tuple(merge_gates(_eliminate(m), m.dim)), n, m.dim).to_text()
         eliminated.update(f"{d} {n} {kind} {seed}\n{text}\n".encode())
         final.update(f"{d} {n} {kind} {seed}\n{decompose(m).to_text()}\n".encode())
         count += 1

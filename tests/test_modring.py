@@ -7,7 +7,6 @@ from cliffsynth import (
     CliffSynthError,
     Dimension,
     ScaleLimitError,
-    euclid_steps,
     gcd0,
     mod_inverse,
 )
@@ -61,34 +60,6 @@ class TestGcd0:
             for b in range(1, bound):
                 best = max(t for t in range(1, min(a, b) + 1) if a % t == 0 and b % t == 0)
                 assert gcd0(a, b) == best
-
-
-class TestEuclidSteps:
-    def test_worked_chain(self):
-        assert euclid_steps(9, 4) == [2, 4]
-
-    def test_degenerate_starts(self):
-        assert euclid_steps(5, 0) == []
-        assert euclid_steps(0, 5) == []
-
-    def test_leading_zero_quotient(self):
-        assert euclid_steps(4, 6) == [0, 1, 2]
-
-    def test_double_zero_rejected(self):
-        with pytest.raises(CliffSynthError):
-            euclid_steps(0, 0)
-
-    @given(st.integers(0, 10_000), st.integers(0, 10_000))
-    def test_replay_reproduces_gcd(self, a, b):
-        if a == 0 and b == 0:
-            return
-        quotients = euclid_steps(a, b)
-        hi, lo = a, b
-        for q in quotients:
-            hi, lo = lo, hi - q * lo
-        assert lo == 0 or hi == 0 or not quotients
-        last_nonzero = hi if quotients else (a or b)
-        assert last_nonzero == gcd0(a, b)
 
 
 class TestModInverse:

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliffsynth import (
@@ -347,6 +347,23 @@ class TestMergeNormalForm:
             assert type(g) is Fourier or group_of(prev) != group_of(g)
         for run in zip(out, out[1:], out[2:], out[3:]):  # F^4 = I
             assert len({group_of(g) for g in run}) > 1
+
+
+class TestSequenceInverse:
+    @settings(deadline=None)
+    @given(gate_lists(dims=(2, 3, 12, 97), max_n=64, max_size=200))
+    def test_composes_to_identity(self, case):
+        gates, n, dim = case
+        seq = GateSequence(tuple(gates), n, dim)
+        prod = compose(sequence_matrix(seq.inverse()), sequence_matrix(seq))
+        assert prod == SymplecticMatrix.identity(n, dim)
+
+    @settings(deadline=None)
+    @given(gate_lists(dims=(2, 3, 12, 97), max_n=64, max_size=200))
+    def test_twice_is_the_merged_program(self, case):
+        gates, n, dim = case
+        seq = GateSequence(tuple(gates), n, dim)
+        assert seq.inverse().inverse().gates == tuple(merge_gates(seq.gates, dim))
 
 
 class TestNormalization:

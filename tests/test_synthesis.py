@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -7,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cliffsynth.synthesis
 from cliffsynth import (
@@ -28,13 +30,14 @@ from cliffsynth import (
     sequence_matrix,
     sum_peg,
     swap_sequence,
-    synthesize,
     transport,
 )
 from cliffsynth.symplectic import Fourier, Phase, Sum, act_left, merge_gates
 
 from cliffsynth.synthesis import (
     MAX_TABLE_D,
+    _act2,
+    _closed_form,
     _eliminate,
     _shorten_runs,
     _table_word,
@@ -58,6 +61,12 @@ def apply_seq_to_vector(seq, vec):
 
 def ceil_log2(v):
     return (v - 1).bit_length()
+
+
+def sl2(D):
+    """Every element (p, q, r, s) of SL(2, Z_D)."""
+    entries = itertools.product(range(D), repeat=4)
+    return [(p, q, r, s) for p, q, r, s in entries if (p * s - q * r) % D == 1]
 
 
 class TestPegReduce:
@@ -93,14 +102,15 @@ class TestPegReduce:
 
 class TestDecomposeSingle:
     def test_exhaustive_programs_frozen_d6(self):
-        # all 1152 matrices mod 12; the 32 with no unit entry take the
-        # Euclid branch, which the multi-qudit golden corpus may not reach
+        # all 1152 matrices mod 12, each a shortest program from the table
         h = hashlib.sha256()
-        for a, b, c, e in itertools.product(range(12), repeat=4):
-            if (a * e - b * c) % 12 == 1:
-                m = SymplecticMatrix(DIM6, np.array([[a, b], [c, e]]))
-                h.update(f"{a} {b} {c} {e}\n{decompose_single(m).to_text()}\n".encode())
-        assert h.hexdigest() == "5670ee078f27783bd36bd62fc7f619d78376ffd79c3380b443c496fa76cee626"
+        lengths = []
+        for a, b, c, e in sl2(12):
+            seq = decompose_single(SymplecticMatrix(DIM6, np.array([[a, b], [c, e]])))
+            h.update(f"{a} {b} {c} {e}\n{seq.to_text()}\n".encode())
+            lengths.append(len(seq))
+        assert (len(lengths), sum(lengths), max(lengths)) == (1152, 5324, 7)
+        assert h.hexdigest() == "17077e6af6ca8e097769bcbc2bf74ba662d861d5ccb2409c2517e462529de5c0"
 
     def test_worked_matrix(self):
         m = SymplecticMatrix(DIM6, GOLDEN_MATRIX)
@@ -111,11 +121,16 @@ class TestDecomposeSingle:
         assert len(decompose_single(SymplecticMatrix.identity(1, DIM6))) == 0
 
     def test_closed_form_pattern(self):
-        m = SymplecticMatrix(DIM5, np.array([[1, 1], [0, 1]]))
+        # D = 29 is above the table: the six-gate elimination run gives way
+        # to the closed form P^3 F P^1 F P^2, the entries m = 3 and n = 2
+        # read off the unit top-right entry q = 1
+        dim = Dimension.of(29)
+        m = SymplecticMatrix(dim, np.array([[1, 1], [1, 2]]))
         seq = decompose_single(m)
         assert seq.gates == (
-            Phase(0, 2), Fourier(0), Phase(0, 1), Fourier(0), Phase(0, 2)
+            Phase(0, 2), Fourier(0), Phase(0, 1), Fourier(0), Phase(0, 3)
         )
+        assert len(merge_gates(_eliminate(m), dim)) == 6
 
     @pytest.mark.parametrize("d", [4, 6, 8])
     def test_framing_is_small_when_some_entry_invertible(self, d):
@@ -129,8 +144,8 @@ class TestDecomposeSingle:
             m = SymplecticMatrix(dim, np.array([[p, q], [r, s]]))
             seq = decompose_single(m)
             assert sequence_matrix(seq) == m
-            # closed-form core is at most 5 gates; framing adds at most 4
-            assert len(seq) <= 9
+            # a shortest program: at most 7 gates for D <= 16
+            assert len(seq) <= 7
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
     def test_exhaustive_round_trip_with_budget(self, d):
@@ -145,17 +160,41 @@ class TestDecomposeSingle:
             assert sequence_matrix(seq) == m
             assert len(seq) <= budget
 
+    def test_exhaustive_d14_above_the_table(self):
+        # SL(2, Z_28), 16128 elements: D = 28 > MAX_TABLE_D, so every program
+        # is the shorter of the elimination run and the closed form, whose
+        # no-unit-entry branch 96 of the elements reach. The totals are
+        # pinned: the framings for a unit r or p keep the closed form short
+        dim = Dimension.of(14)
+        assert dim.D > MAX_TABLE_D
+        total = closed_total = no_unit = 0
+        for p, q, r, s in sl2(dim.D):
+            m = SymplecticMatrix(dim, np.array([[p, q], [r, s]]))
+            seq = decompose_single(m)
+            assert sequence_matrix(seq) == m
+            assert len(seq) <= 9
+            total += len(seq)
+            closed = merge_gates(_closed_form(p, q, r, s, dim.D, 0), dim)
+            acc = (1, 0, 0, 1)
+            for g in closed:
+                acc = _act2(g, *acc, dim.D)
+            assert acc == (p, q, r, s)
+            assert len(closed) <= 9
+            closed_total += len(closed)
+            no_unit += all(gcd0(v, dim.D) != 1 for v in (p, q, r, s))
+        assert (no_unit, total, closed_total) == (96, 93605, 96608)
+
+    def test_closed_form_rejects_non_symplectic(self):
+        # every entry even mod 28: no s + t*q is a unit
+        with pytest.raises(NonSymplecticError, match="not symplectic mod 28"):
+            _closed_form(2, 2, 2, 2, 28, 0)
+
     def test_rejects_non_2x2(self):
         with pytest.raises(Exception):
             decompose_single(SymplecticMatrix.identity(2, DIM6))
 
 
 class TestShortestTable:
-    @staticmethod
-    def sl2(D):
-        entries = itertools.product(range(D), repeat=4)
-        return [(p, q, r, s) for p, q, r, s in entries if (p * s - q * r) % D == 1]
-
     @staticmethod
     def brute_force_lengths(D, max_len=7):
         """Shortest length of every F / P^e word up to ``max_len``, by matrix."""
@@ -178,7 +217,7 @@ class TestShortestTable:
     @pytest.mark.parametrize("D", [3, 4, 5, 12, 24])
     def test_every_element_recomposes(self, D):
         assert D <= MAX_TABLE_D
-        for p, q, r, s in self.sl2(D):
+        for p, q, r, s in sl2(D):
             acc = np.eye(2, dtype=np.int64)
             for g in _table_word(p, q, r, s, D, 0):
                 assert type(g) is Fourier or 0 < g.power < D
@@ -188,7 +227,7 @@ class TestShortestTable:
     @pytest.mark.parametrize("D", [3, 4, 5])
     def test_words_are_shortest(self, D):
         best = self.brute_force_lengths(D)
-        elements = self.sl2(D)
+        elements = sl2(D)
         assert sorted(best) == elements
         for m in elements:
             assert len(_table_word(*m, D, 0)) == best[m]
@@ -265,23 +304,21 @@ class TestScaleSequence:
 
 class TestSumPeg:
     def test_already_in_slot(self):
-        seq = sum_peg(0, 3, DIM6, "second")
+        seq = sum_peg(0, 3, DIM6)
         assert len(seq) == 0
 
-    def test_worked_pair_both_slots(self):
-        dim = Dimension.of(12)
-        for slot, target in (("second", [0, 0, 0, 2]), ("first", [0, 0, 2, 0])):
-            seq = sum_peg(4, 6, dim, slot)
-            assert all(isinstance(g, Sum) for g in seq)
-            assert np.array_equal(apply_seq_to_vector(seq, [0, 0, 4, 6]), target)
+    def test_worked_pair(self):
+        seq = sum_peg(4, 6, DIM12)
+        assert all(isinstance(g, Sum) for g in seq)
+        assert np.array_equal(apply_seq_to_vector(seq, [0, 0, 4, 6]), [0, 0, 0, 2])
 
     def test_fix_up_moves_slot(self):
-        seq = sum_peg(1, 0, DIM5, "second")
+        seq = sum_peg(1, 0, DIM5)
         assert np.array_equal(apply_seq_to_vector(seq, [0, 0, 1, 0]), [0, 0, 0, 1])
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateWordError):
-            sum_peg(0, 0, DIM5, "first")
+            sum_peg(0, 0, DIM5)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
     def test_exhaustive_small(self, d):
@@ -289,11 +326,9 @@ class TestSumPeg:
         for a, b in itertools.product(range(d), repeat=2):
             if (a, b) == (0, 0):
                 continue
-            g = gcd0(a, b)
-            for slot, target in (("second", [0, 0, 0, g]), ("first", [0, 0, g, 0])):
-                seq = sum_peg(a, b, dim, slot)
-                assert all(isinstance(gg, Sum) for gg in seq)
-                assert np.array_equal(apply_seq_to_vector(seq, [0, 0, a, b]), target)
+            seq = sum_peg(a, b, dim)
+            assert all(isinstance(g, Sum) for g in seq)
+            assert np.array_equal(apply_seq_to_vector(seq, [0, 0, a, b]), [0, 0, 0, gcd0(a, b)])
 
 
 class TestGeneralizedPeg:
@@ -381,6 +416,39 @@ class TestTransport:
         assert apply_to_word(sequence_matrix(seq), p) == q
 
 
+@st.composite
+def word_pairs(draw):
+    """Two nonidentity words on n <= 64 qudits, d in {2, 3, 12, 97}; the
+    exponents of each are multiples of a divisor of d, so composite d
+    gives pairs whose gcds differ."""
+    dim = Dimension.of(draw(st.sampled_from((2, 3, 12, 97))))
+    d, n = dim.d, draw(st.integers(1, 64))
+    exponents = st.lists(st.integers(0, d - 1), min_size=n, max_size=n)
+
+    def word():
+        f = draw(st.sampled_from([c for c in range(1, d) if d % c == 0]))
+        xs = [f * a % d for a in draw(exponents)]
+        zs = [f * b % d for b in draw(exponents)]
+        if not any(xs) and not any(zs):
+            zs[-1] = f
+        return PauliWord(dim, tuple(xs), tuple(zs))
+
+    return word(), word()
+
+
+class TestTransportProperty:
+    @settings(deadline=None)
+    @given(word_pairs())
+    def test_feasible_exactly_when_gcds_agree_with_d(self, pair):
+        p, q = pair
+        d = p.dim.d
+        gp, gq = math.gcd(*p.xexp, *p.zexp), math.gcd(*q.xexp, *q.zexp)
+        prog = transport(p, q)
+        assert (prog is None) == (math.gcd(gp, d) != math.gcd(gq, d))
+        if prog is not None:
+            assert apply_to_word(sequence_matrix(prog), p) == q
+
+
 def scan_units(d):
     """{(gp, gq): smallest unit k in range(1, d) with k * gp = gq mod d}."""
     units = [k for k in range(1, d) if gcd0(k, d) == 1]
@@ -455,13 +523,6 @@ class TestDecompose:
         m = sequence_matrix(GateSequence(tuple(gates), n, dim))
         assert sequence_matrix(decompose(m)) == m
 
-    def test_synthesize_bundles_result(self):
-        m = SymplecticMatrix(DIM6, GOLDEN_MATRIX)
-        res = synthesize(m)
-        assert res.target == m
-        assert res.gate_count == len(res.program)
-        assert sequence_matrix(res.program) == m
-
 
 class TestDecomposeLargeSizes:
     @pytest.mark.parametrize("d", [2, 97])
@@ -469,7 +530,7 @@ class TestDecomposeLargeSizes:
         m = sequence_matrix(random_gate_sequence(32, Dimension.of(d), 1280, 1))
         seq = decompose(m)
         assert sequence_matrix(seq) == m
-        assert len(seq) < len(_eliminate(m))
+        assert len(seq) < len(merge_gates(_eliminate(m), m.dim))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_round_trip_largest_dimension(self, seed):
