@@ -13,6 +13,8 @@ on the code under test.
 A second digest covers `generalized_peg`, `transport` and
 `GateSequence.inverse` on seeded words (d in {2, 6, 12, 97, 1024}, n in
 {1, 2, 5, 16, 64}), with feasible and infeasible pairs and composite gcds.
+A third covers the symplectic matrix of each of those programs, so a
+change that shortens word programs must keep every one the same Clifford.
 """
 
 import hashlib
@@ -32,7 +34,7 @@ from cliffsynth import (
     transport,
 )
 
-from cliffsynth.symplectic import merge_gates
+from cliffsynth.symplectic import format_matrix_text, merge_gates, sequence_matrix
 from cliffsynth.synthesis import _eliminate
 
 from conftest import random_gate_sequence
@@ -88,6 +90,7 @@ WORD_NS = (1, 2, 5, 16, 64)
 WORD_SEEDS = range(4)
 
 WORD_DIGEST = "a201f0b0f73fc941395b677d4912ac89d6f4b13ddcd2d4741b7d122efcd6e02f"
+WORD_MATRIX_DIGEST = "77c25fb3ca8a413da3d60d203b8fb8dbf690192e29d7d50a7ac357217381c9a4"
 
 
 def divisors_below(d):
@@ -141,3 +144,28 @@ def test_golden_word_programs_unchanged():
     feasible, infeasible, digest = word_digest()
     assert (feasible, infeasible) == (276, 24)
     assert digest == WORD_DIGEST
+
+
+def word_matrix_digest():
+    """sha256 over the matrix text of every word program and its inverse."""
+    h = hashlib.sha256()
+
+    def add(label, seq):
+        h.update(f"{label}\n{format_matrix_text(sequence_matrix(seq))}\n".encode())
+
+    pegged = set()
+    for d, n, s, p, q in word_cases():
+        if (d, n, s) not in pegged:  # each p comes with three targets
+            pegged.add((d, n, s))
+            seq, _ = generalized_peg(p)
+            add(f"peg {d} {n} {s}", seq)
+            add("peg inverse", seq.inverse())
+        out = transport(p, q)
+        if out is not None:
+            add("transport", out)
+            add("transport inverse", out.inverse())
+    return h.hexdigest()
+
+
+def test_golden_word_matrices_unchanged():
+    assert word_matrix_digest() == WORD_MATRIX_DIGEST
