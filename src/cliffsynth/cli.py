@@ -71,8 +71,17 @@ def _tolerance() -> float:
 
 
 def _read_text(path: str) -> str:
+    """The text of ``path``, or of stdin for ``-``, decoded strictly as UTF-8.
+
+    Stdin is read as bytes where it has a buffer, so the locale's error
+    handler (``surrogateescape`` under a C locale) never applies; a text
+    stream without one, such as ``io.StringIO``, is read as it is.
+    """
     try:
-        return sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+        if path != "-":
+            return Path(path).read_text(encoding="utf-8")
+        buffer = getattr(sys.stdin, "buffer", None)
+        return sys.stdin.read() if buffer is None else buffer.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 

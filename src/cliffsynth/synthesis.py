@@ -3,23 +3,29 @@
 The single-qudit engine is Euclid's algorithm driven by two elementary
 row operations: left-multiplying by [[1,0],[m,1]] (a phase power) or by
 [[1,-m],[0,1]] (a Fourier-conjugated phase power) subtracts multiples of
-one exponent from the other. The same loop, run with sum gates on a pair
-of qudits, reduces a Z (x) Z exponent pair to its gcd. Stacking the two
-gives the word normal form (`_peg_gates`): any word goes to a power of Z
-on its last qudit. Word-to-word transport and the full n-qudit
-decomposition are built on it; `decompose` works in two stages.
+one exponent from the other. The loop keeps its chain's 2x2 matrix on
+four ints and emits the shortest-known program for it when that is
+shorter than the chain (`_peg_vector`): a shortest one from a
+breadth-first table of SL(2, Z_D) for D <= MAX_TABLE_D = 24, else one
+closed form of at most 9 gates (`_closed_form`). The same loop, run with
+sum gates on a pair of qudits, reduces a Z (x) Z exponent pair to its
+gcd. Stacking the two gives the word normal form (`_peg_gates`): any
+word goes to a power of Z on its last qudit. Word-to-word transport
+takes the normal form of one word and the inverse normal form of the
+other, whose single-qudit words come from the same loop, inverted as
+matrices. The full n-qudit decomposition works in two stages.
 Elimination (`_eliminate`) reduces the inverse of the input to the
 identity with row operations only (`act_left`), last qudit first: the
 normal form takes each Z_j column to Z_j, then gates that fix Z_j clear
 the X_j column. The gates, in the order applied, are a program for the
-input. Then one scan (`_shorten_runs`) replaces each qudit's run of
-Fourier and phase gates between sum gates by a shorter program for its
-2x2 matrix: a shortest one from a breadth-first table of SL(2, Z_D) for
-D <= MAX_TABLE_D = 24, else one closed form of at most 9 gates
-(`_closed_form`). The finished program is merged once and checked once
-against its input. `decompose_single` is `decompose` on one qudit. The
-golden tests pin the text of both stages: the merged elimination digest
-and the final digest.
+input. Then one scan (`_shorten_runs`) joins each qudit's run of
+Fourier and phase gates between sum gates, normal-form words with the
+scale and clearing gates around them, and replaces it by the
+shortest-known program for its 2x2 matrix when that is shorter. The
+finished program is merged once and checked once against its input.
+`decompose_single` is `decompose` on one qudit. The golden tests pin
+the text of both stages, the merged elimination digest and the final
+digest, and the matrix of every word program.
 
 All quotients are taken from canonical representatives, so every routine
 is deterministic.
@@ -50,7 +56,6 @@ from .symplectic import (
     SymplecticMatrix,
     act_left,
     inverse,
-    invert_gate,
     merge_gates,
     sequence_matrix,
 )
@@ -60,31 +65,59 @@ from .symplectic import (
 # elementary Euclid loops
 
 
-def _peg_vector(a: int, b: int, D: int, qudit: int) -> tuple[list[Gate], int]:
-    """Gates on ``qudit`` mapping its exponent vector (a, b) to (0, g).
+def _peg_vector(
+    a: int, b: int, D: int, qudit: int, inverse: bool = False
+) -> tuple[list[Gate], int]:
+    """Gates on ``qudit`` mapping its exponent vector (a, b) to (0, g), or
+    with ``inverse`` the gates of the inverse map, and g = gcd0(a, b).
 
     ``a`` and ``b`` are canonical representatives; the loop never leaves
-    canonical range, so it is plain integer Euclid. Returns the gates in
-    application order and the final exponent g = gcd0(a, b).
+    canonical range, so it is plain integer Euclid. Its chain of gates is
+    F^3 P^k F for a step with a >= b, P^-k for one with a < b and a closing
+    F when the loop stops at (a, 0); the loop keeps the chain's 2x2 matrix
+    on four ints and its length. The inverse chain is the chain inverted
+    as a reduced word: F^3 for a closing F first, then the steps in
+    reverse, each F^3 P^-k F or P^k. The gates emitted are the
+    chain, or the shortest-known word for its matrix (`_shortest_word`)
+    when that is strictly shorter, so the map is the chain's either way.
     """
     if a == 0 and b == 0:
         raise DegenerateWordError("cannot reduce the zero exponent pair")
-    f = Fourier(qudit)
-    gates: list[Gate] = []
+    steps: list[tuple[bool, int]] = []  # (F^3 P^k F step?, k), in chain order
+    p, q, r, s = 1, 0, 0, 1
+    length = 0
     while a != 0 and b != 0:
         if a >= b:
-            q = a // b
-            # [[1,-q],[0,1]] = F.P(q).F.F.F applied right-to-left
-            gates.extend([f, f, f, Phase(qudit, q), f])
-            a -= q * b
+            k = a // b
+            a -= k * b
+            p, q = (p - k * r) % D, (q - k * s) % D  # [[1,-k],[0,1]] M
+            steps.append((True, k))
+            length += 5
         else:
-            q = b // a
-            gates.append(Phase(qudit, (-q) % D))
-            b -= q * a
-    if b == 0:
-        gates.append(f)  # (a, 0) -> (0, a)
+            k = b // a
+            b -= k * a
+            r, s = (r - k * p) % D, (s - k * q) % D  # [[1,0],[-k,1]] M
+            steps.append((False, -k))
+            length += 1
+    close = b == 0
+    if close:  # (a, 0) -> (0, a)
         a, b = 0, a
-    return gates, b
+        p, q, r, s = -r % D, -s % D, p, q
+        length += 1
+    if inverse:
+        p, q, r, s = s, -q % D, -r % D, p
+        length += 2 * close
+        steps = [(five, -k) for five, k in reversed(steps)]
+    word = _shortest_word(p, q, r, s, D, qudit)
+    if len(word) < length:
+        return word, b
+    f = Fourier(qudit)
+    chain: list[Gate] = [f, f, f] if inverse and close else []
+    for five, k in steps:
+        chain.extend([f, f, f, Phase(qudit, k % D), f] if five else [Phase(qudit, k % D)])
+    if close and not inverse:
+        chain.append(f)
+    return chain, b
 
 
 def _sum_peg_vector(a: int, b: int, D: int, i: int, j: int) -> list[Gate]:
@@ -133,25 +166,35 @@ def scale_sequence(k: int, dim: Dimension) -> GateSequence:
     return GateSequence(tuple(_scale_gates(k, dim.D, 0)), 1, dim)
 
 
-def _peg_gates(xs: Sequence[int], zs: Sequence[int], D: int) -> tuple[list[Gate], int]:
+def _peg_gates(
+    xs: Sequence[int], zs: Sequence[int], D: int, inverse: bool = False
+) -> tuple[list[Gate], int]:
     """Unmerged gates mapping the word with exponents ``xs``, ``zs`` (in
     [0, D), not all zero) to a power of Z on its last qudit, and that power:
-    the gcd of all the exponents."""
-    gates: list[Gate] = []
+    the gcd of all the exponents. With ``inverse``, the gates of the
+    inverse program: the sum chain inverted gate by gate, then each
+    qudit's inverse word, last qudit first."""
+    chunks: list[list[Gate]] = []
     zvals: list[int] = []
     for i, (a, b) in enumerate(zip(xs, zs)):
         if (a, b) == (0, 0):
             zvals.append(0)
             continue
-        chunk, g = _peg_vector(a, b, D, i)
-        gates.extend(chunk)
+        chunk, g = _peg_vector(a, b, D, i, inverse)
+        chunks.append(chunk)
         zvals.append(g)
+    sums: list[Gate] = []
     cur = zvals[0]
     for i in range(len(zvals) - 1):
         nxt = zvals[i + 1]
         if (cur, nxt) != (0, 0):
-            gates.extend(_sum_peg_vector(cur, nxt, D, i, i + 1))
+            sums.extend(_sum_peg_vector(cur, nxt, D, i, i + 1))
         cur = gcd0(cur, nxt)
+    if not inverse:
+        return [g for chunk in chunks for g in chunk] + sums, cur
+    gates: list[Gate] = [Sum(g.control, g.target, D - g.power) for g in reversed(sums)]
+    for chunk in reversed(chunks):
+        gates.extend(chunk)
     return gates, cur
 
 
@@ -199,7 +242,8 @@ def transport(p: PauliWord, q: PauliWord) -> GateSequence | None:
 
     Feasible exactly when gcd(q's exponents) = k * gcd(p's exponents)
     mod d for some unit k mod d; returns None otherwise. The program is
-    p's peg gates, the scale gates and q's inverted peg gates, merged once.
+    p's peg gates, the scale gates and the gates of q's inverse peg
+    program, merged once.
     """
     if p.dim != q.dim or p.n != q.n:
         raise DimensionMismatchError("transport endpoints disagree on layout")
@@ -214,8 +258,7 @@ def transport(p: PauliWord, q: PauliWord) -> GateSequence | None:
     gates, _ = _peg_gates(p.xexp, p.zexp, dim.D)
     if k != 1:
         gates.extend(_scale_gates(k, dim.D, n - 1))
-    for g in reversed(_peg_gates(q.xexp, q.zexp, dim.D)[0]):
-        gates.extend(invert_gate(g, dim))
+    gates.extend(_peg_gates(q.xexp, q.zexp, dim.D, inverse=True)[0])
     return GateSequence(tuple(merge_gates(gates, dim)), n, dim)
 
 
@@ -232,14 +275,18 @@ def _act2(g: Gate, p: int, q: int, r: int, s: int, D: int) -> tuple[int, int, in
 
 
 def _closed_form(p: int, q: int, r: int, s: int, D: int, qudit: int) -> list[Gate]:
-    """Unmerged Fourier/phase gates on ``qudit`` for the 2x2 symplectic
-    matrix M = [[p, q], [r, s]] (entries in [0, D)), at most 9 of them.
+    """Fourier/phase gates on ``qudit`` for the 2x2 symplectic matrix
+    M = [[p, q], [r, s]] (entries in [0, D)), at most 9 of them.
 
     The core, for a unit top-right entry q, is the matrix P^m F P^q F P^n
     with m, n read off the entries. F M F and M F move r and -p into that
     corner. Otherwise gcd(q, s, D) = 1, as det M = 1, so s + t*q is a unit
     for some t in [0, D); with the smallest such t, F P^t M has the unit
     -(s + t*q) in the corner, and M = P^(-t) F^3 (F P^t M).
+
+    No phase power is 0 and no four Fourier gates meet, since a zero power
+    at a framing's seam would need a unit entry an earlier branch took, so
+    the word is reduced: `merge_gates` leaves it as it is.
     """
     if (p, q, r, s) == (1, 0, 0, 1):
         return []
@@ -251,7 +298,9 @@ def _closed_form(p: int, q: int, r: int, s: int, D: int, qudit: int) -> list[Gat
     def core(p: int, q: int, s: int) -> list[Gate]:
         qinv = pow(q, -1, D)
         m, n = qinv * (s + 1) % D, qinv * (p + 1) % D
-        return [Phase(qudit, n), f, Phase(qudit, q), f, Phase(qudit, m)]
+        word: list[Gate] = [Phase(qudit, n)] if n else []
+        word += [f, Phase(qudit, q), f]
+        return word + [Phase(qudit, m)] if m else word
 
     if unit(q):
         return core(p, q, s)
@@ -262,7 +311,8 @@ def _closed_form(p: int, q: int, r: int, s: int, D: int, qudit: int) -> list[Gat
     t = next((t for t in range(D) if unit((s + t * q) % D)), None)
     if t is None:
         raise NonSymplecticError(f"[[{p}, {q}], [{r}, {s}]] is not symplectic mod {D}")
-    return core(-(r + t * p) % D, -(s + t * q) % D, q) + [f, f, f, Phase(qudit, -t % D)]
+    word = core(-(r + t * p) % D, -(s + t * q) % D, q) + [f, f, f]
+    return word + [Phase(qudit, D - t)] if t else word
 
 
 # Largest D whose shortest programs come from a breadth-first table of
@@ -304,11 +354,12 @@ def _shortest_table(D: int) -> bytearray:
 def _table_word(p: int, q: int, r: int, s: int, D: int, qudit: int) -> list[Gate]:
     """A shortest Fourier/phase program for [[p, q], [r, s]], D <= MAX_TABLE_D."""
     table = _shortest_table(D)
+    f = Fourier(qudit)
     word: list[Gate] = []
     while (p, q, r, s) != (1, 0, 0, 1):
         letter = table[((p * D + q) * D + r) * D + s]
         if letter == 1:  # M = F M'
-            word.append(Fourier(qudit))
+            word.append(f)
             p, q, r, s = r, s, -p % D, -q % D
         else:  # M = P^e M'
             e = letter - 1
@@ -318,17 +369,21 @@ def _table_word(p: int, q: int, r: int, s: int, D: int, qudit: int) -> list[Gate
     return word
 
 
-def _shorter_run(run: list[Gate], dim: Dimension, qudit: int) -> list[Gate]:
-    """The shortest known program for the product of ``run`` if it is
+def _shortest_word(p: int, q: int, r: int, s: int, D: int, qudit: int) -> list[Gate]:
+    """The shortest-known reduced program for [[p, q], [r, s]]: a shortest
+    one from the table for D <= MAX_TABLE_D, else the closed form."""
+    if D <= MAX_TABLE_D:
+        return _table_word(p, q, r, s, D, qudit)
+    return _closed_form(p, q, r, s, D, qudit)
+
+
+def _shorter_run(run: list[Gate], D: int, qudit: int) -> list[Gate]:
+    """The shortest-known program for the product of ``run`` if it is
     shorter than ``run``, else ``run`` itself."""
-    D = dim.D
     p, q, r, s = 1, 0, 0, 1
     for g in run:
         p, q, r, s = _act2(g, p, q, r, s, D)
-    if D <= MAX_TABLE_D:
-        short = _table_word(p, q, r, s, D, qudit)
-    else:
-        short = merge_gates(_closed_form(p, q, r, s, D, qudit), dim)
+    short = _shortest_word(p, q, r, s, D, qudit)
     return short if len(short) < len(run) else run
 
 
@@ -348,7 +403,7 @@ def _shorten_runs(gates: list[Gate], dim: Dimension) -> list[Gate]:
     def flush(qudit: int) -> None:
         run = runs.pop(qudit, None)
         if run:
-            out.extend(_shorter_run(run, dim, qudit))
+            out.extend(_shorter_run(run, dim.D, qudit))
 
     for g in gates:
         if type(g) is Sum:

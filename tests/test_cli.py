@@ -294,6 +294,22 @@ class TestEmbedCheck:
 
 
 class TestSubprocess:
+    @pytest.mark.parametrize("argv", [["synth", "-"], ["verify", "m.txt", "-"]])
+    def test_non_utf8_stdin_under_c_locale_exit_2(self, tmp_path, argv):
+        # a C locale gives stdin the surrogateescape handler; the bytes
+        # must still be refused as input that is not UTF-8
+        (tmp_path / "m.txt").write_text(GOLDEN_TEXT)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cliffsynth", *argv],
+            input=b"\xff",
+            capture_output=True,
+            cwd=tmp_path,
+            env=child_env(LC_ALL="C"),
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert b"cannot read -" in proc.stderr
+
     def test_module_invocation(self, tmp_path):
         m = tmp_path / "m.txt"
         m.write_text(GOLDEN_TEXT)

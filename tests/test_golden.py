@@ -43,8 +43,8 @@ DIMS = (2, 3, 4, 5, 6, 12, 97)
 KINDS = {"sparse": 2, "dense": 20}  # gates per qudit
 SEEDS = range(3)
 
-GOLDEN_DIGEST = "87d2e7d1e0d9f5ba00a0c9741d1dd3428326574ded7cb32a5f7cf9c020a7b03a"
-FINAL_DIGEST = "01c5c7ffe2631c17717bd09956524ade417bc7387a793820b6f20d48ebad5535"
+GOLDEN_DIGEST = "387b83dee428ee7fbc9dd31f254ef2fef3d5146b75b96fc802d3d297b4920565"
+FINAL_DIGEST = "4a50a022bb960c8def312b07a9f92ab18603f674ce415e3fd38ce389f107e803"
 
 
 def golden_cases():
@@ -89,7 +89,7 @@ WORD_DIMS = (2, 6, 12, 97, 1024)
 WORD_NS = (1, 2, 5, 16, 64)
 WORD_SEEDS = range(4)
 
-WORD_DIGEST = "a201f0b0f73fc941395b677d4912ac89d6f4b13ddcd2d4741b7d122efcd6e02f"
+WORD_DIGEST = "da7ea7bbf5a947a215a4efd9e5e999e27d1fdd4386858f4b47db54323f61ebb5"
 WORD_MATRIX_DIGEST = "77c25fb3ca8a413da3d60d203b8fb8dbf690192e29d7d50a7ac357217381c9a4"
 
 

@@ -32,13 +32,14 @@ from cliffsynth import (
     swap_sequence,
     transport,
 )
-from cliffsynth.symplectic import Fourier, Phase, Sum, act_left, merge_gates
+from cliffsynth.symplectic import Fourier, Phase, Sum, act_left, invert_gate, merge_gates
 
 from cliffsynth.synthesis import (
     MAX_TABLE_D,
     _act2,
     _closed_form,
     _eliminate,
+    _peg_vector,
     _shorten_runs,
     _table_word,
     _transport_unit,
@@ -100,6 +101,75 @@ class TestPegReduce:
             assert np.array_equal(apply_seq_to_vector(seq, [a, b]), [0, g])
 
 
+def euclid_chain(a, b, D):
+    """The word normal form's Euclid chain on qudit 0, gate by gate:
+    F^3 P^k F for each step with a >= b, P^-k for each with a < b, and a
+    closing F when the loop stops at (a, 0)."""
+    f = Fourier(0)
+    gates = []
+    while a and b:
+        if a >= b:
+            k = a // b
+            gates += [f, f, f, Phase(0, k), f]
+            a -= k * b
+        else:
+            k = b // a
+            gates.append(Phase(0, -k % D))
+            b -= k * a
+    if b == 0:
+        gates.append(f)
+    return gates
+
+
+def matrix2(gates, D):
+    """The 2x2 matrix (p, q, r, s) of single-qudit gates, first applied first."""
+    acc = (1, 0, 0, 1)
+    for g in gates:
+        acc = _act2(g, *acc, D)
+    return acc
+
+
+def check_peg_vector(a, b, dim):
+    """The emitted word, and the inverse word `transport` uses, against the
+    raw chain: the same matrix, the same map and never more gates."""
+    D = dim.D
+    chain = euclid_chain(a, b, D)
+    word, g = _peg_vector(a, b, D, 0)
+    assert g == gcd0(a, b)
+    p, q, r, s = matrix2(word, D)
+    assert (p, q, r, s) == matrix2(chain, D)
+    assert ((p * a + q * b) % D, (r * a + s * b) % D) == (0, g)
+    assert len(word) <= len(chain)
+
+    inverted = merge_gates([h for x in reversed(chain) for h in invert_gate(x, dim)], dim)
+    inv, g_inv = _peg_vector(a, b, D, 0, inverse=True)
+    assert g_inv == g
+    p, q, r, s = matrix2(inv, D)
+    assert (p, q, r, s) == matrix2(inverted, D)
+    assert (q * g % D, s * g % D) == (a, b)
+    assert len(inv) <= len(inverted)
+
+
+class TestPegVector:
+    @pytest.mark.parametrize(
+        "d", [d for d in range(2, MAX_TABLE_D) if Dimension.of(d).D <= MAX_TABLE_D]
+    )
+    def test_exhaustive_at_table_sizes(self, d):
+        dim = Dimension.of(d)
+        for a, b in itertools.product(range(dim.D), repeat=2):
+            if (a, b) != (0, 0):
+                check_peg_vector(a, b, dim)
+
+    @settings(deadline=None)
+    @given(st.sampled_from((97, 1024, 10**6)), st.data())
+    def test_above_the_table(self, d, data):
+        dim = Dimension.of(d)
+        a, b = data.draw(
+            st.tuples(st.integers(0, dim.D - 1), st.integers(0, dim.D - 1)).filter(any)
+        )
+        check_peg_vector(a, b, dim)
+
+
 class TestDecomposeSingle:
     def test_exhaustive_programs_frozen_d6(self):
         # all 1152 matrices mod 12, each a shortest program from the table
@@ -110,7 +180,7 @@ class TestDecomposeSingle:
             h.update(f"{a} {b} {c} {e}\n{seq.to_text()}\n".encode())
             lengths.append(len(seq))
         assert (len(lengths), sum(lengths), max(lengths)) == (1152, 5324, 7)
-        assert h.hexdigest() == "17077e6af6ca8e097769bcbc2bf74ba662d861d5ccb2409c2517e462529de5c0"
+        assert h.hexdigest() == "e259fe80138ced1a28e61be74726faeb79a845499a240b990e492e1c4df2feeb"
 
     def test_worked_matrix(self):
         m = SymplecticMatrix(DIM6, GOLDEN_MATRIX)
@@ -174,7 +244,8 @@ class TestDecomposeSingle:
             assert sequence_matrix(seq) == m
             assert len(seq) <= 9
             total += len(seq)
-            closed = merge_gates(_closed_form(p, q, r, s, dim.D, 0), dim)
+            closed = _closed_form(p, q, r, s, dim.D, 0)
+            assert merge_gates(closed, dim) == closed  # already reduced
             acc = (1, 0, 0, 1)
             for g in closed:
                 acc = _act2(g, *acc, dim.D)
@@ -182,7 +253,7 @@ class TestDecomposeSingle:
             assert len(closed) <= 9
             closed_total += len(closed)
             no_unit += all(gcd0(v, dim.D) != 1 for v in (p, q, r, s))
-        assert (no_unit, total, closed_total) == (96, 93605, 96608)
+        assert (no_unit, total, closed_total) == (96, 93581, 96608)
 
     def test_closed_form_rejects_non_symplectic(self):
         # every entry even mod 28: no s + t*q is a unit
@@ -530,7 +601,19 @@ class TestDecomposeLargeSizes:
         m = sequence_matrix(random_gate_sequence(32, Dimension.of(d), 1280, 1))
         seq = decompose(m)
         assert sequence_matrix(seq) == m
-        assert len(seq) < len(merge_gates(_eliminate(m), m.dim))
+        assert len(seq) <= len(merge_gates(_eliminate(m), m.dim))
+        assert len(seq) <= {2: 2959, 97: 4699}[d]
+
+    @settings(deadline=None, max_examples=5)
+    @given(
+        st.sampled_from((2, 12, 97)),
+        st.integers(13, 64),
+        st.integers(1, 20),
+        st.integers(0, 2**32),
+    )
+    def test_round_trip_property(self, d, n, per_qudit, seed):
+        m = sequence_matrix(random_gate_sequence(n, Dimension.of(d), per_qudit * n, seed))
+        assert sequence_matrix(decompose(m)) == m
 
     @pytest.mark.parametrize("seed", range(5))
     def test_round_trip_largest_dimension(self, seed):
@@ -553,12 +636,14 @@ except CliffSynthError as exc:
 """
 
 
-# The same, with every table word of the shortening pass one gate short.
-CORRUPTED_TABLE = """
+# The same, with every run the shortening pass emits one gate short. The
+# pass is patched at `_shorter_run`, which only it calls: the table words
+# also serve the word normal form of the elimination.
+CORRUPTED_RUNS = """
 import cliffsynth.synthesis as syn
 from cliffsynth import CliffSynthError, Dimension, GateSequence, sequence_matrix
-table_word = syn._table_word
-syn._table_word = lambda *args: table_word(*args)[:-1]
+shorter_run = syn._shorter_run
+syn._shorter_run = lambda *args: shorter_run(*args)[:-1]
 seq = GateSequence.from_text({text!r}, 3, Dimension.of(5))
 try:
     syn.decompose(sequence_matrix(seq))
@@ -591,9 +676,9 @@ class TestDecomposeChecks:
         assert proc.stdout.strip() == "SynthesisCheckError"
 
     def test_final_check_covers_shortening_pass(self, monkeypatch):
-        table_word = cliffsynth.synthesis._table_word
+        shorter_run = cliffsynth.synthesis._shorter_run
         monkeypatch.setattr(
-            cliffsynth.synthesis, "_table_word", lambda *args: table_word(*args)[:-1]
+            cliffsynth.synthesis, "_shorter_run", lambda *args: shorter_run(*args)[:-1]
         )
         with pytest.raises(SynthesisCheckError, match="does not recompose"):
             decompose(self._matrix())
@@ -601,7 +686,7 @@ class TestDecomposeChecks:
     def test_final_check_covers_shortening_pass_under_optimize_flag(self):
         text = random_gate_sequence(3, DIM5, 30, 4).to_text()
         proc = subprocess.run(
-            [sys.executable, "-O", "-c", CORRUPTED_TABLE.format(text=text)],
+            [sys.executable, "-O", "-c", CORRUPTED_RUNS.format(text=text)],
             capture_output=True,
             text=True,
             env=child_env(),
