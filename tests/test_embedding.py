@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -18,10 +19,14 @@ from cliffsynth import (
     verify_single_witness,
     word_unitary,
 )
-from cliffsynth.embedding import _lattice_match, _single_gate_targets
+from cliffsynth.cli import main
+from cliffsynth.embedding import MAX_EMBED_CHECK_D, _lattice_match, _single_gate_targets
 from cliffsynth.symplectic import Sum
 
 QUBIT_IN_24 = Embedding(2, 3, 4)
+
+# sha256 over the `embed-check` output of every embedding it accepts
+EMBED_CHECK_DIGEST = "c90ecba199f7de29b8dfb4467e62f5ab329e1e0bb34eec728d82591fdbd20721"
 
 
 def all_embeddings(max_d=24):
@@ -185,3 +190,16 @@ class TestSymmetricLogicalAction:
     def test_scale_cap(self):
         with pytest.raises(ScaleLimitError):
             check_symmetric_logical_action(Embedding(2, 5, 5))
+
+
+class TestEmbedCheckGolden:
+    def test_every_accepted_embedding_unchanged(self, capsys):
+        # the symplectic verdict, the QFT and phase witnesses (or their
+        # absence) and the SUM witness, for all d <= MAX_EMBED_CHECK_D
+        h = hashlib.sha256()
+        embeddings = all_embeddings(MAX_EMBED_CHECK_D)
+        for e in embeddings:
+            assert main(["embed-check", str(e.n), str(e.r_x), str(e.r_z)]) == 0
+            h.update(f"{e.n} {e.r_x} {e.r_z}\n{capsys.readouterr().out}".encode())
+        assert len(embeddings) == 223
+        assert h.hexdigest() == EMBED_CHECK_DIGEST
