@@ -5,25 +5,26 @@ d = n * r_x * r_z with logical operators X_L = X^r_x and Z_L = Z^r_z.
 Words X^a Z^b with a a multiple of n*r_x and b a multiple of n*r_z act
 as identity on the embedded system, so a qudit Clifford implements a
 logical gate whenever its action on the logical generators matches the
-target *modulo that lattice of identity-acting words*.
+target *modulo that lattice of identity-acting words*. One table
+(``_targets``) holds each logical gate's generators and their images, and
+one rule (``_acts_as``) compares words modulo the lattice; every check
+here reads both.
 
-Feasibility of a single-qudit logical gate is decided exhaustively:
-solve each entry congruence over Z_d for every lattice offset, lift the
-solutions to Z_D (two lifts per entry when d is even), and filter the
-combinations by the determinant condition mod D. The lift-and-filter
-policy is isolated in ``_entry_candidates`` / ``logical_feasible_single``
-so it can be swapped out independently.
+Feasibility of a single-qudit logical gate is decided exhaustively: each
+entry of a 2x2 witness over Z_D gets the set of values that pass the
+rule, and the combinations are filtered by the determinant condition
+mod D.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Sequence
 
 import numpy as np
 
 from .errors import CliffSynthError
-from .modring import Dimension, gcd0, mod_inverse
+from .modring import Dimension
 from .pauli import PauliWord
 from .symplectic import Fourier, Phase, Sum, SymplecticMatrix, gate_matrix
 from .unitary import _conjugates, gate_unitary
@@ -78,54 +79,58 @@ def logical_basis_state(e: Embedding, j: int) -> np.ndarray:
     return state / np.sqrt(e.r_z)
 
 
-def _offsets(base: int, gen: int, d: int) -> list[int]:
-    """All residues base + alpha*gen mod d; gen divides d."""
-    return [(base + t * gen) % d for t in range(d // gen)]
-
-
-def _entry_candidates(coeff: int, base: int, gen: int, dim: Dimension) -> list[int]:
-    """All x in [0, D) with coeff*x = base + alpha*gen (mod d) for some alpha."""
-    d = dim.d
-    sols: set[int] = set()
-    g = gcd0(coeff % d, d)
-    step = d // g
-    inv = mod_inverse(coeff // g, step) if step > 1 else None
-    for rhs in _offsets(base % d, gen, d):
-        if rhs % g:
-            continue
-        x0 = 0 if inv is None else (rhs // g) * inv % step
-        for t in range(g):
-            sols.add((x0 + t * step) % d)
-    if dim.even:
-        sols |= {x + d for x in list(sols)}
-    return sorted(sols)
-
-
-def _single_gate_targets(e: Embedding, gate: LogicalGate) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Images (mod d) of the logical generators (r_x, 0) and (0, r_z)."""
-    d = e.d
+def _targets(e: Embedding, gate: str) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each logical generator of ``gate`` with its image, as exponent
+    vectors (X exponents, then Z exponents) mod d."""
+    d, rx, rz = e.d, e.r_x, e.r_z
     if gate == "qft":
-        return (0, e.r_z), ((-e.r_x) % d, 0)
+        return [((rx, 0), (0, rz)), ((0, rz), (-rx % d, 0))]
     if gate == "phase":
-        return (e.r_x, e.r_z), (0, e.r_z)
+        return [((rx, 0), (rx, rz)), ((0, rz), (0, rz))]
+    if gate == "sum":
+        return [
+            ((rx, 0, 0, 0), (rx, rx, 0, 0)),
+            ((0, rx, 0, 0), (0, rx, 0, 0)),
+            ((0, 0, rz, 0), (0, 0, rz, 0)),
+            ((0, 0, 0, rz), (0, 0, -rz % d, rz)),
+        ]
     raise CliffSynthError(f"unknown logical gate {gate!r}")
+
+
+def _acts_as(image: Sequence[int], target: Sequence[int], e: Embedding) -> bool:
+    """True iff the word ``image`` acts on the embedded system as ``target``.
+
+    They may differ by an identity-acting word, so X exponents must agree
+    mod n*r_x and Z exponents mod n*r_z. Both moduli divide d, so the
+    exponents may be given mod d or mod D.
+    """
+    half = len(target) // 2
+    return all(
+        (v - t) % (e.n * (e.r_x if i < half else e.r_z)) == 0
+        for i, (v, t) in enumerate(zip(image, target))
+    )
 
 
 def logical_feasible_single(e: Embedding, gate: LogicalGate) -> SymplecticMatrix | None:
     """Search for a 2x2 symplectic witness realizing a logical gate.
 
-    Enumerates, per matrix entry, every solution of the entry congruence
-    over all lattice offsets, lifts to Z_D, and scans the combinations
-    for determinant 1 mod D. Exhaustive, so None is a proof of absence.
+    Witness column j maps generator j, whose one nonzero exponent is g,
+    to g times the column. The lattice rule of ``_acts_as`` tests each
+    exponent on its own, so each entry's candidates are the v in [0, D)
+    with g*v equal to its exponent of the target mod n*r_x (X row) or
+    mod n*r_z (Z row). The combinations are then scanned for determinant
+    1 mod D. Exhaustive, so None is a proof of absence.
     """
     dim = e.dim
     D = dim.D
-    t1, t2 = _single_gate_targets(e, gate)
+    (_, (ax, cz)), (_, (bx, ez)) = _targets(e, gate)
     gen_x, gen_z = e.n * e.r_x, e.n * e.r_z
-    a_set = _entry_candidates(e.r_x, t1[0], gen_x, dim)
-    c_set = _entry_candidates(e.r_x, t1[1], gen_z, dim)
-    b_set = _entry_candidates(e.r_z, t2[0], gen_x, dim)
-    e_set = _entry_candidates(e.r_z, t2[1], gen_z, dim)
+
+    def entries(g: int, target: int, gen: int) -> list[int]:
+        return [v for v in range(D) if (g * v - target) % gen == 0]
+
+    a_set, c_set = entries(e.r_x, ax, gen_x), entries(e.r_x, cz, gen_z)
+    b_set, e_set = entries(e.r_z, bx, gen_x), entries(e.r_z, ez, gen_z)
     if not (a_set and b_set and c_set and e_set):
         return None
     bc_first: dict[int, tuple[int, int]] = {}
@@ -142,24 +147,9 @@ def logical_feasible_single(e: Embedding, gate: LogicalGate) -> SymplecticMatrix
     return None
 
 
-def _lattice_match(img: np.ndarray, target: np.ndarray, e: Embedding) -> bool:
-    """Componentwise equality mod d up to identity-acting lattice offsets."""
-    d = e.d
-    gen_x, gen_z = e.n * e.r_x, e.n * e.r_z
-    n_half = img.size // 2
-    delta = (img - target) % d
-    return all(int(v) % gen_x == 0 for v in delta[:n_half]) and all(
-        int(v) % gen_z == 0 for v in delta[n_half:]
-    )
-
-
 def verify_single_witness(e: Embedding, gate: LogicalGate, m: SymplecticMatrix) -> bool:
     """Independently re-check a witness by direct substitution."""
-    d = e.d
-    t1, t2 = _single_gate_targets(e, gate)
-    img1 = m.mat @ np.array([e.r_x, 0], dtype=np.int64) % d
-    img2 = m.mat @ np.array([0, e.r_z], dtype=np.int64) % d
-    return _lattice_match(img1, np.array(t1), e) and _lattice_match(img2, np.array(t2), e)
+    return all(_acts_as((m.mat @ gen).tolist(), target, e) for gen, target in _targets(e, gate))
 
 
 def logical_feasible_sum(e: Embedding) -> SymplecticMatrix:
@@ -168,18 +158,9 @@ def logical_feasible_sum(e: Embedding) -> SymplecticMatrix:
     This always succeeds (the sum matrix scales the logical generators
     exactly); failure would violate a structural invariant and raises.
     """
-    dim = e.dim
-    rx, rz = e.r_x, e.r_z
-    c = SymplecticMatrix(dim, gate_matrix(Sum(0, 1, 1), 2, dim))
-    pairs = [
-        ((rx, 0, 0, 0), (rx, rx, 0, 0)),
-        ((0, rx, 0, 0), (0, rx, 0, 0)),
-        ((0, 0, rz, 0), (0, 0, rz, 0)),
-        ((0, 0, 0, rz), (0, 0, (-rz) % e.d, rz)),
-    ]
-    for gen, target in pairs:
-        img = c.mat @ np.array(gen, dtype=np.int64) % e.d
-        if not _lattice_match(img, np.array(target, dtype=np.int64) % e.d, e):
+    c = SymplecticMatrix(e.dim, gate_matrix(Sum(0, 1, 1), 2, e.dim))
+    for gen, target in _targets(e, "sum"):
+        if not _acts_as((c.mat @ gen).tolist(), target, e):
             raise CliffSynthError(
                 f"sum gate failed the logical map for generator {gen} in {e}"
             )
@@ -205,20 +186,14 @@ def check_symmetric_logical_action(e: Embedding, tol: float = 1e-9) -> bool:
     if not e.symmetric:
         raise CliffSynthError("symmetric check requires r_x = r_z")
     dim = e.dim
-    d, r = e.d, e.r_x
     summ = gate_unitary(Sum(0, 1, 1), 2, dim)  # side d^2: built first, so its size cap fires first
-    xr = PauliWord(dim, (r,), (0,))
-    zr = PauliWord(dim, (0,), (r,))
-    fourier = gate_unitary(Fourier(0), 1, dim)
-    phase = gate_unitary(Phase(0, 1), 1, dim)
-    checks = [
-        (fourier, xr, zr),
-        (fourier, zr, xr.scale(-1)),
-        (phase, xr, xr + zr),
-        (phase, zr, zr),
-        (summ, PauliWord(dim, (r, 0), (0, 0)), PauliWord(dim, (r, r), (0, 0))),
-        (summ, PauliWord(dim, (0, r), (0, 0)), PauliWord(dim, (0, r), (0, 0))),
-        (summ, PauliWord(dim, (0, 0), (r, 0)), PauliWord(dim, (0, 0), (r, 0))),
-        (summ, PauliWord(dim, (0, 0), (0, r)), PauliWord(dim, (0, 0), ((-r) % d, r))),
-    ]
-    return all(_conjugates(u, source, target, tol) for u, source, target in checks)
+    gates = {
+        "qft": gate_unitary(Fourier(0), 1, dim),
+        "phase": gate_unitary(Phase(0, 1), 1, dim),
+        "sum": summ,
+    }
+    return all(
+        _conjugates(u, PauliWord.from_vector(gen, dim), PauliWord.from_vector(target, dim), tol)
+        for gate, u in gates.items()
+        for gen, target in _targets(e, gate)
+    )

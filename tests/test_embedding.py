@@ -20,7 +20,7 @@ from cliffsynth import (
     word_unitary,
 )
 from cliffsynth.cli import main
-from cliffsynth.embedding import MAX_EMBED_CHECK_D, _lattice_match, _single_gate_targets
+from cliffsynth.embedding import MAX_EMBED_CHECK_D
 from cliffsynth.symplectic import Sum
 
 QUBIT_IN_24 = Embedding(2, 3, 4)
@@ -39,18 +39,33 @@ def all_embeddings(max_d=24):
     return out
 
 
+def oracle_targets(e, gate):
+    """Images of X_L = X^r_x and Z_L = Z^r_z as (X, Z) exponents: the
+    Fourier gate sends X_L to Z_L and Z_L to X_L^-1, the phase gate X_L
+    to X_L Z_L and fixes Z_L."""
+    if gate == "qft":
+        return (0, e.r_z), (-e.r_x, 0)
+    return (e.r_x, e.r_z), (0, e.r_z)
+
+
+def same_logical_word(image, target, e):
+    """X^(n r_x) and Z^(n r_z) fix every encoded basis state, so words that
+    differ by their powers act alike on the embedded system."""
+    return (image[0] - target[0]) % (e.n * e.r_x) == 0 and (image[1] - target[1]) % (
+        e.n * e.r_z
+    ) == 0
+
+
 def brute_force_feasible(e, gate):
     """Independent oracle: scan every 2x2 matrix with det 1 mod D."""
-    d, D = e.d, e.dim.D
-    t1, t2 = _single_gate_targets(e, gate)
-    g1 = np.array([e.r_x, 0], dtype=np.int64)
-    g2 = np.array([0, e.r_z], dtype=np.int64)
+    D = e.dim.D
+    t1, t2 = oracle_targets(e, gate)
     for a, b, c, ee in itertools.product(range(D), repeat=4):
         if (a * ee - b * c) % D != 1:
             continue
-        m = np.array([[a, b], [c, ee]])
-        if _lattice_match(m @ g1 % d, np.array(t1), e) and _lattice_match(
-            m @ g2 % d, np.array(t2), e
+        # the witness maps X_L = (r_x, 0) to r_x (a, c) and Z_L = (0, r_z) to r_z (b, ee)
+        if same_logical_word((a * e.r_x, c * e.r_x), t1, e) and same_logical_word(
+            (b * e.r_z, ee * e.r_z), t2, e
         ):
             return True
     return False
