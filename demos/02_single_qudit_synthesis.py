@@ -4,7 +4,7 @@ A 2x2 matrix over Z_D with determinant 1 represents a qudit Clifford up
 to phase. `decompose_single` is `decompose` on one qudit: for D <= 24 it
 reads a shortest program from a breadth-first table of SL(2, Z_D), as in
 the first example, where no entry is a unit mod 12. Above that it takes
-the shorter of the elimination program and one closed form of at most 9
+the shorter of the elimination program and one closed form of at most 7
 gates: five gates when the top-right entry is a unit, a few framing
 Fourier gates when another entry is, and otherwise a phase power that
 makes the top-right entry a unit first.
@@ -39,7 +39,7 @@ m2 = SymplecticMatrix(Dimension.of(29), np.array([[1, 1], [1, 2]]))
 print("\nclosed form over Z_29:", [format_gate(g) for g in decompose_single(m2)])
 
 # no unit entry mod 28: s + t*q = 2 + 21 is a unit for t = 1, so the
-# program for F P^1 M is followed by F^3 and P^-1 = P^27
+# program for F^3 P^1 M is followed by F and P^-1 = P^27
 m3 = SymplecticMatrix(Dimension.of(14), np.array([[4, 21], [7, 2]]))
 seq3 = decompose_single(m3)
 print("no unit entry over Z_28:", [format_gate(g) for g in seq3])

@@ -7,7 +7,7 @@ one exponent from the other. The loop keeps its chain's 2x2 matrix on
 four ints and emits the shortest-known program for it when that is
 shorter than the chain (`_peg_vector`): a shortest one from a
 breadth-first table of SL(2, Z_D) for D <= MAX_TABLE_D = 24, else one
-closed form of at most 9 gates (`_closed_form`). The same loop, run with
+closed form of at most 7 gates (`_closed_form`). The same loop, run with
 sum gates on a pair of qudits, reduces a Z (x) Z exponent pair to its
 gcd. Stacking the two gives the word normal form (`_peg_gates`): any
 word goes to a power of Z on its last qudit. Word-to-word transport
@@ -276,17 +276,17 @@ def _act2(g: Gate, p: int, q: int, r: int, s: int, D: int) -> tuple[int, int, in
 
 def _closed_form(p: int, q: int, r: int, s: int, D: int, qudit: int) -> list[Gate]:
     """Fourier/phase gates on ``qudit`` for the 2x2 symplectic matrix
-    M = [[p, q], [r, s]] (entries in [0, D)), at most 9 of them.
+    M = [[p, q], [r, s]] (entries in [0, D)), at most 7 of them.
 
     The core, for a unit top-right entry q, is the matrix P^m F P^q F P^n
-    with m, n read off the entries. F M F and M F move r and -p into that
+    with m, n read off the entries. F M F and M F^3 move r and p into that
     corner. Otherwise gcd(q, s, D) = 1, as det M = 1, so s + t*q is a unit
-    for some t in [0, D); with the smallest such t, F P^t M has the unit
-    -(s + t*q) in the corner, and M = P^(-t) F^3 (F P^t M).
+    for some t in [0, D); with the smallest such t, F^3 P^t M has the unit
+    s + t*q in the corner, and M = P^(-t) F (F^3 P^t M). Each framing
+    needs only F, not F^3, since F^2 = -I is central.
 
-    No phase power is 0 and no four Fourier gates meet, since a zero power
-    at a framing's seam would need a unit entry an earlier branch took, so
-    the word is reduced: `merge_gates` leaves it as it is.
+    No phase power is 0 and at most two Fourier gates meet, so the word is
+    reduced: `merge_gates` leaves it as it is.
     """
     if (p, q, r, s) == (1, 0, 0, 1):
         return []
@@ -307,11 +307,11 @@ def _closed_form(p: int, q: int, r: int, s: int, D: int, qudit: int) -> list[Gat
     if unit(r):
         return [f] + core(-s % D, r, -p % D) + [f]
     if unit(p):
-        return [f, f, f] + core(q, -p % D, -r % D)
+        return [f] + core(-q % D, p, r)
     t = next((t for t in range(D) if unit((s + t * q) % D)), None)
     if t is None:
         raise NonSymplecticError(f"[[{p}, {q}], [{r}, {s}]] is not symplectic mod {D}")
-    word = core(-(r + t * p) % D, -(s + t * q) % D, q) + [f, f, f]
+    word = core((r + t * p) % D, (s + t * q) % D, -q % D) + [f]
     return word + [Phase(qudit, D - t)] if t else word
 
 
@@ -506,7 +506,7 @@ def decompose(m: SymplecticMatrix) -> GateSequence:
 
 def decompose_single(m: SymplecticMatrix) -> GateSequence:
     """`decompose` of a 2x2 symplectic matrix: a Fourier/phase program, a
-    shortest one for D <= MAX_TABLE_D and at most 9 gates above."""
+    shortest one for D <= MAX_TABLE_D and at most 7 gates above."""
     if m.n != 1:
         raise DimensionMismatchError(f"decompose_single needs a 2x2 matrix, got n={m.n}")
     return decompose(m)

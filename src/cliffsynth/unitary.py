@@ -94,11 +94,7 @@ def omega_hat(dim: Dimension) -> complex:
 
 def pauli_unitaries(dim: Dimension) -> tuple[DenseOperator, DenseOperator]:
     """The single-qudit shift X and clock Z unitaries."""
-    d = dim.d
-    _check_scale(d, MAX_SUM_CHECK_SIDE, "dense operator")
-    x = np.roll(np.eye(d, dtype=np.complex128), 1, axis=0)
-    z = np.diag(omega(dim) ** np.arange(d))
-    return DenseOperator(dim, 1, x), DenseOperator(dim, 1, z)
+    return word_unitary(PauliWord(dim, (1,), (0,))), word_unitary(PauliWord(dim, (0,), (1,)))
 
 
 def _fourier_1q(dim: Dimension) -> np.ndarray:

@@ -89,7 +89,7 @@ WORD_DIMS = (2, 6, 12, 97, 1024)
 WORD_NS = (1, 2, 5, 16, 64)
 WORD_SEEDS = range(4)
 
-WORD_DIGEST = "da7ea7bbf5a947a215a4efd9e5e999e27d1fdd4386858f4b47db54323f61ebb5"
+WORD_DIGEST = "98b91d1b89925e24f228fba86f2e8c43f01600a6c7c47d4df3303c9796410726"
 WORD_MATRIX_DIGEST = "77c25fb3ca8a413da3d60d203b8fb8dbf690192e29d7d50a7ac357217381c9a4"
 
 

@@ -242,7 +242,7 @@ class TestDecomposeSingle:
             m = SymplecticMatrix(dim, np.array([[p, q], [r, s]]))
             seq = decompose_single(m)
             assert sequence_matrix(seq) == m
-            assert len(seq) <= 9
+            assert len(seq) <= 7
             total += len(seq)
             closed = _closed_form(p, q, r, s, dim.D, 0)
             assert merge_gates(closed, dim) == closed  # already reduced
@@ -250,10 +250,10 @@ class TestDecomposeSingle:
             for g in closed:
                 acc = _act2(g, *acc, dim.D)
             assert acc == (p, q, r, s)
-            assert len(closed) <= 9
+            assert len(closed) <= 7
             closed_total += len(closed)
             no_unit += all(gcd0(v, dim.D) != 1 for v in (p, q, r, s))
-        assert (no_unit, total, closed_total) == (96, 93581, 96608)
+        assert (no_unit, total, closed_total) == (96, 87258, 89602)
 
     def test_closed_form_rejects_non_symplectic(self):
         # every entry even mod 28: no s + t*q is a unit
