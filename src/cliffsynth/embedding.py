@@ -6,9 +6,9 @@ Words X^a Z^b with a a multiple of n*r_x and b a multiple of n*r_z act
 as identity on the embedded system, so a qudit Clifford implements a
 logical gate whenever its action on the logical generators matches the
 target *modulo that lattice of identity-acting words*. One table
-(``_targets``) holds each logical gate's generators and their images, and
-one rule (``_acts_as``) compares words modulo the lattice; every check
-here reads both.
+(``_targets``) holds each logical gate's generators and their images,
+and every check here reads it; one rule (``_acts_as``) compares two
+words modulo the lattice.
 
 Feasibility of a single-qudit logical gate is decided exhaustively: each
 entry of a 2x2 witness over Z_D gets the set of values that pass the
@@ -23,7 +23,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import CliffSynthError
+from .errors import CliffSynthError, DimensionMismatchError
 from .modring import Dimension
 from .pauli import PauliWord
 from .symplectic import Fourier, Phase, Sum, SymplecticMatrix, gate_matrix
@@ -97,6 +97,11 @@ def _targets(e: Embedding, gate: str) -> list[tuple[tuple[int, ...], tuple[int, 
     raise CliffSynthError(f"unknown logical gate {gate!r}")
 
 
+def _check_single(gate: str) -> None:
+    if gate not in ("qft", "phase"):
+        raise CliffSynthError(f"unknown single-qudit logical gate {gate!r}")
+
+
 def _acts_as(image: Sequence[int], target: Sequence[int], e: Embedding) -> bool:
     """True iff the word ``image`` acts on the embedded system as ``target``.
 
@@ -121,6 +126,7 @@ def logical_feasible_single(e: Embedding, gate: LogicalGate) -> SymplecticMatrix
     mod n*r_z (Z row). The combinations are then scanned for determinant
     1 mod D. Exhaustive, so None is a proof of absence.
     """
+    _check_single(gate)
     dim = e.dim
     D = dim.D
     (_, (ax, cz)), (_, (bx, ez)) = _targets(e, gate)
@@ -149,6 +155,11 @@ def logical_feasible_single(e: Embedding, gate: LogicalGate) -> SymplecticMatrix
 
 def verify_single_witness(e: Embedding, gate: LogicalGate, m: SymplecticMatrix) -> bool:
     """Independently re-check a witness by direct substitution."""
+    _check_single(gate)
+    if m.n != 1 or m.dim != e.dim:
+        raise DimensionMismatchError(
+            f"witness must be 2x2 over d={e.d}, got {2 * m.n}x{2 * m.n} over d={m.dim.d}"
+        )
     return all(_acts_as((m.mat @ gen).tolist(), target, e) for gen, target in _targets(e, gate))
 
 

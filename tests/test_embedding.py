@@ -7,9 +7,11 @@ import pytest
 from cliffsynth import (
     CliffSynthError,
     Dimension,
+    DimensionMismatchError,
     Embedding,
     PauliWord,
     ScaleLimitError,
+    SymplecticMatrix,
     check_symmetric_logical_action,
     gate_matrix,
     is_symplectic_embedding,
@@ -142,6 +144,22 @@ class TestFeasibility:
     def test_d24_not_symplectic(self):
         assert not is_symplectic_embedding(QUBIT_IN_24)
 
+    def test_single_gate_names_checked(self):
+        w = logical_feasible_single(QUBIT_IN_24, "phase")
+        for gate in ("sum", "cnot"):
+            with pytest.raises(CliffSynthError, match="single-qudit logical gate"):
+                logical_feasible_single(QUBIT_IN_24, gate)
+            with pytest.raises(CliffSynthError, match="single-qudit logical gate"):
+                verify_single_witness(QUBIT_IN_24, gate, w)
+
+    def test_witness_layout_checked(self):
+        with pytest.raises(DimensionMismatchError):
+            verify_single_witness(QUBIT_IN_24, "phase", logical_feasible_sum(QUBIT_IN_24))
+        # the d = 24 phase witness's entries, but over d = 12
+        w = SymplecticMatrix(Dimension.of(12), np.array([[1, 0], [4, 1]]))
+        with pytest.raises(DimensionMismatchError, match="over d=12"):
+            verify_single_witness(QUBIT_IN_24, "phase", w)
+
     def test_sum_always_feasible(self):
         for e in [QUBIT_IN_24, Embedding(2, 2, 2), Embedding(2, 1, 1), Embedding(3, 1, 2)]:
             w = logical_feasible_sum(e)
@@ -175,7 +193,13 @@ class TestFeasibility:
                 if w is not None:
                     assert verify_single_witness(e, gate, w), (e, gate)
 
-    @pytest.mark.parametrize("e", [Embedding(2, 1, 2), Embedding(3, 2, 3), QUBIT_IN_24])
+    # every embedding with D <= 16 as well: a wrong modulus for one entry
+    # shows only at some asymmetric ones, such as (2, 1, 3)
+    @pytest.mark.parametrize(
+        "e",
+        [Embedding(2, 1, 2), Embedding(3, 2, 3), QUBIT_IN_24]
+        + [e for e in all_embeddings(16) if e.dim.D <= 16],
+    )
     def test_search_agrees_with_brute_force(self, e):
         if e.dim.D > 48:
             pytest.skip("brute force too large")
