@@ -197,11 +197,10 @@ def check_symmetric_logical_action(e: Embedding, tol: float = 1e-9) -> bool:
     if not e.symmetric:
         raise CliffSynthError("symmetric check requires r_x = r_z")
     dim = e.dim
-    summ = gate_unitary(Sum(0, 1, 1), 2, dim)  # side d^2: built first, so its size cap fires first
     gates = {
+        "sum": gate_unitary(Sum(0, 1, 1), 2, dim),  # side d^2: built first, so its size cap fires first
         "qft": gate_unitary(Fourier(0), 1, dim),
         "phase": gate_unitary(Phase(0, 1), 1, dim),
-        "sum": summ,
     }
     return all(
         _conjugates(u, PauliWord.from_vector(gen, dim), PauliWord.from_vector(target, dim), tol)
