@@ -12,8 +12,9 @@ DimensionMismatchError, MalformedMatrixError), 4 verification failure
 (also SynthesisCheckError), 5 scale cap exceeded (ScaleLimitError: the
 dense oracle's side, embed-check's ambient dimension, or d above
 MAX_DIMENSION).
-``CS_TOL`` sets the dense-oracle tolerance (default 1e-9). Every subcommand
-checks it, and ``--verify unitary`` checks the oracle's cap, before any output.
+``CS_TOL`` sets the unitary oracle's tolerance, a relative overlap
+(default 1e-9). Every subcommand checks it, and ``--verify unitary``
+checks the oracle's cap, before any output.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .symplectic import (
     sequence_matrix,
 )
 from .synthesis import decompose, generalized_peg, transport
-from .unitary import MAX_DENSE_SIDE, _check_scale, _conjugates, check_program, sequence_unitary
+from .unitary import MAX_DENSE_SIDE, _check_scale, _maps_words, check_program
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -111,9 +112,7 @@ def _verify_word_map(
     if args.verify == "symplectic" and apply_to_word(sequence_matrix(seq), source) != target:
         print(f"verification failed: program does not {what}", file=sys.stderr)
         return EXIT_VERIFY
-    if args.verify == "unitary" and not _conjugates(
-        sequence_unitary(seq), source, target, _tolerance()
-    ):
+    if args.verify == "unitary" and not _maps_words(seq, [(source, target)], _tolerance()):
         print("verification failed: unitary oracle mismatch", file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK

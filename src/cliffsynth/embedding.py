@@ -26,8 +26,8 @@ import numpy as np
 from .errors import CliffSynthError, DimensionMismatchError
 from .modring import Dimension
 from .pauli import PauliWord
-from .symplectic import Fourier, Phase, Sum, SymplecticMatrix, gate_matrix
-from .unitary import _conjugates, gate_unitary
+from .symplectic import Fourier, GateSequence, Phase, Sum, SymplecticMatrix, gate_matrix
+from .unitary import MAX_SUM_CHECK_SIDE, _check_scale, _maps_words
 
 LogicalGate = Literal["qft", "phase"]
 
@@ -191,19 +191,27 @@ def check_symmetric_logical_action(e: Embedding, tol: float = 1e-9) -> bool:
 
     For a symmetric embedding (r_x = r_z = r) the qudit Fourier, phase
     and sum gates must transport each logical generator word to its
-    logical-gate image, up to a global phase. Each relation is verified
-    on the exact unitaries.
+    logical-gate image, up to a global phase. Each gate's relations are
+    decided together by the probe-vector test of ``unitary``, on its
+    one-gate program.
     """
     if not e.symmetric:
         raise CliffSynthError("symmetric check requires r_x = r_z")
     dim = e.dim
-    gates = {
-        "sum": gate_unitary(Sum(0, 1, 1), 2, dim),  # side d^2: built first, so its size cap fires first
-        "qft": gate_unitary(Fourier(0), 1, dim),
-        "phase": gate_unitary(Phase(0, 1), 1, dim),
+    _check_scale(e.d**2, MAX_SUM_CHECK_SIDE, "dense operator")
+    programs = {
+        "sum": GateSequence((Sum(0, 1, 1),), 2, dim),
+        "qft": GateSequence((Fourier(0),), 1, dim),
+        "phase": GateSequence((Phase(0, 1),), 1, dim),
     }
     return all(
-        _conjugates(u, PauliWord.from_vector(gen, dim), PauliWord.from_vector(target, dim), tol)
-        for gate, u in gates.items()
-        for gen, target in _targets(e, gate)
+        _maps_words(
+            seq,
+            [
+                (PauliWord.from_vector(gen, dim), PauliWord.from_vector(target, dim))
+                for gen, target in _targets(e, gate)
+            ],
+            tol,
+        )
+        for gate, seq in programs.items()
     )

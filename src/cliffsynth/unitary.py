@@ -1,9 +1,10 @@
-"""Dense complex-matrix oracle for the classical representation.
+"""Unitary oracle for the classical representation.
 
-Builds exact unitaries for the shift/clock Pauli operators and the three
-generator gates, evaluates gate programs, and checks conjugation actions
-up to global phase. Everything here is desk-scale floating point with a
-1e-9 default tolerance; the classical modules stay exact.
+Checks a gate program's conjugation of Pauli words up to global phase on
+two probe vectors, and builds the full unitaries of the shift/clock
+Pauli operators, the three generator gates and gate programs as dense
+references. Everything here is desk-scale floating point with a 1e-9
+default tolerance; the classical modules stay exact.
 
 Phase conventions: omega = exp(2*pi*i/d) and omega_hat = exp(2*pi*i/D),
 so omega_hat is the canonical square root of omega when d is even.
@@ -17,13 +18,31 @@ images with no stray phase.
 No gate is built as a side x side matrix and multiplied in: ``_apply_gate``
 acts on one tensor axis of the row index, a d x d product for Fourier, a
 row scaling for phase, a row gather for sum. A Pauli word is an index map
-times a phase vector (``_word_maps``), so ``_conjugates`` tests a
-conjugation by a column gather, a row scatter and one inner product.
+times a phase vector (``_word_maps``).
+
+Deciding a conjugation. The program's unitary U maps a word W to a
+multiple of W' exactly when ``Q = U^dagger W'^dagger U W`` is a multiple
+of the identity. Every gate is Clifford, so Q is a word X^a Z^b times a
+phase. On the basis vector e_0, X^a Z^b e_0 is e_a, orthogonal to e_0
+unless a = 0. Every X^a fixes the uniform vector u, so
+``<u, X^a Z^b u> = <u, Z^b u>``, which is 0 unless b = 0. So
+``|<U W phi, W' U phi>| = |<phi, Q phi>|`` is 1 on both probes phi when
+Q is scalar, and 0 on at least one when it is not. ``_maps_words``
+pushes the columns ``[phi, W_1 phi, ..., W_k phi]`` for both probes
+through the program as one block, in O(gates * side * k) with no
+side x side array. The argument rests on each gate kernel being the
+Clifford unitary it names, which the tests check against kron references.
+
+``tol`` is a relative overlap, the same in every check: a pair passes
+when the overlap of the unit probes is at least ``1 - tol``, and
+``equal_up_to_phase`` divides its trace overlap by the side. Exact
+overlaps are 0 or 1, so any tol well inside (0, 1) gives the same verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -40,8 +59,9 @@ from .symplectic import (
     apply_to_word,
 )
 
-# Caps on the side d^n, checked before allocating: a program's unitary,
-# and a single operator (one gate, one word, the two-qudit embedding check).
+# Caps on the side d^n, checked before allocating: a program (checked by the
+# oracle or built as a unitary), and a single operator (one gate, one word,
+# the two-qudit embedding check).
 MAX_DENSE_SIDE = 256
 MAX_SUM_CHECK_SIDE = 1024
 
@@ -62,6 +82,8 @@ class DenseOperator:
                 f"operator for d={self.dim.d}, n={self.n} must be {side}x{side}, "
                 f"got {m.shape}"
             )
+        # freeze a view, so the caller's own array stays writeable and nothing is copied
+        m = m.view()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -139,10 +161,9 @@ def _apply_gate(u: np.ndarray, g: Gate, dim: Dimension, digits: np.ndarray) -> n
     return u[source]
 
 
-def _word_maps(w: PauliWord) -> tuple[np.ndarray, np.ndarray]:
+def _word_maps(w: PauliWord, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index map and phase vector of a word: ``W |x> = phase[x] |shift[x]>``."""
     d = w.dim.d
-    digits = _digits(w.dim, w.n)
     shift = np.ravel_multi_index((digits + np.array(w.xexp)[:, None]) % d, (d,) * w.n)
     return shift, omega(w.dim) ** ((np.array(w.zexp) @ digits) % d)
 
@@ -160,7 +181,7 @@ def word_unitary(w: PauliWord) -> DenseOperator:
     """Tensor product of X^a Z^b factors (X powers left of Z powers)."""
     side = w.dim.d**w.n
     _check_scale(side, MAX_SUM_CHECK_SIDE, "dense operator")
-    shift, phase = _word_maps(w)
+    shift, phase = _word_maps(w, _digits(w.dim, w.n))
     m = np.zeros((side, side), dtype=np.complex128)
     m[shift, np.arange(side)] = phase
     return DenseOperator(w.dim, w.n, m)
@@ -196,19 +217,36 @@ def relative_phase(a: DenseOperator, b: DenseOperator) -> complex:
     return complex(np.vdot(b.matrix, a.matrix) / a.side)
 
 
-def _conjugates(u: DenseOperator, source: PauliWord, target: PauliWord, tol: float) -> bool:
-    """True iff ``u W u^dagger = lambda W'`` for a unit scalar lambda.
+def _maps_words(
+    seq: GateSequence, pairs: Sequence[tuple[PauliWord, PauliWord]], tol: float
+) -> bool:
+    """True iff the program's unitary U has ``U W U^dagger = lambda W'`` for
+    every pair (W, W'), each with its own unit scalar lambda.
 
-    Tests ``|<u W, W' u>| >= side*(1-tol)``: the overlap of
-    :func:`equal_up_to_phase` moved round the trace, with no matrix product.
+    Decided on the probes e_0 and uniform/sqrt(side), as the module
+    docstring argues. The caller checks the side against its cap.
     """
-    u = u.matrix
-    shift, phase = _word_maps(source)
-    uw = u[:, shift] * phase
-    shift, phase = _word_maps(target)
-    wu = np.empty_like(u)
-    wu[shift] = phase[:, None] * u
-    return bool(abs(np.vdot(uw, wu)) >= u.shape[0] * (1.0 - tol))
+    side = seq.dim.d**seq.n
+    digits = _digits(seq.dim, seq.n)
+    probes = np.zeros((side, 2), dtype=np.complex128)
+    probes[0, 0] = 1.0
+    probes[:, 1] = side**-0.5
+    block = np.zeros((side, len(pairs) + 1, 2), dtype=np.complex128)
+    block[:, 0] = probes
+    for i, (w, _) in enumerate(pairs, 1):
+        shift, phase = _word_maps(w, digits)
+        block[shift, i] = phase[:, None] * probes
+    out = block.reshape(side, -1)
+    for g in seq.gates:
+        out = _apply_gate(out, g, seq.dim, digits)
+    out = out.reshape(block.shape)
+    for i, (_, w) in enumerate(pairs, 1):
+        # <U W phi, W' U phi>: W' sends entry x of U phi to entry shift[x], times phase[x]
+        shift, phase = _word_maps(w, digits)
+        overlaps = np.einsum("xp,x,xp->p", out[shift, i].conj(), phase, out[:, 0])
+        if np.any(np.abs(overlaps) < 1.0 - tol):
+            return False
+    return True
 
 
 def check_program(seq: GateSequence, m: SymplecticMatrix, tol: float = 1e-9) -> bool:
@@ -220,6 +258,6 @@ def check_program(seq: GateSequence, m: SymplecticMatrix, tol: float = 1e-9) -> 
     """
     if seq.n != m.n or seq.dim != m.dim:
         raise DimensionMismatchError("program and matrix disagree on layout")
-    u = sequence_unitary(seq)
+    _check_scale(seq.dim.d**seq.n, MAX_DENSE_SIDE, "dense oracle")
     generators = [PauliWord.from_vector(v, seq.dim) for v in np.eye(2 * seq.n, dtype=np.int64)]
-    return all(_conjugates(u, w, apply_to_word(m, w), tol) for w in generators)
+    return _maps_words(seq, [(w, apply_to_word(m, w)) for w in generators], tol)

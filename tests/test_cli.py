@@ -8,6 +8,7 @@ import pytest
 import cliffsynth
 from cliffsynth import Dimension, GateSequence, sequence_matrix
 from cliffsynth.cli import main
+from cliffsynth.symplectic import Phase
 
 from conftest import child_env
 
@@ -261,6 +262,25 @@ class TestVerify:
         prog.write_text("F 0\n")
         code, out, _ = run(capsys, "verify", str(m), str(prog))
         assert code == 4 and out.strip() == "mismatch"
+        code, out, _ = run(capsys, "verify", str(m), str(prog), "--mode", "unitary")
+        assert code == 4 and out.strip() == "mismatch"
+
+
+class TestUnitaryWordMapRejection:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["transport", "d=6 n=2 a=1,0 b=0,3", "d=6 n=2 a=0,0 b=1,0"],
+            ["peg", "d=6 n=2 a=1,0 b=0,3"],
+        ],
+    )
+    def test_wrong_program_exit_4(self, capsys, monkeypatch, argv):
+        wrong = GateSequence((Phase(0, 1),), 2, Dimension.of(6))
+        monkeypatch.setattr(cliffsynth.cli, "transport", lambda p, q: wrong)
+        monkeypatch.setattr(cliffsynth.cli, "generalized_peg", lambda w: (wrong, 1))
+        code, out, err = run(capsys, *argv, "--verify", "unitary")
+        assert code == 4 and out.startswith("P 0 1\n# gates: 1\n")
+        assert err == "verification failed: unitary oracle mismatch\n"
 
 
 class TestEmbedCheck:

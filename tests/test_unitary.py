@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cliffsynth
 from cliffsynth import (
@@ -27,9 +29,9 @@ from cliffsynth import (
     word_unitary,
 )
 from cliffsynth.symplectic import Fourier, Phase, Sum
-from cliffsynth.unitary import MAX_DENSE_SIDE, MAX_SUM_CHECK_SIDE, _conjugates
+from cliffsynth.unitary import MAX_DENSE_SIDE, MAX_SUM_CHECK_SIDE, _maps_words
 
-from conftest import random_gate_sequence
+from conftest import gate_lists, random_gate_sequence
 
 
 def close(a, b, tol=1e-9):
@@ -233,6 +235,24 @@ class TestCheckProgram:
         wrong = SymplecticMatrix(dim, gate_matrix(Phase(0, 1), 1, dim))
         assert not check_program(seq, wrong)
 
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_z_only_discrepancy_needs_the_uniform_probe(self, d):
+        # P 0 sends X to XZ up to phase, so U^dagger X^dagger U X is a Z
+        # power, which fixes e_0
+        dim = Dimension.of(d)
+        seq = GateSequence((Phase(0, 1),), 1, dim)
+        assert not check_program(seq, SymplecticMatrix.identity(1, dim))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_x_only_discrepancy_needs_e0(self, d):
+        # F P F^3 fixes X and sends Z to X^-1 Z up to phase, so every
+        # U^dagger W^dagger U W is an X power, which fixes the uniform vector.
+        # (F F alone would not do: it sends Z to Z^-1, which the uniform
+        # probe catches.)
+        dim = Dimension.of(d)
+        seq = GateSequence((Fourier(0),) * 3 + (Phase(0, 1), Fourier(0)), 1, dim)
+        assert not check_program(seq, SymplecticMatrix.identity(1, dim))
+
     def test_scale_cap(self):
         dim = Dimension.of(17)
         seq = GateSequence((Fourier(0), Fourier(1)), 2, dim)
@@ -349,13 +369,13 @@ class TestAxisLocalKernel:
 
     @pytest.mark.parametrize("d, n", KERNEL_SHAPES)
     def test_conjugation_test_matches_dense_products(self, d, n):
-        # u W u^dagger ~ W' by index maps, against the dense triple product;
-        # swapping the gather and the scatter fails this at once
+        # u W u^dagger ~ W' on two probe columns, against the dense triple
+        # product; comparing with U W' phi in place of W' U phi fails this
         dim = Dimension.of(d)
         rng = random.Random(d + 10 * n)
         seq = random_gate_sequence(n, dim, 12, seed=n * d + 1)
         u, m = sequence_unitary(seq), sequence_matrix(seq)
-        verdicts = []
+        pairs, verdicts = [], []
         for _ in range(12):
             w = PauliWord(dim, *(tuple(rng.randrange(d) for _ in range(n)) for _ in "xz"))
             image = cliffsynth.apply_to_word(m, w)
@@ -363,9 +383,14 @@ class TestAxisLocalKernel:
             for target in (image, other):
                 dense = u @ word_unitary(w) @ u.dagger()
                 expected = equal_up_to_phase(dense, word_unitary(target))
-                assert _conjugates(u, w, target, 1e-9) == expected
+                assert _maps_words(seq, [(w, target)], 1e-9) == expected
+                pairs.append((w, target))
                 verdicts.append(expected)
         assert any(verdicts) and not all(verdicts)
+        # one block of many pairs passes only when every pair does
+        accepted = [pair for pair, ok in zip(pairs, verdicts) if ok]
+        assert _maps_words(seq, accepted, 1e-9)
+        assert not _maps_words(seq, pairs, 1e-9)
 
 
 def _alter_one_exponent(seq, rng):
@@ -422,6 +447,38 @@ class TestCheckProgramAgainstRecomposition:
                 monkeypatch.setattr(module, name, boom, raising=False)
         for seq, m, expected in cases:
             assert check_program(seq, m) == expected
+
+
+@st.composite
+def oracle_programs(draw):
+    """A program at side <= MAX_DENSE_SIDE with its matrix, and sometimes
+    the program with one exponent altered."""
+    gates, n, dim = draw(
+        gate_lists(dims=(2, 3, 4, 6, 12), max_n=8, max_size=30).filter(
+            lambda t: t[2].d ** t[1] <= MAX_DENSE_SIDE
+        )
+    )
+    seq = GateSequence(tuple(gates), n, dim)
+    m = sequence_matrix(seq)
+    if draw(st.booleans()) and any(not isinstance(g, Fourier) for g in gates):
+        seq = _alter_one_exponent(seq, draw(st.randoms(use_true_random=False)))
+    return seq, m
+
+
+class TestCheckProgramProperty:
+    @settings(deadline=None, max_examples=60)
+    @given(oracle_programs())
+    def test_agrees_with_recomposition_mod_d(self, case):
+        seq, m = case
+        assert check_program(seq, m) == _recomposes_mod_d(seq, m)
+
+
+class TestDenseOperator:
+    def test_freezes_a_view_not_the_callers_array(self):
+        a = np.eye(4, dtype=np.complex128)
+        op = DenseOperator(Dimension.of(2), 2, a)
+        assert a.flags.writeable and not op.matrix.flags.writeable
+        assert op.matrix is not a and np.shares_memory(op.matrix, a)
 
 
 class TestScaleCaps:
