@@ -6,21 +6,19 @@ first) followed by a ``# gates: <count>`` comment line.
 
 Exit codes (the table in ``main``): 0 success, 1 infeasible transport,
 2 parse/usage error (ParseError: also an input that is not UTF-8, or
-``verify`` with both inputs on stdin; a bad ``CS_TOL``; any other library
-error), 3 invalid input (NonSymplecticError, DegenerateWordError,
-DimensionMismatchError, MalformedMatrixError), 4 verification failure
-(also SynthesisCheckError), 5 scale cap exceeded (ScaleLimitError: the
-dense oracle's side, embed-check's ambient dimension, or d above
-MAX_DIMENSION).
-``CS_TOL`` sets the unitary oracle's tolerance, a relative overlap
-(default 1e-9). Every subcommand checks it, and ``--verify unitary``
-checks the oracle's cap, before any output.
+``verify`` with both inputs on stdin; any other library error), 3 invalid
+input (NonSymplecticError, DegenerateWordError, DimensionMismatchError,
+MalformedMatrixError), 4 verification failure (also SynthesisCheckError),
+5 scale cap exceeded (ScaleLimitError: the dense oracle's side,
+embed-check's ambient dimension, or d above MAX_DIMENSION).
+``--verify unitary`` checks the oracle's cap before any output. The
+oracle has no tolerance to set: it decides each overlap at 1/2 (see
+``unitary``).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -58,17 +56,6 @@ EXIT_PARSE = 2
 EXIT_INVALID = 3
 EXIT_VERIFY = 4
 EXIT_SCALE = 5
-
-
-def _tolerance() -> float:
-    raw = os.environ.get("CS_TOL", "1e-9")
-    try:
-        tol = float(raw)
-    except ValueError:
-        raise ParseError(f"CS_TOL must be a number, got {raw!r}") from None
-    if not 0 < tol < 1:  # also rejects nan and inf
-        raise ParseError(f"CS_TOL must lie strictly between 0 and 1, got {raw!r}")
-    return tol
 
 
 def _read_text(path: str) -> str:
@@ -112,7 +99,7 @@ def _verify_word_map(
     if args.verify == "symplectic" and apply_to_word(sequence_matrix(seq), source) != target:
         print(f"verification failed: program does not {what}", file=sys.stderr)
         return EXIT_VERIFY
-    if args.verify == "unitary" and not _maps_words(seq, [(source, target)], _tolerance()):
+    if args.verify == "unitary" and not _maps_words(seq, [(source, target)]):
         print("verification failed: unitary oracle mismatch", file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK
@@ -124,7 +111,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     _check_oracle_scale(args, m)
     seq = decompose(m)
     _print_program(seq)
-    if args.verify == "unitary" and not check_program(seq, m, _tolerance()):
+    if args.verify == "unitary" and not check_program(seq, m):
         print("verification failed: unitary oracle mismatch", file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK
@@ -159,7 +146,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.mode == "symplectic":
         ok = sequence_matrix(seq) == m
     else:
-        ok = check_program(seq, m, _tolerance())
+        ok = check_program(seq, m)
     if not ok:
         print("mismatch")
         return EXIT_VERIFY
@@ -173,7 +160,10 @@ def _format_witness(m: SymplecticMatrix) -> str:
 
 def _cmd_embed_check(args: argparse.Namespace) -> int:
     emb = Embedding(args.n, args.r_x, args.r_z)
-    _check_scale(emb.d, MAX_EMBED_CHECK_D, "embed-check ambient dimension")
+    if emb.d > MAX_EMBED_CHECK_D:
+        raise ScaleLimitError(
+            f"embed-check ambient dimension d={emb.d} exceeds the cap {MAX_EMBED_CHECK_D}"
+        )
     qft = logical_feasible_single(emb, "qft")
     phase = logical_feasible_single(emb, "phase")
     summ = logical_feasible_sum(emb)
@@ -239,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _tolerance()
         return args.func(args)
     except CliffSynthError as exc:
         # Error class -> (stderr prefix, exit code); the first match wins.

@@ -186,8 +186,8 @@ def is_symplectic_embedding(e: Embedding) -> bool:
     )
 
 
-def check_symmetric_logical_action(e: Embedding, tol: float = 1e-9) -> bool:
-    """Dense check that the qudit gates implement the logical gates.
+def check_symmetric_logical_action(e: Embedding) -> bool:
+    """Check that the qudit gates implement the logical gates.
 
     For a symmetric embedding (r_x = r_z = r) the qudit Fourier, phase
     and sum gates must transport each logical generator word to its
@@ -198,7 +198,7 @@ def check_symmetric_logical_action(e: Embedding, tol: float = 1e-9) -> bool:
     if not e.symmetric:
         raise CliffSynthError("symmetric check requires r_x = r_z")
     dim = e.dim
-    _check_scale(e.d**2, MAX_SUM_CHECK_SIDE, "dense operator")
+    _check_scale(e.d**2, MAX_SUM_CHECK_SIDE, "symmetric check's sum-gate oracle")
     programs = {
         "sum": GateSequence((Sum(0, 1, 1),), 2, dim),
         "qft": GateSequence((Fourier(0),), 1, dim),
@@ -211,7 +211,6 @@ def check_symmetric_logical_action(e: Embedding, tol: float = 1e-9) -> bool:
                 (PauliWord.from_vector(gen, dim), PauliWord.from_vector(target, dim))
                 for gen, target in _targets(e, gate)
             ],
-            tol,
         )
         for gate, seq in programs.items()
     )

@@ -29,9 +29,9 @@ def random_gate_sequence(n: int, dim: Dimension, length: int, seed: int) -> Gate
 
 
 @st.composite
-def gate_lists(draw, dims=(2, 3, 12, 97), max_n=8, max_size=40):
-    """(gates, n, dim): up to ``max_size`` gates on n <= ``max_n`` qudits,
-    d drawn from ``dims``, powers in [-2D, 2D]."""
+def gate_lists(draw, dims=(2, 3, 12, 97), max_n=8, max_size=40, min_size=0):
+    """(gates, n, dim): ``min_size`` to ``max_size`` gates on n <= ``max_n``
+    qudits, d drawn from ``dims``, powers in [-2D, 2D]."""
     d = draw(st.sampled_from(dims))
     n = draw(st.integers(1, max_n))
     dim = Dimension.of(d)
@@ -41,7 +41,7 @@ def gate_lists(draw, dims=(2, 3, 12, 97), max_n=8, max_size=40):
     if n > 1:
         pair = st.tuples(qudit, qudit).filter(lambda ct: ct[0] != ct[1])
         kinds.append(st.builds(lambda ct, e: Sum(ct[0], ct[1], e), pair, power))
-    return draw(st.lists(st.one_of(kinds), max_size=max_size)), n, dim
+    return draw(st.lists(st.one_of(kinds), min_size=min_size, max_size=max_size)), n, dim
 
 
 def random_word_exponents(n: int, d: int, seed: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -56,9 +56,9 @@ def child_env(**extra: str) -> dict[str, str]:
     """Environment for a child interpreter that imports this checkout.
 
     Puts the directory holding the imported ``cliffsynth`` package first
-    on PYTHONPATH and drops any inherited CS_TOL.
+    on PYTHONPATH.
     """
-    env = {k: v for k, v in os.environ.items() if k != "CS_TOL"}
+    env = dict(os.environ)
     root = str(Path(cliffsynth.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     env.update(extra)

@@ -155,18 +155,18 @@ def test_criterion_4_unitary_correspondence(synthesized_programs):
         singles = [Fourier(0)] + [Phase(0, e) for e in range(1, dim.D)]
         for g in singles:
             seq = GateSequence((g,), 1, dim)
-            if not check_program(seq, SymplecticMatrix(dim, gate_matrix(g, 1, dim)), 1e-9):
+            if not check_program(seq, SymplecticMatrix(dim, gate_matrix(g, 1, dim))):
                 ok = False
         twos = [Sum(0, 1, e) for e in range(1, dim.D)] + [Sum(1, 0, 1)]
         for g in twos:
             seq = GateSequence((g,), 2, dim)
-            if not check_program(seq, SymplecticMatrix(dim, gate_matrix(g, 2, dim)), 1e-9):
+            if not check_program(seq, SymplecticMatrix(dim, gate_matrix(g, 2, dim))):
                 ok = False
     for (n, d), entries in synthesized_programs.items():
         if d**n > 36:
             continue
         for m, seq in entries:
-            if not check_program(seq, m, 1e-9):
+            if not check_program(seq, m):
                 ok = False
     elapsed = time.perf_counter() - t0
     verdict(4, "unitary correspondence", ok and elapsed < 120, f"{elapsed:.1f} s")
@@ -273,7 +273,7 @@ def test_criterion_7_logical_embeddings():
     except Exception:
         failures.append("expected SUM feasible at (2,3,4)")
     for n, r in ((2, 2), (3, 2)):
-        if not check_symmetric_logical_action(Embedding(n, r, r), 1e-9):
+        if not check_symmetric_logical_action(Embedding(n, r, r)):
             failures.append(f"symmetric embedding ({n},{r},{r}) failed the dense check")
     elapsed = time.perf_counter() - t0
     if elapsed >= 60:

@@ -8,9 +8,9 @@ import pytest
 import cliffsynth
 from cliffsynth import Dimension, GateSequence, sequence_matrix
 from cliffsynth.cli import main
-from cliffsynth.symplectic import Phase
+from cliffsynth.symplectic import Phase, format_matrix_text
 
-from conftest import child_env
+from conftest import child_env, random_gate_sequence
 
 GOLDEN_TEXT = "d 6 n 1\n10 9\n3 4\n"
 SWAP_D3_TEXT = "d 3 n 2\n0 1 0 0\n1 0 0 0\n0 0 0 1\n0 0 1 0\n"
@@ -230,21 +230,25 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err.startswith(f"parse error: cannot read {prog}")
 
-    @pytest.mark.parametrize("tol", ["abc", "nan", "-1", "0"])
-    @pytest.mark.parametrize("command", ["verify", "synth"])
-    def test_bad_tolerance_exit_2(self, tmp_path, capsys, monkeypatch, tol, command):
+    @pytest.mark.parametrize("value", ["abc", "nan", "-1", "0"])
+    @pytest.mark.parametrize("command", ["verify", "synth", "embed-check"])
+    def test_cs_tol_changes_nothing(self, tmp_path, capsys, monkeypatch, value, command):
+        # CS_TOL names no setting, so any value of it must leave every command alone
         m = tmp_path / "m.txt"
         m.write_text(GOLDEN_TEXT)
         prog = tmp_path / "prog.txt"
-        prog.write_text("F 0\n")
-        monkeypatch.setenv("CS_TOL", tol)
-        if command == "verify":
-            argv = ["verify", str(m), str(prog), "--mode", "unitary"]
-        else:
-            argv = ["synth", str(m), "--verify", "unitary"]
-        code, out, err = run(capsys, *argv)
-        assert code == 2 and out == ""
-        assert err.startswith("parse error: CS_TOL") and "Traceback" not in err
+        prog.write_text("F 0\nP 0 4\nF 0\nP 0 10\nF 0\nP 0 4\n")  # synth's program
+        argv, first_line = {
+            "verify": (["verify", str(m), str(prog), "--mode", "unitary"], "ok"),
+            "synth": (["synth", str(m), "--verify", "unitary"], "F 0"),
+            "embed-check": (["embed-check", "2", "2", "2"], "symplectic: yes"),
+        }[command]
+        monkeypatch.delenv("CS_TOL", raising=False)
+        plain = run(capsys, *argv)
+        monkeypatch.setenv("CS_TOL", value)
+        assert run(capsys, *argv) == plain
+        code, out, err = plain
+        assert code == 0 and out.splitlines()[0] == first_line and err == ""
 
     def test_gate_out_of_range_exit_3(self, tmp_path, capsys):
         m = tmp_path / "m.txt"
@@ -264,6 +268,17 @@ class TestVerify:
         assert code == 4 and out.strip() == "mismatch"
         code, out, _ = run(capsys, "verify", str(m), str(prog), "--mode", "unitary")
         assert code == 4 and out.strip() == "mismatch"
+
+    def test_long_d256_program_unitary_ok(self, tmp_path, capsys):
+        # 600 gates at d = 256: float error stays far below the oracle's cut
+        seq = random_gate_sequence(1, Dimension.of(256), 600, 0)
+        m = tmp_path / "m.txt"
+        m.write_text(format_matrix_text(sequence_matrix(seq)))
+        prog = tmp_path / "prog.txt"
+        prog.write_text(seq.to_text())
+        for mode in ("symplectic", "unitary"):
+            code, out, _ = run(capsys, "verify", str(m), str(prog), "--mode", mode)
+            assert code == 0 and out == "ok\n"
 
 
 class TestUnitaryWordMapRejection:
@@ -306,7 +321,7 @@ class TestEmbedCheck:
     def test_scale_cap_exit_5(self, capsys):
         code, out, err = run(capsys, "embed-check", "2", "3", "7")
         assert code == 5 and out == ""
-        assert err == "scale limit: embed-check ambient dimension capped at side 36, need 42\n"
+        assert err == "scale limit: embed-check ambient dimension d=42 exceeds the cap 36\n"
 
     def test_bad_parameters_exit_2(self, capsys):
         code, _, _ = run(capsys, "embed-check", "1", "1", "1")
@@ -342,13 +357,11 @@ class TestSubprocess:
         assert proc.returncode == 0
         assert "# gates:" in proc.stdout
 
-    def test_tolerance_env_var(self, tmp_path):
+    def test_cs_tol_changes_nothing_in_child(self, tmp_path):
         m = tmp_path / "m.txt"
         m.write_text(SWAP_D3_TEXT)
-        proc = subprocess.run(
-            [sys.executable, "-m", "cliffsynth", "synth", str(m), "--verify", "unitary"],
-            capture_output=True,
-            text=True,
-            env=child_env(CS_TOL="1e-12"),
-        )
-        assert proc.returncode == 0
+        argv = [sys.executable, "-m", "cliffsynth", "synth", str(m), "--verify", "unitary"]
+        plain = subprocess.run(argv, capture_output=True, text=True, env=child_env())
+        proc = subprocess.run(argv, capture_output=True, text=True, env=child_env(CS_TOL="1e-12"))
+        assert proc.returncode == plain.returncode == 0
+        assert proc.stdout == plain.stdout

@@ -227,8 +227,9 @@ class TestSymmetricLogicalAction:
             check_symmetric_logical_action(QUBIT_IN_24)
 
     def test_scale_cap(self):
-        with pytest.raises(ScaleLimitError):
+        with pytest.raises(ScaleLimitError) as err:
             check_symmetric_logical_action(Embedding(2, 5, 5))
+        assert str(err.value) == "symmetric check's sum-gate oracle capped at side 1024, need 2500"
 
 
 class TestEmbedCheckGolden:
