@@ -7,6 +7,9 @@ program over three gate families (Fourier, phase-shift, sum), transports
 Pauli words into one another, verifies programs both symplectically and
 against a dense-unitary oracle, and decides whether logical Clifford
 gates survive an embedding of a small system into a larger qudit.
+
+The classical modules work on Python integers alone. The dense oracle
+(``unitary``) needs numpy, so its names are loaded on first use.
 """
 
 from .embedding import (
@@ -61,18 +64,35 @@ from .synthesis import (
     swap_sequence,
     transport,
 )
-from .unitary import (
-    DenseOperator,
-    check_program,
-    equal_up_to_phase,
-    gate_unitary,
-    omega,
-    omega_hat,
-    pauli_unitaries,
-    relative_phase,
-    sequence_unitary,
-    word_unitary,
+
+_UNITARY_NAMES = frozenset(
+    {
+        "DenseOperator",
+        "check_program",
+        "equal_up_to_phase",
+        "gate_unitary",
+        "omega",
+        "omega_hat",
+        "pauli_unitaries",
+        "relative_phase",
+        "sequence_unitary",
+        "word_unitary",
+    }
 )
+
+
+def __getattr__(name: str):
+    """Load ``unitary``, and numpy with it, on the first use of its names (PEP 562)."""
+    if name in _UNITARY_NAMES:
+        from . import unitary
+
+        value = globals()[name] = getattr(unitary, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _UNITARY_NAMES)
 
 __version__ = "0.1.0"
 

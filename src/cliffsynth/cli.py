@@ -13,7 +13,9 @@ MalformedMatrixError), 4 verification failure (also SynthesisCheckError),
 embed-check's ambient dimension, or d above MAX_DIMENSION).
 ``--verify unitary`` checks the oracle's cap before any output. The
 oracle has no tolerance to set: it decides each overlap at 1/2 (see
-``unitary``).
+``unitary``). Only ``--verify unitary`` and ``verify --mode unitary``
+import ``unitary``, and with it numpy; every other call runs on exact
+Python integers alone.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from .symplectic import (
     sequence_matrix,
 )
 from .synthesis import decompose, generalized_peg, transport
-from .unitary import MAX_DENSE_SIDE, _check_scale, _maps_words, check_program
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -90,6 +91,8 @@ def _print_program(seq: GateSequence) -> None:
 
 def _check_oracle_scale(args: argparse.Namespace, layout: SymplecticMatrix | PauliWord) -> None:
     if args.verify == "unitary":
+        from .unitary import MAX_DENSE_SIDE, _check_scale
+
         _check_scale(layout.dim.d**layout.n, MAX_DENSE_SIDE, "dense oracle")
 
 
@@ -99,9 +102,12 @@ def _verify_word_map(
     if args.verify == "symplectic" and apply_to_word(sequence_matrix(seq), source) != target:
         print(f"verification failed: program does not {what}", file=sys.stderr)
         return EXIT_VERIFY
-    if args.verify == "unitary" and not _maps_words(seq, [(source, target)]):
-        print("verification failed: unitary oracle mismatch", file=sys.stderr)
-        return EXIT_VERIFY
+    if args.verify == "unitary":
+        from .unitary import _maps_words
+
+        if not _maps_words(seq, [(source, target)]):
+            print("verification failed: unitary oracle mismatch", file=sys.stderr)
+            return EXIT_VERIFY
     return EXIT_OK
 
 
@@ -111,9 +117,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     _check_oracle_scale(args, m)
     seq = decompose(m)
     _print_program(seq)
-    if args.verify == "unitary" and not check_program(seq, m):
-        print("verification failed: unitary oracle mismatch", file=sys.stderr)
-        return EXIT_VERIFY
+    if args.verify == "unitary":
+        from .unitary import check_program
+
+        if not check_program(seq, m):
+            print("verification failed: unitary oracle mismatch", file=sys.stderr)
+            return EXIT_VERIFY
     return EXIT_OK
 
 
@@ -146,6 +155,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.mode == "symplectic":
         ok = sequence_matrix(seq) == m
     else:
+        from .unitary import check_program
+
         ok = check_program(seq, m)
     if not ok:
         print("mismatch")
@@ -155,7 +166,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _format_witness(m: SymplecticMatrix) -> str:
-    return "[" + " ".join(str(int(v)) for v in m.mat.ravel()) + "]"
+    return "[" + " ".join(str(v) for row in m.rows for v in row) + "]"
 
 
 def _cmd_embed_check(args: argparse.Namespace) -> int:

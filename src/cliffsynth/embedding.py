@@ -19,15 +19,16 @@ mod D.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
-
-import numpy as np
+from operator import mul
+from typing import TYPE_CHECKING, Literal, Sequence
 
 from .errors import CliffSynthError, DimensionMismatchError
 from .modring import Dimension
 from .pauli import PauliWord
-from .symplectic import Fourier, GateSequence, Phase, Sum, SymplecticMatrix, gate_matrix
-from .unitary import MAX_SUM_CHECK_SIDE, _check_scale, _maps_words
+from .symplectic import Fourier, GateSequence, Phase, Sum, SymplecticMatrix, sequence_matrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 LogicalGate = Literal["qft", "phase"]
 
@@ -70,6 +71,8 @@ class Embedding:
 
 def logical_basis_state(e: Embedding, j: int) -> np.ndarray:
     """The j-th encoded computational basis state, a unit vector in C^d."""
+    import numpy as np
+
     if not 0 <= j < e.n:
         raise CliffSynthError(f"logical index must lie in [0, {e.n}), got {j}")
     d = e.d
@@ -149,8 +152,13 @@ def logical_feasible_single(e: Embedding, gate: LogicalGate) -> SymplecticMatrix
             hit = bc_first.get(need)
             if hit is not None:
                 b, c = hit
-                return SymplecticMatrix(dim, np.array([[a, b], [c, ee]], dtype=np.int64))
+                return SymplecticMatrix(dim, ((a, b), (c, ee)))
     return None
+
+
+def _image(m: SymplecticMatrix, gen: Sequence[int]) -> list[int]:
+    """The exponent vector ``m @ gen``, unreduced."""
+    return [sum(map(mul, row, gen)) for row in m.rows]
 
 
 def verify_single_witness(e: Embedding, gate: LogicalGate, m: SymplecticMatrix) -> bool:
@@ -160,7 +168,7 @@ def verify_single_witness(e: Embedding, gate: LogicalGate, m: SymplecticMatrix) 
         raise DimensionMismatchError(
             f"witness must be 2x2 over d={e.d}, got {2 * m.n}x{2 * m.n} over d={m.dim.d}"
         )
-    return all(_acts_as((m.mat @ gen).tolist(), target, e) for gen, target in _targets(e, gate))
+    return all(_acts_as(_image(m, gen), target, e) for gen, target in _targets(e, gate))
 
 
 def logical_feasible_sum(e: Embedding) -> SymplecticMatrix:
@@ -169,9 +177,9 @@ def logical_feasible_sum(e: Embedding) -> SymplecticMatrix:
     This always succeeds (the sum matrix scales the logical generators
     exactly); failure would violate a structural invariant and raises.
     """
-    c = SymplecticMatrix(e.dim, gate_matrix(Sum(0, 1, 1), 2, e.dim))
+    c = sequence_matrix(GateSequence((Sum(0, 1, 1),), 2, e.dim))
     for gen, target in _targets(e, "sum"):
-        if not _acts_as((c.mat @ gen).tolist(), target, e):
+        if not _acts_as(_image(c, gen), target, e):
             raise CliffSynthError(
                 f"sum gate failed the logical map for generator {gen} in {e}"
             )
@@ -195,6 +203,8 @@ def check_symmetric_logical_action(e: Embedding) -> bool:
     decided together by the probe-vector test of ``unitary``, on its
     one-gate program.
     """
+    from .unitary import MAX_SUM_CHECK_SIDE, _check_scale, _maps_words
+
     if not e.symmetric:
         raise CliffSynthError("symmetric check requires r_x = r_z")
     dim = e.dim

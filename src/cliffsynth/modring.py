@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 from .errors import CliffSynthError, ScaleLimitError
 
-# Keeps 2n * (D-1)^2 far below 2^63 for any plausible qudit count, so all
-# int64 matrix products are overflow-free.
+# Input validation: a larger d is refused with ScaleLimitError (CLI exit 5).
 MAX_DIMENSION = 1_000_000
 
 

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DimensionMismatchError, ParseError
 from .modring import Dimension
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _WORD_RE = re.compile(
     r"^\s*d=(\d+)\s+n=(\d+)\s+a=([0-9,\s]*?)\s+b=([0-9,\s]*?)\s*$"
@@ -52,10 +54,14 @@ class PauliWord:
 
     def vector(self) -> np.ndarray:
         """Exponent vector (a_1..a_n, b_1..b_n) as an int64 array."""
+        import numpy as np
+
         return np.array(self.xexp + self.zexp, dtype=np.int64)
 
     @classmethod
     def from_vector(cls, vec: np.ndarray | list[int], dim: Dimension) -> "PauliWord":
+        import numpy as np
+
         vec = np.asarray(vec, dtype=np.int64)
         if vec.ndim != 1 or vec.size % 2 != 0 or vec.size == 0:
             raise DimensionMismatchError(
@@ -131,6 +137,8 @@ def sip_matrix_form(u: PauliWord, v: PauliWord) -> int:
 
     Exists purely as an independent cross-check path for :func:`sip`.
     """
+    import numpy as np
+
     _check_compatible(u, v)
     n, d = u.n, u.dim.d
     form = np.zeros((2 * n, 2 * n), dtype=np.int64)

@@ -13,15 +13,16 @@ the first one applied to a state, so the matrix of a sequence is the
 reversed product of its gate matrices.
 
 Matrix entries live mod D; Pauli exponent vectors live mod d. Applying a
-matrix to a word reduces the product mod d.
+matrix to a word reduces the product mod d. Both are Python ints, exact at
+any size; numpy is imported only for the dense references (``gate_matrix``,
+``symplectic_form``, ``SymplecticMatrix.mat``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
-
-import numpy as np
+from operator import mul
+from typing import TYPE_CHECKING, Iterable, Iterator, MutableSequence, Sequence, Union
 
 from .errors import (
     DimensionMismatchError,
@@ -31,6 +32,9 @@ from .errors import (
 )
 from .modring import Dimension
 from .pauli import PauliWord
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +98,12 @@ def _normalize_gate(g: Gate, D: int) -> Gate:
 
 
 def gate_matrix(g: Gate, n: int, dim: Dimension) -> np.ndarray:
-    """The 2n x 2n classical matrix of a generator gate, entries in [0, D)."""
+    """The 2n x 2n classical matrix of a generator gate, entries in [0, D).
+
+    A dense int64 reference, built without `act_left`.
+    """
+    import numpy as np
+
     if _gate_max_index(g) >= n:
         raise MalformedMatrixError(f"gate {g} out of range for n={n}")
     D = dim.D
@@ -114,25 +123,95 @@ def gate_matrix(g: Gate, n: int, dim: Dimension) -> np.ndarray:
     return m
 
 
-def act_left(work: np.ndarray, g: Gate, n: int, D: int) -> None:
+def act_left(work: MutableSequence[Sequence[int]], g: Gate, n: int, D: int) -> None:
     """In place, ``work := gate_matrix(g) @ work mod D`` as row operations.
 
+    ``work`` is a list of int rows or an int64 ndarray; each row a gate
+    touches is replaced, never changed in place, so rows may be tuples.
     Each generator touches at most two rows, so one gate costs O(n), the
     row update of a stabilizer tableau (Aaronson and Gottesman,
-    arXiv:quant-ph/0406196). ``work`` holds entries in [0, D) and the gate
-    exponent lies in [0, D), as in a ``GateSequence``, so no product wraps.
+    arXiv:quant-ph/0406196). An ndarray ``work`` needs entries and gate
+    exponent in [0, D), as in a ``GateSequence``, so that no product wraps.
     """
     if isinstance(g, Fourier):
         i = g.qudit
-        work[[i, n + i]] = work[[n + i, i]]
-        work[i] = -work[i] % D
+        x = work[i]
+        # Row n + i is written first: on an ndarray ``x`` is a view of row i,
+        # which must still hold the old values then.
+        work[n + i], work[i] = x, [-v % D for v in work[n + i]]
     elif isinstance(g, Phase):
-        q = g.qudit
-        work[n + q] = (work[n + q] + g.power * work[q]) % D
+        q, e = g.qudit, g.power
+        work[n + q] = [(v + e * u) % D for v, u in zip(work[n + q], work[q])]
     else:
         c, t, e = g.control, g.target, g.power
-        work[t] = (work[t] + e * work[c]) % D
-        work[n + c] = (work[n + c] - e * work[n + t]) % D
+        work[t] = [(v + e * u) % D for v, u in zip(work[t], work[c])]
+        work[n + c] = [(v - e * u) % D for v, u in zip(work[n + c], work[n + t])]
+
+
+class _PackedRows:
+    """Rows of ``size`` entries over Z_D, each packed into one int.
+
+    Entry c of a row is field c, ``width`` = 8 * ``nbytes`` bits, least
+    significant first, so a row operation is a few operations on whole
+    ints, not a loop over the entries: `act` is `act_left` on packed rows,
+    and `combine` a linear combination of up to ``terms`` rows. A field
+    that starts in [0, D) stays at most ``top`` = (D-1) + terms * (D-1)^2
+    before it is reduced, and at most ``top * recip`` < 2^width when
+    multiplied by ``recip``, so no field carries into the next. For
+    x <= top, ``x * recip >> shift`` is x // D exactly (division by a
+    scaled reciprocal, Granlund and Montgomery, PLDI 1994), and masked to
+    each field it gives every quotient at once (`_reduce`).
+    """
+
+    def __init__(self, size: int, D: int, terms: int = 1) -> None:
+        bits = (D - 1 + terms * (D - 1) ** 2).bit_length()
+        self.size, self.D = size, D
+        self.shift = bits + D.bit_length()
+        self.recip = -(-(1 << self.shift) // D)
+        self.nbytes = (bits + self.shift + 8) // 8
+        self.width = 8 * self.nbytes
+        self.field = (1 << self.width) - 1
+        ones = int.from_bytes((b"\x01" + bytes(self.nbytes - 1)) * size, "little")
+        self.quot_mask = ((1 << (self.width - self.shift)) - 1) * ones
+        self.all_D = D * ones
+
+    def pack(self, row: Iterable[int]) -> int:
+        nb = self.nbytes
+        return int.from_bytes(b"".join(v.to_bytes(nb, "little") for v in row), "little")
+
+    def unpack(self, x: int) -> tuple[int, ...]:
+        nb = self.nbytes
+        data = x.to_bytes(nb * self.size, "little")
+        return tuple(int.from_bytes(data[k : k + nb], "little") for k in range(0, len(data), nb))
+
+    def unit(self, c: int) -> int:
+        """The packed unit row e_c."""
+        return 1 << (self.width * c)
+
+    def entry(self, x: int, c: int) -> int:
+        return (x >> (self.width * c)) & self.field
+
+    def _reduce(self, x: int) -> int:
+        return x - self.D * ((x * self.recip >> self.shift) & self.quot_mask)
+
+    def combine(self, coeffs: Iterable[int], rows: Iterable[int]) -> int:
+        """The packed row sum of c * row mod D, for at most ``terms`` pairs
+        with every c in [0, D)."""
+        return self._reduce(sum(map(mul, coeffs, rows)))
+
+    def act(self, work: list[int], g: Gate, n: int) -> None:
+        """In place, `act_left` of ``g`` on the packed rows ``work``."""
+        D, reduce = self.D, self._reduce
+        if isinstance(g, Fourier):
+            i = g.qudit
+            work[i], work[n + i] = reduce(self.all_D - work[n + i]), work[i]
+        elif isinstance(g, Phase):
+            q = g.qudit
+            work[n + q] = reduce(work[n + q] + g.power % D * work[q])
+        else:
+            c, t, e = g.control, g.target, g.power % D
+            work[t] = reduce(work[t] + e * work[c])
+            work[n + c] = reduce(work[n + c] + (D - e) % D * work[n + t])
 
 
 def invert_gate(g: Gate, dim: Dimension) -> list[Gate]:
@@ -169,9 +248,10 @@ def merge_gates(gates: Iterable[Gate], dim: Dimension) -> list[Gate]:
     D = dim.D
     out: list[Gate] = []
     for g in gates:
-        g = _normalize_gate(g, D)
-        prev = out[-1] if out else None
         kind = type(g)
+        if kind is not Fourier and not 0 <= g.power < D:
+            g = _normalize_gate(g, D)
+        prev = out[-1] if out else None
         if kind is Fourier:
             if type(prev) is Fourier and prev.qudit == g.qudit:
                 # count the trailing run, wrap at 4
@@ -226,70 +306,109 @@ def parse_gate_line(line: str) -> Gate:
 # matrices
 
 
+Rows = tuple[tuple[int, ...], ...]
+
+
 def symplectic_form(n: int, D: int) -> np.ndarray:
-    """The block matrix [[0, I], [-I, 0]] over Z_D."""
+    """The block matrix [[0, I], [-I, 0]] over Z_D, as a dense int64 reference."""
+    import numpy as np
+
     s = np.zeros((2 * n, 2 * n), dtype=np.int64)
     s[:n, n:] = np.eye(n, dtype=np.int64)
     s[n:, :n] = (D - 1) * np.eye(n, dtype=np.int64)
     return s
 
 
-def _s_times(mat: np.ndarray, D: int) -> np.ndarray:
-    """S @ mat mod D: a signed swap of the two row blocks, no products."""
-    n = mat.shape[0] // 2
-    return np.concatenate([mat[n:], -mat[:n] % D])
+def _as_rows(mat: object, dim: Dimension) -> Rows:
+    """The rows of a square integer matrix of even side, reduced into [0, D).
 
-
-def _as_matrix(mat: np.ndarray, dim: Dimension) -> np.ndarray:
-    mat = np.asarray(mat, dtype=np.int64)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise MalformedMatrixError(f"expected a square matrix, got shape {mat.shape}")
-    if mat.shape[0] % 2 != 0 or mat.shape[0] == 0:
+    ``mat`` is an ndarray or a sequence of integer sequences.
+    """
+    if hasattr(mat, "tolist"):
+        mat = mat.tolist()
+    D = dim.D
+    try:
+        rows = tuple(tuple(int(v) % D for v in row) for row in mat)
+    except (TypeError, ValueError):
+        raise MalformedMatrixError("expected a square matrix of integers") from None
+    side = len(rows)
+    if any(len(row) != side for row in rows):
+        lengths = sorted({len(row) for row in rows})
         raise MalformedMatrixError(
-            f"expected an even side length, got {mat.shape[0]}"
+            f"expected a square matrix, got {side} rows of lengths {lengths}"
         )
-    return mat % dim.D
+    if side % 2 != 0 or side == 0:
+        raise MalformedMatrixError(f"expected an even side length, got {side}")
+    return rows
 
 
-def is_symplectic(mat: np.ndarray, dim: Dimension) -> bool:
+def _symplectic_rows(rows: Rows, D: int) -> bool:
     """True iff N^T S N = S mod D.
 
-    S N is formed by slicing, so the one product left sums 2n terms below
-    D^2 each and stays exact in int64 up to ``MAX_DIMENSION``.
+    Row k of S N is row n + k of N for k < n, and minus row k - n below,
+    so row r of N^T S N is the combination of the rows of S N with the
+    entries of column r of N, formed on packed rows.
     """
-    mat = _as_matrix(mat, dim)
-    s = symplectic_form(mat.shape[0] // 2, dim.D)
-    return bool(np.array_equal(mat.T @ _s_times(mat, dim.D) % dim.D, s))
+    n = len(rows) // 2
+    packed = _PackedRows(2 * n, D, terms=2 * n)
+    s_n = [packed.pack(row) for row in rows[n:]]
+    s_n += [packed.pack([-v % D for v in row]) for row in rows[:n]]
+    for r, col in enumerate(zip(*rows)):
+        s_row = packed.unit(n + r) if r < n else (D - 1) * packed.unit(r - n)
+        if packed.combine(col, s_n) != s_row:
+            return False
+    return True
+
+
+def is_symplectic(mat: object, dim: Dimension) -> bool:
+    """True iff N^T S N = S mod D."""
+    return _symplectic_rows(_as_rows(mat, dim), dim.D)
 
 
 @dataclass(frozen=True)
 class SymplecticMatrix:
-    """A validated symplectic matrix over Z_D."""
+    """A validated symplectic matrix over Z_D, stored as rows of Python ints.
+
+    The constructor takes an ndarray or nested integer sequences, reduces
+    them into [0, D) and checks them. Matrices the library derives from
+    symplectic ones (`compose`, `inverse`, `sequence_matrix`) are
+    symplectic by construction and skip the check (``_derived``).
+    """
 
     dim: Dimension
-    mat: np.ndarray
+    rows: Rows
 
     def __post_init__(self) -> None:
-        mat = _as_matrix(self.mat, self.dim)
-        if not is_symplectic(mat, self.dim):
-            raise NonSymplecticError(
-                f"matrix is not symplectic mod {self.dim.D}:\n{mat}"
-            )
-        mat.flags.writeable = False
-        object.__setattr__(self, "mat", mat)
+        rows = _as_rows(self.rows, self.dim)
+        if not _symplectic_rows(rows, self.dim.D):
+            text = "\n".join(" ".join(map(str, row)) for row in rows)
+            raise NonSymplecticError(f"matrix is not symplectic mod {self.dim.D}:\n{text}")
+        object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def _derived(cls, dim: Dimension, rows: Rows) -> "SymplecticMatrix":
+        m = object.__new__(cls)
+        object.__setattr__(m, "dim", dim)
+        object.__setattr__(m, "rows", rows)
+        return m
 
     @property
     def n(self) -> int:
-        return self.mat.shape[0] // 2
+        return len(self.rows) // 2
+
+    @property
+    def mat(self) -> np.ndarray:
+        """The entries as a read-only int64 ndarray, built on each use."""
+        import numpy as np
+
+        mat = np.array(self.rows, dtype=np.int64)
+        mat.flags.writeable = False
+        return mat
 
     @classmethod
     def identity(cls, n: int, dim: Dimension) -> "SymplecticMatrix":
-        return cls(dim, np.eye(2 * n, dtype=np.int64))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SymplecticMatrix):
-            return NotImplemented
-        return self.dim == other.dim and np.array_equal(self.mat, other.mat)
+        side = range(2 * n)
+        return cls._derived(dim, tuple(tuple(int(r == c) for c in side) for r in side))
 
     def __matmul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
         return compose(self, other)
@@ -299,14 +418,25 @@ def compose(a: SymplecticMatrix, b: SymplecticMatrix) -> SymplecticMatrix:
     """Matrix product a.b mod D (b acts first on vectors)."""
     if a.dim != b.dim or a.n != b.n:
         raise DimensionMismatchError("cannot compose matrices of different shape/dim")
-    return SymplecticMatrix(a.dim, (a.mat @ b.mat) % a.dim.D)
+    packed = _PackedRows(2 * a.n, a.dim.D, terms=2 * a.n)
+    b_rows = [packed.pack(row) for row in b.rows]
+    return SymplecticMatrix._derived(
+        a.dim, tuple(packed.unpack(packed.combine(row, b_rows)) for row in a.rows)
+    )
 
 
 def inverse(m: SymplecticMatrix) -> SymplecticMatrix:
-    """Inverse via the closed form -S M^T S = S (S M)^T, valid for any
-    symplectic M; both products by S are block swaps, so no entry grows."""
-    D = m.dim.D
-    return SymplecticMatrix(m.dim, _s_times(_s_times(m.mat, D).T, D))
+    """Inverse by the closed form -S M^T S, valid for any symplectic M.
+
+    Row r of the inverse is S applied to column n + r of M, and row n + r
+    is -S applied to column r: the blocks [[A, B], [C, E]] of M become
+    [[E^T, -B^T], [-C^T, A^T]], so no entry grows.
+    """
+    n, D = m.n, m.dim.D
+    cols = list(zip(*m.rows))
+    top = [cols[n + r][n:] + tuple(-v % D for v in cols[n + r][:n]) for r in range(n)]
+    bottom = [tuple(-v % D for v in cols[r][n:]) + cols[r][:n] for r in range(n)]
+    return SymplecticMatrix._derived(m.dim, tuple(top + bottom))
 
 
 def apply_to_word(m: SymplecticMatrix, w: PauliWord) -> PauliWord:
@@ -315,7 +445,9 @@ def apply_to_word(m: SymplecticMatrix, w: PauliWord) -> PauliWord:
         raise DimensionMismatchError(f"matrix dim {m.dim} != word dim {w.dim}")
     if m.n != w.n:
         raise DimensionMismatchError(f"matrix n={m.n} != word n={w.n}")
-    return PauliWord.from_vector((m.mat @ w.vector()) % w.dim.d, w.dim)
+    vec = w.xexp + w.zexp
+    image = [sum(map(mul, row, vec)) for row in m.rows]
+    return PauliWord(w.dim, tuple(image[: w.n]), tuple(image[w.n :]))
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +463,23 @@ class GateSequence:
     dim: Dimension
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise DimensionMismatchError(f"qudit count must be >= 1, got {self.n}")
+        n, D = self.n, self.dim.D
+        if n < 1:
+            raise DimensionMismatchError(f"qudit count must be >= 1, got {n}")
         normalized = []
         for g in self.gates:
-            if _gate_max_index(g) >= self.n:
-                raise MalformedMatrixError(f"gate {g} out of range for n={self.n}")
-            normalized.append(_normalize_gate(g, self.dim.D))
+            kind = type(g)
+            if kind is Sum:
+                ok = g.control < n and g.target < n and 0 <= g.power < D
+            elif kind is Phase:
+                ok = g.qudit < n and 0 <= g.power < D
+            else:
+                ok = kind is Fourier and g.qudit < n
+            if not ok:
+                if _gate_max_index(g) >= n:
+                    raise MalformedMatrixError(f"gate {g} out of range for n={n}")
+                g = _normalize_gate(g, D)
+            normalized.append(g)
         object.__setattr__(self, "gates", tuple(normalized))
 
     def __len__(self) -> int:
@@ -378,12 +520,15 @@ class GateSequence:
 def sequence_matrix(seq: GateSequence) -> SymplecticMatrix:
     """Product of the gate matrices, first-applied gate rightmost.
 
-    Each gate is applied to the accumulator as row operations (`act_left`).
+    Each gate is applied to the accumulator as row operations on packed
+    rows (`_PackedRows.act`).
     """
-    acc = np.eye(2 * seq.n, dtype=np.int64)
+    n = seq.n
+    packed = _PackedRows(2 * n, seq.dim.D)
+    acc = [packed.unit(i) for i in range(2 * n)]
     for g in seq.gates:
-        act_left(acc, g, seq.n, seq.dim.D)
-    return SymplecticMatrix(seq.dim, acc)
+        packed.act(acc, g, n)
+    return SymplecticMatrix._derived(seq.dim, tuple(map(packed.unpack, acc)))
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +537,12 @@ def sequence_matrix(seq: GateSequence) -> SymplecticMatrix:
 
 def format_matrix_text(m: SymplecticMatrix) -> str:
     """Text form: header ``d <d> n <n>``, then 2n rows of 2n entries."""
-    rows = [" ".join(str(int(v)) for v in row) for row in m.mat]
+    rows = [" ".join(map(str, row)) for row in m.rows]
     return "\n".join([f"d {m.dim.d} n {m.n}"] + rows)
 
 
-def parse_matrix_text(text: str) -> tuple[np.ndarray, Dimension]:
-    """Parse the matrix text format; returns the raw entries and dimension.
+def parse_matrix_text(text: str) -> tuple[list[list[int]], Dimension]:
+    """Parse the matrix text format; returns the rows of entries and the dimension.
 
     Symplecticity is *not* enforced here so callers can distinguish parse
     failures from contract failures.
@@ -429,4 +574,4 @@ def parse_matrix_text(text: str) -> tuple[np.ndarray, Dimension]:
         if any(not 0 <= v < dim.D for v in row):
             raise ParseError(f"matrix entries must lie in [0, {dim.D}): {ln!r}")
         rows.append(row)
-    return np.array(rows, dtype=np.int64), dim
+    return rows, dim

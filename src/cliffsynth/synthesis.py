@@ -37,8 +37,6 @@ import functools
 import math
 from typing import Sequence
 
-import numpy as np
-
 from .errors import (
     DegenerateWordError,
     DimensionMismatchError,
@@ -54,7 +52,7 @@ from .symplectic import (
     Phase,
     Sum,
     SymplecticMatrix,
-    act_left,
+    _PackedRows,
     inverse,
     merge_gates,
     sequence_matrix,
@@ -421,27 +419,27 @@ def _shorten_runs(gates: list[Gate], dim: Dimension) -> list[Gate]:
 # full decomposition
 
 
-def _require_unit(vec: np.ndarray, idx: int, qudit: int, line: str) -> None:
+def _require_unit(vec: Sequence[int], idx: int, qudit: int, line: str) -> None:
     """Raise unless ``vec`` (row or column ``idx``) is the unit vector e_idx."""
-    if vec[idx] != 1 or np.count_nonzero(vec) != 1:
+    if vec[idx] != 1 or vec.count(0) != len(vec) - 1:
         raise SynthesisCheckError(
-            f"qudit {qudit}: {line} {idx} is not the unit vector e_{idx}: {vec.tolist()}"
+            f"qudit {qudit}: {line} {idx} is not the unit vector e_{idx}: {list(vec)}"
         )
 
 
 def _eliminate(m: SymplecticMatrix) -> list[Gate]:
     """The unmerged elimination program of `decompose`, before `_shorten_runs`.
 
-    Row operations (`act_left`) only, on one working copy of ``m``'s
-    inverse: the gates that reduce it to the identity are, in the order
-    applied, a program for ``m``. A loop over the qudits j, last to first:
-    the Z_j column, a word on qudits 0 to j, goes to a power of Z_j with
-    the word normal form (`_peg_gates`) and is rescaled to Z_j. The X_j
-    column then has x_j = 1 (symplecticity), and gates that fix Z_j clear
-    the rest of it: a sum gate from j for each x_i, a Fourier gate and a
-    sum gate for each z_i, and a phase power on j for z_j. Qudit j is then
-    the identity and no later step touches it; j = 0 is the same step on
-    a one-qudit word.
+    Row operations (`act_left`, on packed rows) only, on one working copy
+    of ``m``'s inverse: the gates that reduce it to the identity are, in
+    the order applied, a program for ``m``. A loop over the qudits j, last
+    to first: the Z_j column, a word on qudits 0 to j, goes to a power of
+    Z_j with the word normal form (`_peg_gates`) and is rescaled to Z_j.
+    The X_j column then has x_j = 1 (symplecticity), and gates that fix
+    Z_j clear the rest of it: a sum gate from j for each x_i, a Fourier
+    gate and a sum gate for each z_i, and a phase power on j for z_j.
+    Qudit j is then the identity and no later step touches it; j = 0 is
+    the same step on a one-qudit word.
 
     Each elimination is checked in O(n); a failure raises
     `SynthesisCheckError`, and a column gcd that is not a unit raises
@@ -449,40 +447,45 @@ def _eliminate(m: SymplecticMatrix) -> list[Gate]:
     """
     n, dim = m.n, m.dim
     D = dim.D
-    work = inverse(m).mat.copy()
+    packed = _PackedRows(2 * n, D)
+    work = [packed.pack(row) for row in inverse(m).rows]
+    entry = packed.entry
     gates: list[Gate] = []
 
     def push(step: list[Gate]) -> None:
         for g in step:
-            act_left(work, g, n, D)
+            packed.act(work, g, n)
         gates.extend(step)
+
+    def column(c: int) -> list[int]:
+        return [entry(row, c) for row in work]
 
     for j in range(n - 1, -1, -1):
         z = n + j
-        col = work[:, z].tolist()
+        col = column(z)
         push(_peg_gates(col[: j + 1], col[n : z + 1], D)[0])
-        k = int(work[z, z])
+        k = entry(work[z], z)
         kinv = mod_inverse(k, D)
         if kinv is None:
             raise NonSymplecticError(f"column gcd {k} is not a unit mod {D}")
         if k != 1:
             push(_scale_gates(kinv, D, j))
-        _require_unit(work[:, z], z, j, "column")
+        _require_unit(column(z), z, j, "column")
 
         # clear column j with gates that fix Z_j; each reads x_j = 1
         for i in range(j):
-            e = int(work[i, j])
+            e = entry(work[i], j)
             if e:
                 push([Sum(j, i, -e % D)])
-            e = int(work[n + i, j])
+            e = entry(work[n + i], j)
             if e:
                 push([Fourier(i), Sum(j, i, e)])
-        e = int(work[z, j])
+        e = entry(work[z], j)
         if e:
             push([Phase(j, -e % D)])
-        _require_unit(work[:, j], j, j, "column")
-        _require_unit(work[z], z, j, "row")
-        _require_unit(work[j], j, j, "row")
+        _require_unit(column(j), j, j, "column")
+        _require_unit(packed.unpack(work[z]), z, j, "row")
+        _require_unit(packed.unpack(work[j]), j, j, "row")
     return gates
 
 

@@ -42,6 +42,7 @@ tolerance, since they accept arbitrary unitaries.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -123,10 +124,19 @@ def pauli_unitaries(dim: Dimension) -> tuple[DenseOperator, DenseOperator]:
     return word_unitary(PauliWord(dim, (1,), (0,))), word_unitary(PauliWord(dim, (0,), (1,)))
 
 
+@functools.lru_cache(maxsize=8)
 def _fourier_1q(dim: Dimension) -> np.ndarray:
+    """The d x d Fourier table, built once per dimension and read-only.
+
+    The exponents j*k are reduced mod d first: omega's rounding error grows
+    with the exponent, to 1.9e-12 per entry at d = 256 for exponents up to
+    (d-1)^2, against 7.6e-15 for exponents below d.
+    """
     k = np.arange(dim.d)
     # column j holds omega^(j*k) / sqrt(d)
-    return omega(dim) ** np.outer(k, k) / np.sqrt(dim.d)
+    table = omega(dim) ** (np.outer(k, k) % dim.d) / np.sqrt(dim.d)
+    table.flags.writeable = False
+    return table
 
 
 def _phase_1q(dim: Dimension, power: int) -> np.ndarray:
@@ -260,10 +270,10 @@ def check_program(seq: GateSequence, m: SymplecticMatrix) -> bool:
     """
     if seq.n != m.n or seq.dim != m.dim:
         raise DimensionMismatchError("program and matrix disagree on layout")
-    _check_scale(seq.dim.d**seq.n, MAX_DENSE_SIDE, "dense oracle")
-    # generator i is column i of the identity, and its image column i of m
-    columns = zip(np.eye(2 * seq.n, dtype=np.int64), m.mat.T)
-    pairs = [
-        (PauliWord.from_vector(g, m.dim), PauliWord.from_vector(c, m.dim)) for g, c in columns
-    ]
+    n, dim = m.n, m.dim
+    _check_scale(dim.d**n, MAX_DENSE_SIDE, "dense oracle")
+    # generator i (X_i, then Z_i) maps to the word of column i of m
+    gens = [PauliWord.x_generator(i, n, dim) for i in range(n)]
+    gens += [PauliWord.z_generator(i, n, dim) for i in range(n)]
+    pairs = [(g, PauliWord(dim, col[:n], col[n:])) for g, col in zip(gens, zip(*m.rows))]
     return _maps_words(seq, pairs)

@@ -365,3 +365,61 @@ class TestSubprocess:
         proc = subprocess.run(argv, capture_output=True, text=True, env=child_env(CS_TOL="1e-12"))
         assert proc.returncode == plain.returncode == 0
         assert proc.stdout == plain.stdout
+
+
+class TestNumpyOnlyForTheOracle:
+    """Child processes load numpy only for the dense oracle.
+
+    ``-X importtime`` lists every module a child imports on stderr, so a
+    missing ``numpy`` line shows that nothing imported it.
+    """
+
+    def _child(self, tmp_path, *args, stdin=None):
+        (tmp_path / "m.txt").write_text(SWAP_D3_TEXT)
+        (tmp_path / "good.txt").write_text("C 0 1 1\nF 0\nF 1\nC 0 1 1\nF 0\nF 1\nC 0 1 1\nF 1\nF 1\n")
+        (tmp_path / "bad.txt").write_text("C 0 1 1\n")
+        return subprocess.run(
+            [sys.executable, "-X", "importtime", *args],
+            input=stdin,
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=child_env(),
+        )
+
+    @staticmethod
+    def _loads_numpy(stderr: str) -> bool:
+        return any(line.split("|")[-1].strip() == "numpy" for line in stderr.splitlines())
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["-c", "import cliffsynth"],
+            ["-c", "import cliffsynth.cli"],
+            ["-m", "cliffsynth", "synth", "m.txt", "--verify", "symplectic"],
+            ["-m", "cliffsynth", "verify", "m.txt", "good.txt", "--mode", "symplectic"],
+            ["-m", "cliffsynth", "transport", "d=6 n=2 a=1,0 b=0,3", "d=6 n=2 a=0,2 b=3,1"],
+            ["-m", "cliffsynth", "peg", "d=7 n=2 a=1,2 b=3,4"],
+            ["-m", "cliffsynth", "embed-check", "2", "3", "4"],
+        ],
+    )
+    def test_exact_paths_never_load_numpy(self, tmp_path, args):
+        proc = self._child(tmp_path, *args)
+        assert proc.returncode == 0, proc.stderr
+        assert not self._loads_numpy(proc.stderr)
+
+    @pytest.mark.parametrize(
+        "args, code, out",
+        [
+            (["synth", "m.txt", "--verify", "unitary"], 0, None),
+            (["verify", "m.txt", "good.txt", "--mode", "unitary"], 0, "ok\n"),
+            (["verify", "m.txt", "bad.txt", "--mode", "unitary"], 4, "mismatch\n"),
+            (["peg", "d=7 n=2 a=1,2 b=3,4", "--verify", "unitary"], 0, None),
+            (["transport", "d=6 n=2 a=1,0 b=0,3", "d=6 n=2 a=0,2 b=3,1", "--verify", "unitary"], 0, None),
+        ],
+    )
+    def test_unitary_paths_load_numpy_and_decide(self, tmp_path, args, code, out):
+        proc = self._child(tmp_path, "-m", "cliffsynth", *args)
+        assert proc.returncode == code, proc.stderr
+        assert out is None or proc.stdout == out
+        assert self._loads_numpy(proc.stderr)

@@ -25,7 +25,15 @@ from cliffsynth import (
     sequence_matrix,
     sip,
 )
-from cliffsynth.symplectic import Fourier, Phase, Sum, _normalize_gate, invert_gate
+from cliffsynth.modring import MAX_DIMENSION
+from cliffsynth.symplectic import (
+    Fourier,
+    Phase,
+    Sum,
+    _normalize_gate,
+    _PackedRows,
+    invert_gate,
+)
 
 from conftest import gate_lists, random_gate_sequence, random_word_exponents
 
@@ -178,6 +186,75 @@ class TestGateAction:
             left = w.copy()
             act_left(left, g, n, D)
             assert np.array_equal(left, g_mat @ w % D), g
+
+    @pytest.mark.parametrize("d", [2, 5, 12])
+    def test_list_rows_match_ndarray(self, d):
+        # the Fourier swap must not read a row view it has already overwritten
+        dim = Dimension.of(d)
+        n, D = 3, dim.D
+        rng = np.random.default_rng(d)
+        for g in all_generator_gates(n, dim):
+            w = rng.integers(0, D, size=(2 * n, 2 * n), dtype=np.int64)
+            arr, rows = w.copy(), [tuple(row) for row in w.tolist()]
+            act_left(arr, g, n, D)
+            act_left(rows, g, n, D)
+            assert arr.tolist() == [list(row) for row in rows], g
+
+    @pytest.mark.parametrize("d", [2, 3, 12, 97, MAX_DIMENSION])
+    def test_packed_rows_match_list_rows(self, d):
+        dim = Dimension.of(d)
+        n, D = 3, dim.D
+        rng = np.random.default_rng(d)
+        powers = [0, 1, D - 1, D, -1, 3 * D + 2]
+        gates = [Fourier(i) for i in range(n)] + [Phase(i, e) for i in range(n) for e in powers]
+        gates += [Sum(c, t, e) for c, t in [(0, 1), (2, 0), (1, 2)] for e in powers]
+        packed = _PackedRows(2 * n, D)
+        for g in gates:
+            rows = [tuple(int(v) for v in rng.integers(0, D, size=2 * n)) for _ in range(2 * n)]
+            work = [packed.pack(row) for row in rows]
+            packed.act(work, g, n)
+            act_left(rows, _normalize_gate(g, D), n, D)
+            assert [packed.unpack(x) for x in work] == [tuple(row) for row in rows], g
+            assert [[packed.entry(x, c) for c in range(2 * n)] for x in work] == [
+                list(row) for row in rows
+            ]
+
+
+class TestRowStorage:
+    def test_ndarray_and_nested_lists_agree(self):
+        m = sequence_matrix(random_gate_sequence(3, DIM6, 30, 4))
+        as_lists = [list(row) for row in m.rows]
+        for source in (m.mat, as_lists, np.array(as_lists) + 12, tuple(m.rows)):
+            other = SymplecticMatrix(DIM6, source)
+            assert other == m and other.rows == m.rows
+            assert all(type(v) is int for row in other.rows for v in row)
+        assert hash(SymplecticMatrix(DIM6, as_lists)) == hash(m)
+
+    def test_mat_is_read_only_int64_copy_of_rows(self):
+        m = sequence_matrix(random_gate_sequence(2, DIM6, 20, 1))
+        assert m.mat.dtype == np.int64 and m.mat.tolist() == [list(row) for row in m.rows]
+        with pytest.raises(ValueError):
+            m.mat[0, 0] = 1
+
+    @pytest.mark.parametrize("bad", [[[1, 0], [0]], [1, 0], [[1, "x"], [0, 1]], []])
+    def test_malformed_input(self, bad):
+        with pytest.raises(MalformedMatrixError):
+            SymplecticMatrix(DIM6, bad)
+
+    @pytest.mark.parametrize("d", [2, 97, MAX_DIMENSION])
+    def test_products_match_int_reference(self, d):
+        # entries up to 2 * 10^6: products far beyond what fits a packed
+        # field unreduced, checked against numpy's exact int64 product
+        dim = Dimension.of(d)
+        a = sequence_matrix(random_gate_sequence(4, dim, 60, d))
+        b = sequence_matrix(random_gate_sequence(4, dim, 60, d + 1))
+        assert compose(a, b).mat.tolist() == (a.mat @ b.mat % dim.D).tolist()
+        assert compose(inverse(a), a) == SymplecticMatrix.identity(4, dim)
+        assert is_symplectic(a.mat, dim) and not is_symplectic(a.mat * 2, dim)
+        w = PauliWord(dim, *random_word_exponents(4, d, d))
+        assert list(apply_to_word(a, w).xexp + apply_to_word(a, w).zexp) == (
+            a.mat @ w.vector() % d
+        ).tolist()
 
 
 class TestCompose:

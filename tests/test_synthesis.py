@@ -700,7 +700,7 @@ class TestDecomposeChecks:
         bad = np.eye(6, dtype=np.int64)
         bad[5, 0] = 1
         monkeypatch.setattr(
-            cliffsynth.synthesis, "inverse", lambda m: SimpleNamespace(mat=bad)
+            cliffsynth.synthesis, "inverse", lambda m: SimpleNamespace(rows=bad.tolist())
         )
         with pytest.raises(SynthesisCheckError, match=r"^qudit 2: row 5 "):
             decompose(self._matrix())
@@ -709,7 +709,7 @@ class TestDecomposeChecks:
         bad = np.eye(4, dtype=np.int64)
         bad[3, 3] = 2
         monkeypatch.setattr(
-            cliffsynth.synthesis, "inverse", lambda m: SimpleNamespace(mat=bad)
+            cliffsynth.synthesis, "inverse", lambda m: SimpleNamespace(rows=bad.tolist())
         )
         with pytest.raises(NonSymplecticError, match="column gcd 2 is not a unit mod 12"):
             decompose(SymplecticMatrix.identity(2, DIM6))
