@@ -40,7 +40,6 @@ from .symplectic import (
     Phase,
     Sum,
     SymplecticMatrix,
-    act_left,
     apply_to_word,
     compose,
     format_gate,
@@ -52,7 +51,6 @@ from .symplectic import (
     parse_gate_line,
     parse_matrix_text,
     sequence_matrix,
-    symplectic_form,
 )
 from .synthesis import (
     decompose,
@@ -115,7 +113,6 @@ __all__ = [
     "Sum",
     "SymplecticMatrix",
     "SynthesisCheckError",
-    "act_left",
     "apply_to_word",
     "check_program",
     "check_symmetric_logical_action",
@@ -154,7 +151,6 @@ __all__ = [
     "sip_matrix_form",
     "sum_peg",
     "swap_sequence",
-    "symplectic_form",
     "transport",
     "verify_single_witness",
     "word_unitary",

@@ -19,7 +19,7 @@ mod D.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from operator import index, mul
 from typing import TYPE_CHECKING, Literal, Sequence
 
 from .errors import CliffSynthError, DimensionMismatchError
@@ -45,6 +45,11 @@ class Embedding:
     r_z: int
 
     def __post_init__(self) -> None:
+        try:
+            for value in (self.n, self.r_x, self.r_z):
+                index(value)
+        except TypeError:
+            raise CliffSynthError(f"embedding parameters must be integers: {self}") from None
         if self.n < 2:
             raise CliffSynthError(f"logical dimension must be >= 2, got {self.n}")
         if self.r_x < 1 or self.r_z < 1:

@@ -19,7 +19,8 @@ class DimensionMismatchError(CliffSynthError):
 
 
 class MalformedMatrixError(CliffSynthError):
-    """A matrix argument has the wrong shape or out-of-range entries."""
+    """A matrix, gate or word argument has the wrong shape, or entries
+    that are out of range or not integers."""
 
 
 class NonSymplecticError(CliffSynthError):

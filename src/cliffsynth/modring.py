@@ -11,6 +11,7 @@ negative intermediates are reduced immediately so equality tests are exact.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import CliffSynthError, ScaleLimitError
@@ -42,12 +43,11 @@ class Dimension:
     @classmethod
     def of(cls, d: int) -> "Dimension":
         """Build the dimension pair for Hilbert-space dimension ``d``."""
-        d = int(d)
+        try:
+            d = operator.index(d)
+        except TypeError:
+            raise CliffSynthError(f"dimension d must be an integer >= 2, got {d!r}") from None
         return cls(d, d if d % 2 == 1 else 2 * d)
-
-    @property
-    def even(self) -> bool:
-        return self.d % 2 == 0
 
 
 def gcd0(a: int, b: int) -> int:

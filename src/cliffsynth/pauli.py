@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from operator import index
+from typing import TYPE_CHECKING, Sequence
 
-from .errors import DimensionMismatchError, ParseError
+from .errors import DimensionMismatchError, MalformedMatrixError, ParseError
 from .modring import Dimension
 
 if TYPE_CHECKING:
@@ -41,8 +42,12 @@ class PauliWord:
                 f"{len(self.xexp)} and {len(self.zexp)}"
             )
         d = self.dim.d
-        object.__setattr__(self, "xexp", tuple(int(a) % d for a in self.xexp))
-        object.__setattr__(self, "zexp", tuple(int(b) % d for b in self.zexp))
+        try:
+            xexp, zexp = (tuple(index(v) % d for v in vec) for vec in (self.xexp, self.zexp))
+        except TypeError:
+            raise MalformedMatrixError(f"exponents must be integers: {self}") from None
+        object.__setattr__(self, "xexp", xexp)
+        object.__setattr__(self, "zexp", zexp)
 
     @property
     def n(self) -> int:
@@ -59,16 +64,18 @@ class PauliWord:
         return np.array(self.xexp + self.zexp, dtype=np.int64)
 
     @classmethod
-    def from_vector(cls, vec: np.ndarray | list[int], dim: Dimension) -> "PauliWord":
-        import numpy as np
-
-        vec = np.asarray(vec, dtype=np.int64)
-        if vec.ndim != 1 or vec.size % 2 != 0 or vec.size == 0:
+    def from_vector(cls, vec: Sequence[int], dim: Dimension) -> "PauliWord":
+        """The word with exponent vector ``vec``, a sequence or 1-D array of integers."""
+        try:
+            vec = tuple(vec)
+        except TypeError:  # a scalar
+            vec = ()
+        if len(vec) % 2 != 0 or not vec:
             raise DimensionMismatchError(
-                f"exponent vector must have even positive length, got shape {vec.shape}"
+                f"exponent vector must have even positive length, got {len(vec)} entries"
             )
-        n = vec.size // 2
-        return cls(dim, tuple(vec[:n].tolist()), tuple(vec[n:].tolist()))
+        n = len(vec) // 2
+        return cls(dim, vec[:n], vec[n:])
 
     @classmethod
     def x_generator(cls, i: int, n: int, dim: Dimension) -> "PauliWord":

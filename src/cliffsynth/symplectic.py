@@ -15,14 +15,14 @@ reversed product of its gate matrices.
 Matrix entries live mod D; Pauli exponent vectors live mod d. Applying a
 matrix to a word reduces the product mod d. Both are Python ints, exact at
 any size; numpy is imported only for the dense references (``gate_matrix``,
-``symplectic_form``, ``SymplecticMatrix.mat``).
+``SymplecticMatrix.mat``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
-from typing import TYPE_CHECKING, Iterable, Iterator, MutableSequence, Sequence, Union
+from operator import index, mul
+from typing import TYPE_CHECKING, Iterable, Iterator, Union
 
 from .errors import (
     DimensionMismatchError,
@@ -89,18 +89,24 @@ def _gate_max_index(g: Gate) -> int:
 
 
 def _normalize_gate(g: Gate, D: int) -> Gate:
-    """Reduce gate exponents into [0, D); a gate already in range is returned as is."""
-    if type(g) is Fourier or 0 <= g.power < D:
-        return g
-    if type(g) is Phase:
-        return Phase(g.qudit, g.power % D)
-    return Sum(g.control, g.target, g.power % D)
+    """The gate with int fields and its power in [0, D); a gate already so
+    is returned as is. A field that is not an integer raises
+    `MalformedMatrixError`."""
+    fields = tuple(vars(g).values())
+    try:
+        ints = [index(v) for v in fields]
+    except TypeError:
+        raise MalformedMatrixError(f"gate {g} has a field that is not an integer") from None
+    if type(g) is not Fourier:
+        ints[-1] %= D
+    in_form = ints == list(fields) and all(type(v) is int for v in fields)
+    return g if in_form else type(g)(*ints)
 
 
 def gate_matrix(g: Gate, n: int, dim: Dimension) -> np.ndarray:
     """The 2n x 2n classical matrix of a generator gate, entries in [0, D).
 
-    A dense int64 reference, built without `act_left`.
+    A dense int64 reference, built without `_PackedRows.act`.
     """
     import numpy as np
 
@@ -123,38 +129,13 @@ def gate_matrix(g: Gate, n: int, dim: Dimension) -> np.ndarray:
     return m
 
 
-def act_left(work: MutableSequence[Sequence[int]], g: Gate, n: int, D: int) -> None:
-    """In place, ``work := gate_matrix(g) @ work mod D`` as row operations.
-
-    ``work`` is a list of int rows or an int64 ndarray; each row a gate
-    touches is replaced, never changed in place, so rows may be tuples.
-    Each generator touches at most two rows, so one gate costs O(n), the
-    row update of a stabilizer tableau (Aaronson and Gottesman,
-    arXiv:quant-ph/0406196). An ndarray ``work`` needs entries and gate
-    exponent in [0, D), as in a ``GateSequence``, so that no product wraps.
-    """
-    if isinstance(g, Fourier):
-        i = g.qudit
-        x = work[i]
-        # Row n + i is written first: on an ndarray ``x`` is a view of row i,
-        # which must still hold the old values then.
-        work[n + i], work[i] = x, [-v % D for v in work[n + i]]
-    elif isinstance(g, Phase):
-        q, e = g.qudit, g.power
-        work[n + q] = [(v + e * u) % D for v, u in zip(work[n + q], work[q])]
-    else:
-        c, t, e = g.control, g.target, g.power
-        work[t] = [(v + e * u) % D for v, u in zip(work[t], work[c])]
-        work[n + c] = [(v - e * u) % D for v, u in zip(work[n + c], work[n + t])]
-
-
 class _PackedRows:
     """Rows of ``size`` entries over Z_D, each packed into one int.
 
     Entry c of a row is field c, ``width`` = 8 * ``nbytes`` bits, least
     significant first, so a row operation is a few operations on whole
-    ints, not a loop over the entries: `act` is `act_left` on packed rows,
-    and `combine` a linear combination of up to ``terms`` rows. A field
+    ints, not a loop over the entries: `act` applies one gate, and
+    `combine` forms a linear combination of up to ``terms`` rows. A field
     that starts in [0, D) stays at most ``top`` = (D-1) + terms * (D-1)^2
     before it is reduced, and at most ``top * recip`` < 2^width when
     multiplied by ``recip``, so no field carries into the next. For
@@ -200,7 +181,12 @@ class _PackedRows:
         return self._reduce(sum(map(mul, coeffs, rows)))
 
     def act(self, work: list[int], g: Gate, n: int) -> None:
-        """In place, `act_left` of ``g`` on the packed rows ``work``."""
+        """In place, ``work := gate_matrix(g) @ work mod D`` on the packed rows.
+
+        Each generator touches at most two rows, so one gate costs O(n),
+        the row update of a stabilizer tableau (Aaronson and Gottesman,
+        arXiv:quant-ph/0406196). The gate's power may lie outside [0, D).
+        """
         D, reduce = self.D, self._reduce
         if isinstance(g, Fourier):
             i = g.qudit
@@ -249,10 +235,10 @@ def merge_gates(gates: Iterable[Gate], dim: Dimension) -> list[Gate]:
     out: list[Gate] = []
     for g in gates:
         kind = type(g)
-        if kind is not Fourier and not 0 <= g.power < D:
-            g = _normalize_gate(g, D)
         prev = out[-1] if out else None
         if kind is Fourier:
+            if type(g.qudit) is not int:
+                g = _normalize_gate(g, D)
             if type(prev) is Fourier and prev.qudit == g.qudit:
                 # count the trailing run, wrap at 4
                 run = 0
@@ -263,6 +249,8 @@ def merge_gates(gates: Iterable[Gate], dim: Dimension) -> list[Gate]:
             else:
                 out.append(g)
         elif kind is Phase:
+            if not (type(g.qudit) is type(g.power) is int and 0 <= g.power < D):
+                g = _normalize_gate(g, D)
             if type(prev) is Phase and prev.qudit == g.qudit:
                 out.pop()
                 p = (prev.power + g.power) % D
@@ -270,13 +258,18 @@ def merge_gates(gates: Iterable[Gate], dim: Dimension) -> list[Gate]:
                     out.append(Phase(g.qudit, p))
             elif g.power:
                 out.append(g)
-        elif type(prev) is Sum and prev.control == g.control and prev.target == g.target:
-            out.pop()
-            p = (prev.power + g.power) % D
-            if p:
-                out.append(Sum(g.control, g.target, p))
-        elif g.power:
-            out.append(g)
+        else:
+            if not (
+                type(g.control) is type(g.target) is type(g.power) is int and 0 <= g.power < D
+            ):
+                g = _normalize_gate(g, D)
+            if type(prev) is Sum and prev.control == g.control and prev.target == g.target:
+                out.pop()
+                p = (prev.power + g.power) % D
+                if p:
+                    out.append(Sum(g.control, g.target, p))
+            elif g.power:
+                out.append(g)
     return out
 
 
@@ -309,16 +302,6 @@ def parse_gate_line(line: str) -> Gate:
 Rows = tuple[tuple[int, ...], ...]
 
 
-def symplectic_form(n: int, D: int) -> np.ndarray:
-    """The block matrix [[0, I], [-I, 0]] over Z_D, as a dense int64 reference."""
-    import numpy as np
-
-    s = np.zeros((2 * n, 2 * n), dtype=np.int64)
-    s[:n, n:] = np.eye(n, dtype=np.int64)
-    s[n:, :n] = (D - 1) * np.eye(n, dtype=np.int64)
-    return s
-
-
 def _as_rows(mat: object, dim: Dimension) -> Rows:
     """The rows of a square integer matrix of even side, reduced into [0, D).
 
@@ -328,8 +311,8 @@ def _as_rows(mat: object, dim: Dimension) -> Rows:
         mat = mat.tolist()
     D = dim.D
     try:
-        rows = tuple(tuple(int(v) % D for v in row) for row in mat)
-    except (TypeError, ValueError):
+        rows = tuple(tuple(index(v) % D for v in row) for row in mat)
+    except TypeError:
         raise MalformedMatrixError("expected a square matrix of integers") from None
     side = len(rows)
     if any(len(row) != side for row in rows):
@@ -342,8 +325,9 @@ def _as_rows(mat: object, dim: Dimension) -> Rows:
     return rows
 
 
-def _symplectic_rows(rows: Rows, D: int) -> bool:
-    """True iff N^T S N = S mod D.
+def _symplectic_defect(rows: Rows, D: int) -> str | None:
+    """None if N^T S N = S mod D, else the first entry (r, c) that differs:
+    the product of the images of generators r and c.
 
     Row k of S N is row n + k of N for k < n, and minus row k - n below,
     so row r of N^T S N is the combination of the rows of S N with the
@@ -355,14 +339,21 @@ def _symplectic_rows(rows: Rows, D: int) -> bool:
     s_n += [packed.pack([-v % D for v in row]) for row in rows[:n]]
     for r, col in enumerate(zip(*rows)):
         s_row = packed.unit(n + r) if r < n else (D - 1) * packed.unit(r - n)
-        if packed.combine(col, s_n) != s_row:
-            return False
-    return True
+        got = packed.combine(col, s_n)
+        if got != s_row:
+            pairs = zip(packed.unpack(got), packed.unpack(s_row))
+            c, v, w = next((c, v, w) for c, (v, w) in enumerate(pairs) if v != w)
+            gen_r, gen_c = (f"{'XZ'[k >= n]}_{k % n}" for k in (r, c))
+            return (
+                f"the images of {gen_r} and {gen_c} (columns {r} and {c}) "
+                f"have symplectic product {v}, not {w}"
+            )
+    return None
 
 
 def is_symplectic(mat: object, dim: Dimension) -> bool:
     """True iff N^T S N = S mod D."""
-    return _symplectic_rows(_as_rows(mat, dim), dim.D)
+    return _symplectic_defect(_as_rows(mat, dim), dim.D) is None
 
 
 @dataclass(frozen=True)
@@ -380,9 +371,9 @@ class SymplecticMatrix:
 
     def __post_init__(self) -> None:
         rows = _as_rows(self.rows, self.dim)
-        if not _symplectic_rows(rows, self.dim.D):
-            text = "\n".join(" ".join(map(str, row)) for row in rows)
-            raise NonSymplecticError(f"matrix is not symplectic mod {self.dim.D}:\n{text}")
+        defect = _symplectic_defect(rows, self.dim.D)
+        if defect is not None:
+            raise NonSymplecticError(f"matrix is not symplectic mod {self.dim.D}: {defect}")
         object.__setattr__(self, "rows", rows)
 
     @classmethod
@@ -466,21 +457,24 @@ class GateSequence:
         n, D = self.n, self.dim.D
         if n < 1:
             raise DimensionMismatchError(f"qudit count must be >= 1, got {n}")
-        normalized = []
-        for g in self.gates:
+        gates = tuple(self.gates)
+        for g in gates:
             kind = type(g)
             if kind is Sum:
-                ok = g.control < n and g.target < n and 0 <= g.power < D
+                c, t, e = g.control, g.target, g.power
+                ok = type(c) is type(t) is type(e) is int and c < n and t < n and 0 <= e < D
             elif kind is Phase:
-                ok = g.qudit < n and 0 <= g.power < D
+                q, e = g.qudit, g.power
+                ok = type(q) is type(e) is int and q < n and 0 <= e < D
             else:
-                ok = kind is Fourier and g.qudit < n
-            if not ok:
-                if _gate_max_index(g) >= n:
-                    raise MalformedMatrixError(f"gate {g} out of range for n={n}")
-                g = _normalize_gate(g, D)
-            normalized.append(g)
-        object.__setattr__(self, "gates", tuple(normalized))
+                ok = kind is Fourier and type(g.qudit) is int and g.qudit < n
+            if not ok:  # some gate is out of range or not in normal form
+                gates = tuple(_normalize_gate(h, D) for h in gates)
+                for h in gates:
+                    if _gate_max_index(h) >= n:
+                        raise MalformedMatrixError(f"gate {h} out of range for n={n}")
+                break
+        object.__setattr__(self, "gates", gates)
 
     def __len__(self) -> int:
         return len(self.gates)

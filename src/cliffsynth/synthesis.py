@@ -15,10 +15,10 @@ takes the normal form of one word and the inverse normal form of the
 other, whose single-qudit words come from the same loop, inverted as
 matrices. The full n-qudit decomposition works in two stages.
 Elimination (`_eliminate`) reduces the inverse of the input to the
-identity with row operations only (`act_left`), last qudit first: the
-normal form takes each Z_j column to Z_j, then gates that fix Z_j clear
-the X_j column. The gates, in the order applied, are a program for the
-input. Then one scan (`_shorten_runs`) joins each qudit's run of
+identity with row operations only (`_PackedRows.act`), last qudit first:
+the normal form takes each Z_j column to Z_j, then gates that fix Z_j
+clear the X_j column. The gates, in the order applied, are a program for
+the input. Then one scan (`_shorten_runs`) joins each qudit's run of
 Fourier and phase gates between sum gates, normal-form words with the
 scale and clearing gates around them, and replaces it by the
 shortest-known program for its 2x2 matrix when that is shorter. The
@@ -430,7 +430,7 @@ def _require_unit(vec: Sequence[int], idx: int, qudit: int, line: str) -> None:
 def _eliminate(m: SymplecticMatrix) -> list[Gate]:
     """The unmerged elimination program of `decompose`, before `_shorten_runs`.
 
-    Row operations (`act_left`, on packed rows) only, on one working copy
+    Row operations (`_PackedRows.act`) only, on one working copy
     of ``m``'s inverse: the gates that reduce it to the identity are, in
     the order applied, a program for ``m``. A loop over the qudits j, last
     to first: the Z_j column, a word on qudits 0 to j, goes to a power of

@@ -84,6 +84,11 @@ class TestEmbeddingType:
         with pytest.raises(CliffSynthError):
             Embedding(2, 0, 1)
 
+    @pytest.mark.parametrize("params", [(2.5, 1, 1), (2, 1.5, 1), (2, 1, 2.0), (2, "1", 1)])
+    def test_rejects_non_integers(self, params):
+        with pytest.raises(CliffSynthError, match="must be integers"):
+            Embedding(*params)
+
     def test_shift_protection_metadata(self):
         assert QUBIT_IN_24.shift_protection == (1.5, 2.0)
 

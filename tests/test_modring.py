@@ -27,6 +27,15 @@ class TestDimension:
         with pytest.raises(CliffSynthError):
             Dimension.of(10**9)
 
+    @pytest.mark.parametrize("d", [5.5, 6.0, "7", None])
+    def test_rejects_non_integers(self, d):
+        with pytest.raises(CliffSynthError, match="must be an integer"):
+            Dimension.of(d)
+
+    def test_numpy_integers_accepted(self):
+        dim = Dimension.of(np.int64(6))
+        assert dim == Dimension.of(6) and type(dim.d) is int and type(dim.D) is int
+
     def test_cap_is_a_scale_limit(self):
         assert Dimension.of(MAX_DIMENSION).d == MAX_DIMENSION
         with pytest.raises(ScaleLimitError, match=f"exceeds the supported cap {MAX_DIMENSION}"):

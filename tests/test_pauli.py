@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cliffsynth import (
     Dimension,
     DimensionMismatchError,
+    MalformedMatrixError,
     ParseError,
     PauliWord,
     commutes,
@@ -147,6 +148,22 @@ class TestWordBasics:
     def test_vector_round_trip(self):
         w = word(6, [1, 0], [0, 3])
         assert PauliWord.from_vector(w.vector(), w.dim) == w
+
+    @pytest.mark.parametrize("xs, zs", [((1.5,), (0.7,)), ((1,), ("0",)), ((1, 0), (0, 2.0))])
+    def test_non_integer_exponents_rejected(self, xs, zs):
+        with pytest.raises(MalformedMatrixError, match="must be integers"):
+            PauliWord(Dimension.of(5), xs, zs)
+        with pytest.raises(MalformedMatrixError, match="must be integers"):
+            PauliWord.from_vector(list(xs + zs), Dimension.of(5))
+
+    def test_from_vector_takes_integer_sequences(self):
+        w = word(6, [1, 0], [0, 3])
+        for vec in ([1, 0, 0, 3], (1, 0, 0, 3), np.array([7, 6, 0, 9]), [np.int32(1), 0, 0, 3]):
+            got = PauliWord.from_vector(vec, w.dim)
+            assert got == w and all(type(a) is int for a in got.xexp + got.zexp)
+        for bad in ([1, 0, 0], [], 3, np.array(3)):
+            with pytest.raises(DimensionMismatchError):
+                PauliWord.from_vector(bad, w.dim)
 
     def test_text_round_trip(self):
         w = word(6, [1, 0], [0, 3])

@@ -13,7 +13,6 @@ from cliffsynth import (
     ParseError,
     PauliWord,
     SymplecticMatrix,
-    act_left,
     apply_to_word,
     compose,
     format_matrix_text,
@@ -117,6 +116,30 @@ class TestInverse:
         with pytest.raises(NonSymplecticError):
             SymplecticMatrix(DIM6, np.array([[1, 1], [1, 1]]))
 
+    def test_error_names_the_broken_generator_pair(self):
+        # 5 times the Z_1 column: X_1 and Z_1 now have product 5, not 1
+        rows = np.eye(6, dtype=np.int64)
+        rows[4, 4] = 5
+        with pytest.raises(NonSymplecticError) as err:
+            SymplecticMatrix(DIM6, rows)
+        assert str(err.value) == (
+            "matrix is not symplectic mod 12: the images of X_1 and Z_1 "
+            "(columns 1 and 4) have symplectic product 5, not 1"
+        )
+
+    @pytest.mark.parametrize("n", [3, 64])
+    def test_error_is_short_at_any_size(self, n):
+        # column Z_{n-1} += 7 * column X_0 leaves every product but the one
+        # of Z_0 and Z_{n-1}, which becomes -7; the message stays one line
+        m = sequence_matrix(random_gate_sequence(n, DIM6, 20 * n, n)).mat.copy()
+        m[:, 2 * n - 1] += 7 * m[:, 0]
+        with pytest.raises(NonSymplecticError) as err:
+            SymplecticMatrix(DIM6, m)
+        assert str(err.value) == (
+            f"matrix is not symplectic mod 12: the images of Z_0 and Z_{n - 1} "
+            f"(columns {n} and {2 * n - 1}) have symplectic product 5, not 0"
+        )
+
 
 class TestGateMatrix:
     def test_sum_gate_two_qudits(self):
@@ -166,58 +189,28 @@ class TestGateMatrix:
 
 
 class TestGateAction:
-    """The in-place kernel against the dense reference `gate_matrix`."""
+    """The packed-row kernel against the dense reference `gate_matrix`."""
 
     @pytest.mark.parametrize("n", [1, 3])
-    @pytest.mark.parametrize("d", [2, 5, 12])
+    @pytest.mark.parametrize("d", [2, 3, 5, 12, 97, MAX_DIMENSION])
     def test_matches_dense_product(self, d, n):
         dim = Dimension.of(d)
         D = dim.D
         rng = np.random.default_rng(100 * d + n)
-        powers = sorted({0, 1, D - 1, int(rng.integers(D))})
+        powers = [0, 1, D - 1, D, -1, 3 * D + 2]
         gates = [Fourier(i) for i in range(n)]
         gates += [Phase(i, e) for i in range(n) for e in powers]
         gates += [
             Sum(c, t, e) for c in range(n) for t in range(n) if c != t for e in powers
         ]
-        for g in gates:
-            w = rng.integers(0, D, size=(2 * n, 2 * n), dtype=np.int64)
-            g_mat = gate_matrix(g, n, dim)
-            left = w.copy()
-            act_left(left, g, n, D)
-            assert np.array_equal(left, g_mat @ w % D), g
-
-    @pytest.mark.parametrize("d", [2, 5, 12])
-    def test_list_rows_match_ndarray(self, d):
-        # the Fourier swap must not read a row view it has already overwritten
-        dim = Dimension.of(d)
-        n, D = 3, dim.D
-        rng = np.random.default_rng(d)
-        for g in all_generator_gates(n, dim):
-            w = rng.integers(0, D, size=(2 * n, 2 * n), dtype=np.int64)
-            arr, rows = w.copy(), [tuple(row) for row in w.tolist()]
-            act_left(arr, g, n, D)
-            act_left(rows, g, n, D)
-            assert arr.tolist() == [list(row) for row in rows], g
-
-    @pytest.mark.parametrize("d", [2, 3, 12, 97, MAX_DIMENSION])
-    def test_packed_rows_match_list_rows(self, d):
-        dim = Dimension.of(d)
-        n, D = 3, dim.D
-        rng = np.random.default_rng(d)
-        powers = [0, 1, D - 1, D, -1, 3 * D + 2]
-        gates = [Fourier(i) for i in range(n)] + [Phase(i, e) for i in range(n) for e in powers]
-        gates += [Sum(c, t, e) for c, t in [(0, 1), (2, 0), (1, 2)] for e in powers]
         packed = _PackedRows(2 * n, D)
         for g in gates:
-            rows = [tuple(int(v) for v in rng.integers(0, D, size=2 * n)) for _ in range(2 * n)]
-            work = [packed.pack(row) for row in rows]
+            w = rng.integers(0, D, size=(2 * n, 2 * n), dtype=np.int64)
+            work = [packed.pack(row) for row in w.tolist()]
             packed.act(work, g, n)
-            act_left(rows, _normalize_gate(g, D), n, D)
-            assert [packed.unpack(x) for x in work] == [tuple(row) for row in rows], g
-            assert [[packed.entry(x, c) for c in range(2 * n)] for x in work] == [
-                list(row) for row in rows
-            ]
+            expected = (gate_matrix(g, n, dim) @ w % D).tolist()
+            assert [list(packed.unpack(x)) for x in work] == expected, g
+            assert [[packed.entry(x, c) for c in range(2 * n)] for x in work] == expected
 
 
 class TestRowStorage:
@@ -240,6 +233,22 @@ class TestRowStorage:
     def test_malformed_input(self, bad):
         with pytest.raises(MalformedMatrixError):
             SymplecticMatrix(DIM6, bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[[1.9, 0.2], [0, 1.0]], [["1", "0"], ["0", "1"]], np.eye(2), [[1, 0], [0, 1.0]]],
+    )
+    def test_non_integer_entries_rejected(self, bad):
+        # each truncates to the identity, so only the type check rejects it
+        with pytest.raises(MalformedMatrixError, match="matrix of integers"):
+            SymplecticMatrix(Dimension.of(5), bad)
+        with pytest.raises(MalformedMatrixError):
+            is_symplectic(bad, Dimension.of(5))
+
+    def test_numpy_integers_accepted(self):
+        m = SymplecticMatrix(DIM6, [[np.int64(10), np.int32(9)], [np.uint8(3), 4]])
+        assert m == SymplecticMatrix(DIM6, GOLDEN_MATRIX)
+        assert all(type(v) is int for row in m.rows for v in row)
 
     @pytest.mark.parametrize("d", [2, 97, MAX_DIMENSION])
     def test_products_match_int_reference(self, d):
@@ -461,6 +470,23 @@ class TestNormalization:
     def test_qudit_out_of_range_raises(self, g):
         with pytest.raises(MalformedMatrixError, match="out of range for n=2"):
             GateSequence((Phase(0, 1), g), 2, DIM6)
+
+    @pytest.mark.parametrize(
+        "g",
+        [Phase(0, 2.5), Phase(0.0, 1), Fourier(0.5), Sum(0, 1, 1.0), Sum(0, 1.0, 1), Phase(0, "1")],
+    )
+    def test_non_integer_fields_rejected(self, g):
+        with pytest.raises(MalformedMatrixError, match="not an integer"):
+            GateSequence((Fourier(1), g), 2, DIM6)
+        with pytest.raises(MalformedMatrixError, match="not an integer"):
+            merge_gates([g, g], DIM6)
+
+    def test_numpy_integer_fields_become_ints(self):
+        gates = (Phase(np.int64(0), np.int64(-1)), Fourier(np.int32(1)), Sum(1, np.int64(0), 2))
+        seq = GateSequence(gates, 2, DIM6)
+        assert seq.gates == (Phase(0, DIM6.D - 1), Fourier(1), Sum(1, 0, 2))
+        assert all(type(v) is int for g in seq.gates for v in vars(g).values())
+        assert merge_gates(gates, DIM6) == list(seq.gates)
 
     def test_negative_powers_round_trip(self):
         seq = GateSequence.from_text("P 0 -1\nF 1\nC 1 0 -13\nP 1 -24", 2, DIM6)

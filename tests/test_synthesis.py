@@ -32,7 +32,7 @@ from cliffsynth import (
     swap_sequence,
     transport,
 )
-from cliffsynth.symplectic import Fourier, Phase, Sum, act_left, invert_gate, merge_gates
+from cliffsynth.symplectic import Fourier, Phase, Sum, invert_gate, merge_gates
 
 from cliffsynth.synthesis import (
     MAX_TABLE_D,
@@ -289,11 +289,11 @@ class TestShortestTable:
     def test_every_element_recomposes(self, D):
         assert D <= MAX_TABLE_D
         for p, q, r, s in sl2(D):
-            acc = np.eye(2, dtype=np.int64)
+            acc = (1, 0, 0, 1)
             for g in _table_word(p, q, r, s, D, 0):
                 assert type(g) is Fourier or 0 < g.power < D
-                act_left(acc, g, 1, D)
-            assert acc.tolist() == [[p, q], [r, s]]
+                acc = _act2(g, *acc, D)
+            assert acc == (p, q, r, s)
 
     @pytest.mark.parametrize("D", [3, 4, 5])
     def test_words_are_shortest(self, D):

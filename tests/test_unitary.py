@@ -443,7 +443,7 @@ class TestCheckProgramAgainstRecomposition:
             raise AssertionError("the dense oracle used the symplectic path")
 
         for module in (cliffsynth.symplectic, cliffsynth.unitary):
-            for name in ("act_left", "gate_matrix", "sequence_matrix"):
+            for name in ("gate_matrix", "sequence_matrix"):
                 monkeypatch.setattr(module, name, boom, raising=False)
         for seq, m, expected in cases:
             assert check_program(seq, m) == expected
