@@ -15,7 +15,6 @@ from cliffsynth import (
     format_word,
     omega,
     sip,
-    sip_matrix_form,
     word_unitary,
 )
 
@@ -26,7 +25,6 @@ v = PauliWord(dim, (1,), (3,))   # X Z^3
 print("u =", format_word(u))
 print("v =", format_word(v))
 print("sip(u, v) =", sip(u, v))
-print("matrix-form cross-check:", sip_matrix_form(u, v))
 print("commute?", commutes(u, v))
 
 # the same statement at the dense-unitary level: multiply in both orders

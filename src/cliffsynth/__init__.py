@@ -1,8 +1,10 @@
 """Exact synthesis of qudit Clifford operations.
 
-Clifford operations on n qudits of dimension d are represented, up to
-global phase, by 2n x 2n symplectic matrices over Z_D (D = d for odd d,
-2d for even d). This package decomposes any such matrix into an explicit
+Clifford operations on n qudits of dimension d are represented by
+2n x 2n symplectic matrices over Z_D (D = d for odd d, 2d for even d).
+The matrix records where the operation sends each Pauli word, up to that
+word's own phase, so it fixes the operation only up to a Pauli word and
+a global phase. This package decomposes any such matrix into an explicit
 program over three gate families (Fourier, phase-shift, sum), transports
 Pauli words into one another, verifies programs both symplectically and
 against a dense-unitary oracle, and decides whether logical Clifford
@@ -32,7 +34,7 @@ from .errors import (
     SynthesisCheckError,
 )
 from .modring import Dimension, gcd0, mod_inverse
-from .pauli import PauliWord, commutes, format_word, parse_word, sip, sip_matrix_form
+from .pauli import PauliWord, commutes, format_word, parse_word, sip
 from .symplectic import (
     Fourier,
     Gate,
@@ -70,9 +72,7 @@ _UNITARY_NAMES = frozenset(
         "equal_up_to_phase",
         "gate_unitary",
         "omega",
-        "omega_hat",
         "pauli_unitaries",
-        "relative_phase",
         "sequence_unitary",
         "word_unitary",
     }
@@ -137,18 +137,15 @@ __all__ = [
     "merge_gates",
     "mod_inverse",
     "omega",
-    "omega_hat",
     "parse_gate_line",
     "parse_matrix_text",
     "parse_word",
     "pauli_unitaries",
     "peg_reduce",
-    "relative_phase",
     "scale_sequence",
     "sequence_matrix",
     "sequence_unitary",
     "sip",
-    "sip_matrix_form",
     "sum_peg",
     "swap_sequence",
     "transport",

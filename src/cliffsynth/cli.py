@@ -9,13 +9,14 @@ Exit codes (the table in ``main``): 0 success, 1 infeasible transport,
 ``verify`` with both inputs on stdin; any other library error), 3 invalid
 input (NonSymplecticError, DegenerateWordError, DimensionMismatchError,
 MalformedMatrixError), 4 verification failure (also SynthesisCheckError),
-5 scale cap exceeded (ScaleLimitError: the dense oracle's side,
-embed-check's ambient dimension, or d above MAX_DIMENSION).
-``--verify unitary`` checks the oracle's cap before any output. The
-oracle has no tolerance to set: it decides each overlap at 1/2 (see
-``unitary``). Only ``--verify unitary`` and ``verify --mode unitary``
-import ``unitary``, and with it numpy; every other call runs on exact
-Python integers alone.
+5 scale cap exceeded (ScaleLimitError: a need above one of the caps in
+``errors.SCALE_CAPS``, such as the dense oracle's side, embed-check's
+ambient dimension or d itself). ``--verify unitary`` checks the oracle's
+cap before any output and before numpy is loaded. The oracle has no
+tolerance to set: it decides each overlap at 1/2 (see ``unitary``).
+Only ``--verify unitary`` and ``verify --mode unitary`` import
+``unitary``, and with it numpy; every other call runs on exact Python
+integers alone.
 """
 
 from __future__ import annotations
@@ -24,12 +25,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .embedding import (
-    MAX_EMBED_CHECK_D,
-    Embedding,
-    logical_feasible_single,
-    logical_feasible_sum,
-)
+from .embedding import Embedding, logical_feasible_single, logical_feasible_sum
 from .errors import (
     CliffSynthError,
     DegenerateWordError,
@@ -39,6 +35,7 @@ from .errors import (
     ParseError,
     ScaleLimitError,
     SynthesisCheckError,
+    check_scale,
 )
 from .pauli import PauliWord, parse_word
 from .symplectic import (
@@ -91,9 +88,7 @@ def _print_program(seq: GateSequence) -> None:
 
 def _check_oracle_scale(args: argparse.Namespace, layout: SymplecticMatrix | PauliWord) -> None:
     if args.verify == "unitary":
-        from .unitary import MAX_DENSE_SIDE, _check_scale
-
-        _check_scale(layout.dim.d**layout.n, MAX_DENSE_SIDE, "dense oracle")
+        check_scale("dense oracle side", layout.dim.d**layout.n)
 
 
 def _verify_word_map(
@@ -171,10 +166,7 @@ def _format_witness(m: SymplecticMatrix) -> str:
 
 def _cmd_embed_check(args: argparse.Namespace) -> int:
     emb = Embedding(args.n, args.r_x, args.r_z)
-    if emb.d > MAX_EMBED_CHECK_D:
-        raise ScaleLimitError(
-            f"embed-check ambient dimension d={emb.d} exceeds the cap {MAX_EMBED_CHECK_D}"
-        )
+    check_scale("embed-check d", emb.d)
     qft = logical_feasible_single(emb, "qft")
     phase = logical_feasible_single(emb, "phase")
     summ = logical_feasible_sum(emb)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from operator import index, mul
 from typing import TYPE_CHECKING, Literal, Sequence
 
-from .errors import CliffSynthError, DimensionMismatchError
+from .errors import CliffSynthError, DimensionMismatchError, check_scale
 from .modring import Dimension
 from .pauli import PauliWord
 from .symplectic import Fourier, GateSequence, Phase, Sum, SymplecticMatrix, sequence_matrix
@@ -31,9 +31,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 LogicalGate = Literal["qft", "phase"]
-
-# Cap on the ambient dimension d = n * r_x * r_z that the CLI's embed-check takes.
-MAX_EMBED_CHECK_D = 36
 
 
 @dataclass(frozen=True)
@@ -66,12 +63,6 @@ class Embedding:
     @property
     def symmetric(self) -> bool:
         return self.r_x == self.r_z
-
-    @property
-    def shift_protection(self) -> tuple[float, float]:
-        """Metadata: the embedding tolerates shifts X^a Z^b with |a| below
-        r_x/2 and |b| below r_z/2. No decoder is provided."""
-        return (self.r_x / 2, self.r_z / 2)
 
 
 def logical_basis_state(e: Embedding, j: int) -> np.ndarray:
@@ -208,12 +199,12 @@ def check_symmetric_logical_action(e: Embedding) -> bool:
     decided together by the probe-vector test of ``unitary``, on its
     one-gate program.
     """
-    from .unitary import MAX_SUM_CHECK_SIDE, _check_scale, _maps_words
-
     if not e.symmetric:
         raise CliffSynthError("symmetric check requires r_x = r_z")
+    check_scale("dense operator side", e.d**2)
+    from .unitary import _maps_words
+
     dim = e.dim
-    _check_scale(e.d**2, MAX_SUM_CHECK_SIDE, "symmetric check's sum-gate oracle")
     programs = {
         "sum": GateSequence((Sum(0, 1, 1),), 2, dim),
         "qft": GateSequence((Fourier(0),), 1, dim),

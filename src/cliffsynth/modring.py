@@ -14,10 +14,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .errors import CliffSynthError, ScaleLimitError
-
-# Input validation: a larger d is refused with ScaleLimitError (CLI exit 5).
-MAX_DIMENSION = 1_000_000
+from .errors import CliffSynthError, check_scale
 
 
 @dataclass(frozen=True)
@@ -30,10 +27,7 @@ class Dimension:
     def __post_init__(self) -> None:
         if not isinstance(self.d, int) or self.d < 2:
             raise CliffSynthError(f"dimension d must be an integer >= 2, got {self.d}")
-        if self.d > MAX_DIMENSION:
-            raise ScaleLimitError(
-                f"dimension d={self.d} exceeds the supported cap {MAX_DIMENSION}"
-            )
+        check_scale("dimension d", self.d)
         expected = self.d if self.d % 2 == 1 else 2 * self.d
         if self.D != expected:
             raise CliffSynthError(

@@ -14,13 +14,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from operator import index
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatchError, MalformedMatrixError, ParseError
 from .modring import Dimension
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _WORD_RE = re.compile(
     r"^\s*d=(\d+)\s+n=(\d+)\s+a=([0-9,\s]*?)\s+b=([0-9,\s]*?)\s*$"
@@ -57,12 +54,6 @@ class PauliWord:
     def is_identity(self) -> bool:
         return not any(self.xexp) and not any(self.zexp)
 
-    def vector(self) -> np.ndarray:
-        """Exponent vector (a_1..a_n, b_1..b_n) as an int64 array."""
-        import numpy as np
-
-        return np.array(self.xexp + self.zexp, dtype=np.int64)
-
     @classmethod
     def from_vector(cls, vec: Sequence[int], dim: Dimension) -> "PauliWord":
         """The word with exponent vector ``vec``, a sequence or 1-D array of integers."""
@@ -80,6 +71,7 @@ class PauliWord:
     @classmethod
     def x_generator(cls, i: int, n: int, dim: Dimension) -> "PauliWord":
         """The word with a single X on qudit ``i``."""
+        n = _qudit_count(n)
         xs = [0] * n
         xs[i] = 1
         return cls(dim, tuple(xs), (0,) * n)
@@ -87,12 +79,14 @@ class PauliWord:
     @classmethod
     def z_generator(cls, i: int, n: int, dim: Dimension) -> "PauliWord":
         """The word with a single Z on qudit ``i``."""
+        n = _qudit_count(n)
         zs = [0] * n
         zs[i] = 1
         return cls(dim, (0,) * n, tuple(zs))
 
     @classmethod
     def identity(cls, n: int, dim: Dimension) -> "PauliWord":
+        n = _qudit_count(n)
         return cls(dim, (0,) * n, (0,) * n)
 
     def __add__(self, other: "PauliWord") -> "PauliWord":
@@ -113,6 +107,14 @@ class PauliWord:
             tuple((r * a) % d for a in self.xexp),
             tuple((r * b) % d for b in self.zexp),
         )
+
+
+def _qudit_count(n: object) -> int:
+    """``n`` as an int; `MalformedMatrixError` if it is not an integer."""
+    try:
+        return index(n)
+    except TypeError:
+        raise MalformedMatrixError(f"qudit count must be an integer, got {n!r}") from None
 
 
 def _check_compatible(u: PauliWord, v: PauliWord) -> None:
@@ -137,21 +139,6 @@ def sip(u: PauliWord, v: PauliWord) -> int:
 def commutes(u: PauliWord, v: PauliWord) -> bool:
     """True iff any unitary representatives of u and v commute exactly."""
     return sip(u, v) == 0
-
-
-def sip_matrix_form(u: PauliWord, v: PauliWord) -> int:
-    """The same inner product computed through the block form matrix.
-
-    Exists purely as an independent cross-check path for :func:`sip`.
-    """
-    import numpy as np
-
-    _check_compatible(u, v)
-    n, d = u.n, u.dim.d
-    form = np.zeros((2 * n, 2 * n), dtype=np.int64)
-    form[:n, n:] = np.eye(n, dtype=np.int64)
-    form[n:, :n] = (d - 1) * np.eye(n, dtype=np.int64)
-    return int(u.vector() @ form @ v.vector()) % d
 
 
 def format_word(w: PauliWord) -> str:

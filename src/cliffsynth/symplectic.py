@@ -1,8 +1,9 @@
 """Symplectic 2n x 2n matrices over Z_D and the three generator gates.
 
-A Clifford operation on n qudits is represented (up to global phase) by a
-matrix N over Z_D acting on exponent vectors, with N^T S N = S for the
-standard block form S = [[0, I], [-I, 0]]. The three generator gates are
+A Clifford operation on n qudits is represented by a matrix N over Z_D
+acting on exponent vectors, with N^T S N = S for the standard block form
+S = [[0, I], [-I, 0]]. N fixes the operation only up to a Pauli word and
+a global phase. The three generator gates are
 
 * ``Fourier(i)``   -- single-qudit discrete Fourier gate, 2x2 block [[0,-1],[1,0]]
 * ``Phase(i, e)``  -- e-th power of the phase-shift gate, block [[1,0],[e,1]]
@@ -31,7 +32,7 @@ from .errors import (
     ParseError,
 )
 from .modring import Dimension
-from .pauli import PauliWord
+from .pauli import PauliWord, _qudit_count
 
 if TYPE_CHECKING:
     import numpy as np
@@ -398,7 +399,7 @@ class SymplecticMatrix:
 
     @classmethod
     def identity(cls, n: int, dim: Dimension) -> "SymplecticMatrix":
-        side = range(2 * n)
+        side = range(2 * _qudit_count(n))
         return cls._derived(dim, tuple(tuple(int(r == c) for c in side) for r in side))
 
     def __matmul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
@@ -454,7 +455,7 @@ class GateSequence:
     dim: Dimension
 
     def __post_init__(self) -> None:
-        n, D = self.n, self.dim.D
+        n, D = _qudit_count(self.n), self.dim.D
         if n < 1:
             raise DimensionMismatchError(f"qudit count must be >= 1, got {n}")
         gates = tuple(self.gates)
@@ -474,6 +475,7 @@ class GateSequence:
                     if _gate_max_index(h) >= n:
                         raise MalformedMatrixError(f"gate {h} out of range for n={n}")
                 break
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "gates", gates)
 
     def __len__(self) -> int:

@@ -44,7 +44,7 @@ from .errors import (
     SynthesisCheckError,
 )
 from .modring import Dimension, gcd0, mod_inverse
-from .pauli import PauliWord
+from .pauli import PauliWord, _qudit_count
 from .symplectic import (
     Fourier,
     Gate,
@@ -521,6 +521,7 @@ def swap_sequence(i: int, j: int, n: int, dim: Dimension) -> GateSequence:
     Three sum gates interleaved with transversal Fourier pairs, then two
     closing Fourier gates on the target qudit.
     """
+    n = _qudit_count(n)
     if i == j or not (0 <= i < n) or not (0 <= j < n):
         raise DimensionMismatchError(f"swap needs distinct indices below {n}, got ({i}, {j})")
     return GateSequence(

@@ -48,7 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, MalformedMatrixError, ScaleLimitError
+from .errors import DimensionMismatchError, MalformedMatrixError, check_scale
 from .modring import Dimension
 from .pauli import PauliWord
 from .symplectic import (
@@ -59,12 +59,6 @@ from .symplectic import (
     SymplecticMatrix,
     _gate_max_index,
 )
-
-# Caps on the side d^n, checked before allocating: a program (checked by the
-# oracle or built as a unitary), and a single operator (one gate, one word,
-# the two-qudit embedding check).
-MAX_DENSE_SIDE = 256
-MAX_SUM_CHECK_SIDE = 1024
 
 # A probe overlap of Clifford conjugations is exactly 0 or 1 (module
 # docstring); 1/2 leaves the widest margin on both sides.
@@ -149,12 +143,6 @@ def _phase_1q(dim: Dimension, power: int) -> np.ndarray:
     return phases**power
 
 
-def _check_scale(side: int, cap: int, what: str) -> None:
-    """Raise before a dense array of this side is allocated."""
-    if side > cap:
-        raise ScaleLimitError(f"{what} capped at side {cap}, need {side}")
-
-
 def _digits(dim: Dimension, n: int) -> np.ndarray:
     """Row q holds qudit q's digit of every basis index (qudit 0 most significant)."""
     return np.indices((dim.d,) * n).reshape(n, -1)
@@ -186,7 +174,7 @@ def gate_unitary(g: Gate, n: int, dim: Dimension) -> DenseOperator:
     """Tensor-embedded unitary of a generator gate (qudit 0 leftmost)."""
     if _gate_max_index(g) >= n:
         raise MalformedMatrixError(f"gate {g} out of range for n={n}")
-    _check_scale(dim.d**n, MAX_SUM_CHECK_SIDE, "dense operator")
+    check_scale("dense operator side", dim.d**n)
     eye = np.eye(dim.d**n, dtype=np.complex128)
     return DenseOperator(dim, n, _apply_gate(eye, g, dim, _digits(dim, n)))
 
@@ -194,7 +182,7 @@ def gate_unitary(g: Gate, n: int, dim: Dimension) -> DenseOperator:
 def word_unitary(w: PauliWord) -> DenseOperator:
     """Tensor product of X^a Z^b factors (X powers left of Z powers)."""
     side = w.dim.d**w.n
-    _check_scale(side, MAX_SUM_CHECK_SIDE, "dense operator")
+    check_scale("dense operator side", side)
     shift, phase = _word_maps(w, _digits(w.dim, w.n))
     m = np.zeros((side, side), dtype=np.complex128)
     m[shift, np.arange(side)] = phase
@@ -203,7 +191,7 @@ def word_unitary(w: PauliWord) -> DenseOperator:
 
 def sequence_unitary(seq: GateSequence) -> DenseOperator:
     """Unitary of a gate program (first gate applied first)."""
-    _check_scale(seq.dim.d**seq.n, MAX_DENSE_SIDE, "dense oracle")
+    check_scale("dense oracle side", seq.dim.d**seq.n)
     digits = _digits(seq.dim, seq.n)
     acc = np.eye(seq.dim.d**seq.n, dtype=np.complex128)
     for g in seq.gates:
@@ -222,13 +210,6 @@ def equal_up_to_phase(a: DenseOperator, b: DenseOperator, tol: float = 1e-9) -> 
         raise DimensionMismatchError(f"operator sizes differ: {a.side} vs {b.side}")
     overlap = abs(np.vdot(a.matrix, b.matrix))
     return bool(overlap >= a.side * (1.0 - tol))
-
-
-def relative_phase(a: DenseOperator, b: DenseOperator) -> complex:
-    """The scalar lambda with a ~ lambda*b (meaningful when proportional)."""
-    if a.side != b.side:
-        raise DimensionMismatchError(f"operator sizes differ: {a.side} vs {b.side}")
-    return complex(np.vdot(b.matrix, a.matrix) / a.side)
 
 
 def _maps_words(seq: GateSequence, pairs: Sequence[tuple[PauliWord, PauliWord]]) -> bool:
@@ -271,7 +252,7 @@ def check_program(seq: GateSequence, m: SymplecticMatrix) -> bool:
     if seq.n != m.n or seq.dim != m.dim:
         raise DimensionMismatchError("program and matrix disagree on layout")
     n, dim = m.n, m.dim
-    _check_scale(dim.d**n, MAX_DENSE_SIDE, "dense oracle")
+    check_scale("dense oracle side", dim.d**n)
     # generator i (X_i, then Z_i) maps to the word of column i of m
     gens = [PauliWord.x_generator(i, n, dim) for i in range(n)]
     gens += [PauliWord.z_generator(i, n, dim) for i in range(n)]

@@ -2,10 +2,12 @@ import os
 import random
 from pathlib import Path
 
+import numpy as np
 from hypothesis import strategies as st
 
 import cliffsynth
-from cliffsynth import Dimension, GateSequence
+from cliffsynth import Dimension, GateSequence, PauliWord
+from cliffsynth.errors import SCALE_CAPS
 from cliffsynth.symplectic import Fourier, Phase, Sum
 
 
@@ -50,6 +52,17 @@ def random_word_exponents(n: int, d: int, seed: int) -> tuple[tuple[int, ...], t
         tuple(rng.randrange(d) for _ in range(n)),
         tuple(rng.randrange(d) for _ in range(n)),
     )
+
+
+def word_vector(w: PauliWord) -> np.ndarray:
+    """Exponent vector (a_1..a_n, b_1..b_n) of a word as an int64 array."""
+    return np.array(w.xexp + w.zexp, dtype=np.int64)
+
+
+def cap_message(name: str, need: int) -> str:
+    """The exact `ScaleLimitError` message for a need above the cap ``name``."""
+    cap, bounds = SCALE_CAPS[name]
+    return f"{name} {need} exceeds the cap {cap} ({bounds})"
 
 
 def child_env(**extra: str) -> dict[str, str]:

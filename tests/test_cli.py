@@ -1,4 +1,5 @@
 import io
+import re
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ from cliffsynth import Dimension, GateSequence, sequence_matrix
 from cliffsynth.cli import main
 from cliffsynth.symplectic import Phase, format_matrix_text
 
-from conftest import child_env, random_gate_sequence
+from conftest import cap_message, child_env, random_gate_sequence
 
 GOLDEN_TEXT = "d 6 n 1\n10 9\n3 4\n"
 SWAP_D3_TEXT = "d 3 n 2\n0 1 0 0\n1 0 0 0\n0 0 0 1\n0 0 1 0\n"
@@ -114,7 +115,7 @@ class TestOracleCapBeforeOutput:
         argv = [a.format(matrix=f) for a in argv]
         code, out, err = run(capsys, *argv, "--verify", "unitary")
         assert code == 5 and out == ""
-        assert err == "scale limit: dense oracle capped at side 256, need 289\n"
+        assert err == f"scale limit: {cap_message('dense oracle side', 289)}\n"
 
 
 class TestDimensionCap:
@@ -130,8 +131,9 @@ class TestDimensionCap:
         if text is not None:
             f.write_text(text)
         code, out, err = run(capsys, *[a.format(matrix=f) for a in argv])
+        need = int(re.match(r"d[= ](\d+)", text or argv[1]).group(1))
         assert code == 5 and out == ""
-        assert err.startswith("scale limit: dimension d=") and "1000000" in err
+        assert err == f"scale limit: {cap_message('dimension d', need)}\n"
 
 
 class TestTransport:
@@ -321,7 +323,7 @@ class TestEmbedCheck:
     def test_scale_cap_exit_5(self, capsys):
         code, out, err = run(capsys, "embed-check", "2", "3", "7")
         assert code == 5 and out == ""
-        assert err == "scale limit: embed-check ambient dimension d=42 exceeds the cap 36\n"
+        assert err == f"scale limit: {cap_message('embed-check d', 42)}\n"
 
     def test_bad_parameters_exit_2(self, capsys):
         code, _, _ = run(capsys, "embed-check", "1", "1", "1")
@@ -423,3 +425,18 @@ class TestNumpyOnlyForTheOracle:
         assert proc.returncode == code, proc.stderr
         assert out is None or proc.stdout == out
         assert self._loads_numpy(proc.stderr)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["synth", "d17.txt"],
+            ["transport", WORD_D17_N2, WORD_D17_N2],
+            ["peg", WORD_D17_N2],
+        ],
+    )
+    def test_over_cap_unitary_exits_5_without_numpy(self, tmp_path, args):
+        (tmp_path / "d17.txt").write_text(IDENTITY_D17_N2_TEXT)
+        proc = self._child(tmp_path, "-m", "cliffsynth", *args, "--verify", "unitary")
+        assert proc.returncode == 5 and proc.stdout == ""
+        assert f"scale limit: {cap_message('dense oracle side', 289)}\n" in proc.stderr
+        assert not self._loads_numpy(proc.stderr)

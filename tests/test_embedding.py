@@ -22,8 +22,10 @@ from cliffsynth import (
     word_unitary,
 )
 from cliffsynth.cli import main
-from cliffsynth.embedding import MAX_EMBED_CHECK_D
+from cliffsynth.errors import SCALE_CAPS
 from cliffsynth.symplectic import Sum
+
+from conftest import cap_message
 
 QUBIT_IN_24 = Embedding(2, 3, 4)
 
@@ -88,9 +90,6 @@ class TestEmbeddingType:
     def test_rejects_non_integers(self, params):
         with pytest.raises(CliffSynthError, match="must be integers"):
             Embedding(*params)
-
-    def test_shift_protection_metadata(self):
-        assert QUBIT_IN_24.shift_protection == (1.5, 2.0)
 
 
 class TestLogicalBasis:
@@ -234,15 +233,15 @@ class TestSymmetricLogicalAction:
     def test_scale_cap(self):
         with pytest.raises(ScaleLimitError) as err:
             check_symmetric_logical_action(Embedding(2, 5, 5))
-        assert str(err.value) == "symmetric check's sum-gate oracle capped at side 1024, need 2500"
+        assert str(err.value) == cap_message("dense operator side", 2500)
 
 
 class TestEmbedCheckGolden:
     def test_every_accepted_embedding_unchanged(self, capsys):
         # the symplectic verdict, the QFT and phase witnesses (or their
-        # absence) and the SUM witness, for all d <= MAX_EMBED_CHECK_D
+        # absence) and the SUM witness, for every d up to embed-check's cap
         h = hashlib.sha256()
-        embeddings = all_embeddings(MAX_EMBED_CHECK_D)
+        embeddings = all_embeddings(SCALE_CAPS["embed-check d"][0])
         for e in embeddings:
             assert main(["embed-check", str(e.n), str(e.r_x), str(e.r_z)]) == 0
             h.update(f"{e.n} {e.r_x} {e.r_z}\n{capsys.readouterr().out}".encode())

@@ -17,7 +17,25 @@ class TestExportList:
         assert set(cliffsynth.__all__) <= set(dir(cliffsynth))
 
     def test_retired_names_are_gone(self):
+        from cliffsynth import cli, embedding, modring, pauli, unitary
+
         for name in ("act_left", "symplectic_form"):
             assert not hasattr(cliffsynth, name)
             assert not hasattr(cliffsynth.symplectic, name)
         assert not hasattr(cliffsynth.Dimension.of(6), "even")
+        # the scale caps live in errors.SCALE_CAPS alone
+        for module in (cliffsynth, modring, unitary, embedding, cli):
+            for name in (
+                "MAX_DIMENSION",
+                "MAX_DENSE_SIDE",
+                "MAX_SUM_CHECK_SIDE",
+                "MAX_EMBED_CHECK_D",
+                "_check_scale",
+            ):
+                assert not hasattr(module, name), (module.__name__, name)
+        # reference helpers that only the tests use
+        for module, name in ((unitary, "relative_phase"), (pauli, "sip_matrix_form")):
+            assert not hasattr(cliffsynth, name) and not hasattr(module, name)
+        assert not hasattr(cliffsynth.PauliWord, "vector")
+        assert "omega_hat" not in cliffsynth.__all__ and not hasattr(cliffsynth, "omega_hat")
+        assert not hasattr(cliffsynth.Embedding, "shift_protection")

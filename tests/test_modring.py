@@ -10,7 +10,11 @@ from cliffsynth import (
     gcd0,
     mod_inverse,
 )
-from cliffsynth.modring import MAX_DIMENSION
+from cliffsynth.errors import SCALE_CAPS
+
+from conftest import cap_message
+
+MAX_D, _ = SCALE_CAPS["dimension d"]
 
 
 class TestDimension:
@@ -37,9 +41,10 @@ class TestDimension:
         assert dim == Dimension.of(6) and type(dim.d) is int and type(dim.D) is int
 
     def test_cap_is_a_scale_limit(self):
-        assert Dimension.of(MAX_DIMENSION).d == MAX_DIMENSION
-        with pytest.raises(ScaleLimitError, match=f"exceeds the supported cap {MAX_DIMENSION}"):
-            Dimension.of(MAX_DIMENSION + 1)
+        assert Dimension.of(MAX_D).d == MAX_D
+        with pytest.raises(ScaleLimitError) as err:
+            Dimension.of(MAX_D + 1)
+        assert str(err.value) == cap_message("dimension d", MAX_D + 1)
 
 
 class TestGcd0:

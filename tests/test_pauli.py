@@ -16,15 +16,24 @@ from cliffsynth import (
     omega,
     parse_word,
     sip,
-    sip_matrix_form,
     word_unitary,
 )
 
-from conftest import random_word_exponents
+from conftest import random_word_exponents, word_vector
 
 
 def word(d, xs, zs):
     return PauliWord(Dimension.of(d), tuple(xs), tuple(zs))
+
+
+def sip_matrix_form(u, v):
+    """The symplectic inner product through the block form matrix
+    [[0, I], [-I, 0]], a path independent of `sip`."""
+    n, d = u.n, u.dim.d
+    form = np.zeros((2 * n, 2 * n), dtype=np.int64)
+    form[:n, n:] = np.eye(n, dtype=np.int64)
+    form[n:, :n] = (d - 1) * np.eye(n, dtype=np.int64)
+    return int(word_vector(u) @ form @ word_vector(v)) % d
 
 
 def dense_commutation_exponent(u, v):
@@ -147,7 +156,7 @@ class TestWordBasics:
 
     def test_vector_round_trip(self):
         w = word(6, [1, 0], [0, 3])
-        assert PauliWord.from_vector(w.vector(), w.dim) == w
+        assert PauliWord.from_vector(word_vector(w), w.dim) == w
 
     @pytest.mark.parametrize("xs, zs", [((1.5,), (0.7,)), ((1,), ("0",)), ((1, 0), (0, 2.0))])
     def test_non_integer_exponents_rejected(self, xs, zs):

@@ -23,8 +23,9 @@ from cliffsynth import (
     parse_matrix_text,
     sequence_matrix,
     sip,
+    swap_sequence,
 )
-from cliffsynth.modring import MAX_DIMENSION
+from cliffsynth.errors import SCALE_CAPS
 from cliffsynth.symplectic import (
     Fourier,
     Phase,
@@ -34,9 +35,10 @@ from cliffsynth.symplectic import (
     invert_gate,
 )
 
-from conftest import gate_lists, random_gate_sequence, random_word_exponents
+from conftest import gate_lists, random_gate_sequence, random_word_exponents, word_vector
 
 DIM6 = Dimension.of(6)  # D = 12
+MAX_D, _ = SCALE_CAPS["dimension d"]
 GOLDEN_MATRIX = np.array([[10, 9], [3, 4]])
 
 
@@ -212,7 +214,7 @@ class TestGateAction:
             assert [list(packed.unpack(x)) for x in work] == expected, g
             assert [[packed.entry(x, c) for c in range(2 * n)] for x in work] == expected
 
-    @pytest.mark.parametrize("d", [2, 3, 12, 97, MAX_DIMENSION])
+    @pytest.mark.parametrize("d", [2, 3, 12, 97, MAX_D])
     def test_packed_rows_match_list_rows(self, d):
         # against row operations on plain int tuples, written out per gate
         # kind, with powers outside [0, D) left unreduced until the end
@@ -285,7 +287,7 @@ class TestRowStorage:
         assert m == SymplecticMatrix(DIM6, GOLDEN_MATRIX)
         assert all(type(v) is int for row in m.rows for v in row)
 
-    @pytest.mark.parametrize("d", [2, 97, MAX_DIMENSION])
+    @pytest.mark.parametrize("d", [2, 97, MAX_D])
     def test_products_match_int_reference(self, d):
         # entries up to 2 * 10^6: products far beyond what fits a packed
         # field unreduced, checked against numpy's exact int64 product
@@ -297,7 +299,7 @@ class TestRowStorage:
         assert is_symplectic(a.mat, dim) and not is_symplectic(a.mat * 2, dim)
         w = PauliWord(dim, *random_word_exponents(4, d, d))
         assert list(apply_to_word(a, w).xexp + apply_to_word(a, w).zexp) == (
-            a.mat @ w.vector() % d
+            a.mat @ word_vector(w) % d
         ).tolist()
 
 
@@ -516,12 +518,31 @@ class TestNormalization:
         with pytest.raises(MalformedMatrixError, match="not an integer"):
             merge_gates([g, g], DIM6)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, "2"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda n: GateSequence((Fourier(0),), n, DIM6),
+            lambda n: swap_sequence(0, 1, n, DIM6),
+            lambda n: PauliWord.x_generator(0, n, DIM6),
+            lambda n: PauliWord.z_generator(0, n, DIM6),
+            lambda n: PauliWord.identity(n, DIM6),
+            lambda n: SymplecticMatrix.identity(n, DIM6),
+        ],
+        ids=["GateSequence", "swap_sequence", "x_generator", "z_generator", "word_identity",
+             "matrix_identity"],
+    )
+    def test_non_integer_qudit_count_rejected(self, build, n):
+        with pytest.raises(MalformedMatrixError, match="qudit count must be an integer"):
+            build(n)
+
     def test_numpy_integer_fields_become_ints(self):
         gates = (Phase(np.int64(0), np.int64(-1)), Fourier(np.int32(1)), Sum(1, np.int64(0), 2))
         seq = GateSequence(gates, 2, DIM6)
         assert seq.gates == (Phase(0, DIM6.D - 1), Fourier(1), Sum(1, 0, 2))
         assert all(type(v) is int for g in seq.gates for v in vars(g).values())
         assert merge_gates(gates, DIM6) == list(seq.gates)
+        assert type(GateSequence(gates, np.int64(2), DIM6).n) is int
 
     def test_negative_powers_round_trip(self):
         seq = GateSequence.from_text("P 0 -1\nF 1\nC 1 0 -13\nP 1 -24", 2, DIM6)

@@ -20,22 +20,29 @@ from cliffsynth import (
     gate_matrix,
     gate_unitary,
     omega,
-    omega_hat,
     pauli_unitaries,
-    relative_phase,
     sequence_matrix,
     sequence_unitary,
     sip,
     word_unitary,
 )
 from cliffsynth.symplectic import Fourier, Phase, Sum
-from cliffsynth.unitary import MAX_DENSE_SIDE, MAX_SUM_CHECK_SIDE, _maps_words
+from cliffsynth.errors import SCALE_CAPS
+from cliffsynth.unitary import _maps_words, omega_hat
 
-from conftest import gate_lists, random_gate_sequence
+from conftest import cap_message, gate_lists, random_gate_sequence
+
+ORACLE_CAP, _ = SCALE_CAPS["dense oracle side"]
+OPERATOR_CAP, _ = SCALE_CAPS["dense operator side"]
 
 
 def close(a, b, tol=1e-9):
     return np.max(np.abs(np.asarray(a) - np.asarray(b))) <= tol
+
+
+def relative_phase(a, b):
+    """The scalar lambda with a ~ lambda*b (meaningful when proportional)."""
+    return complex(np.vdot(b.matrix, a.matrix) / a.side)
 
 
 class TestPauliUnitaries:
@@ -252,6 +259,21 @@ class TestCheckProgram:
         dim = Dimension.of(d)
         seq = GateSequence((Fourier(0),) * 3 + (Phase(0, 1), Fourier(0)), 1, dim)
         assert not check_program(seq, SymplecticMatrix.identity(1, dim))
+
+    def test_matrix_fixes_a_program_only_up_to_a_pauli_word(self):
+        # at d = 3, F F P F F P P recomposes to the identity matrix, yet its
+        # unitary is Z up to phase; each generator pair passes up to its own
+        # phase, so the oracle accepts it against the identity
+        dim = Dimension.of(3)
+        f, p = Fourier(0), Phase(0, 1)
+        seq = GateSequence((f, f, p, f, f, p, p), 1, dim)
+        identity = SymplecticMatrix.identity(1, dim)
+        assert sequence_matrix(seq) == identity
+        u = sequence_unitary(seq)
+        _, z = pauli_unitaries(dim)
+        assert equal_up_to_phase(u, z)
+        assert not equal_up_to_phase(u, DenseOperator(dim, 1, np.eye(3)))
+        assert check_program(seq, identity)
 
     def test_scale_cap(self):
         dim = Dimension.of(17)
@@ -471,11 +493,11 @@ class TestLongProgramsAtD256:
 
 @st.composite
 def oracle_programs(draw):
-    """A program at side <= MAX_DENSE_SIDE with its matrix, and sometimes
+    """A program at side <= ORACLE_CAP with its matrix, and sometimes
     the program with one exponent altered. d = 97 and 256 fit at n = 1
     only; programs run to a few hundred gates."""
     d = draw(st.sampled_from((2, 3, 4, 6, 12, 97, 256)))
-    max_n = max(n for n in range(1, 9) if d**n <= MAX_DENSE_SIDE)
+    max_n = max(n for n in range(1, 9) if d**n <= ORACLE_CAP)
     size = draw(st.integers(0, 300))
     gates, n, dim = draw(gate_lists(dims=(d,), max_n=max_n, min_size=size, max_size=size))
     seq = GateSequence(tuple(gates), n, dim)
@@ -505,24 +527,24 @@ class TestScaleCaps:
     def test_gate_unitary_capped_before_allocation(self):
         with pytest.raises(ScaleLimitError) as err:
             gate_unitary(Fourier(0), 3, Dimension.of(11))
-        assert str(err.value) == (
-            f"dense operator capped at side {MAX_SUM_CHECK_SIDE}, need 1331"
-        )
+        assert str(err.value) == cap_message("dense operator side", 1331)
 
     def test_word_unitary_capped_before_allocation(self):
-        with pytest.raises(ScaleLimitError, match="need 88529281"):
+        with pytest.raises(ScaleLimitError) as err:
             word_unitary(PauliWord.identity(4, Dimension.of(97)))
+        assert str(err.value) == cap_message("dense operator side", 88529281)
 
     def test_pauli_unitaries_capped_before_allocation(self):
-        with pytest.raises(ScaleLimitError, match="need 1000000"):
+        with pytest.raises(ScaleLimitError) as err:
             pauli_unitaries(Dimension.of(1_000_000))
+        assert str(err.value) == cap_message("dense operator side", 1000000)
 
     def test_single_operator_cap_is_inclusive(self):
         w = PauliWord(Dimension.of(32), (1, 0), (0, 1))
-        assert word_unitary(w).side == MAX_SUM_CHECK_SIDE
+        assert word_unitary(w).side == OPERATOR_CAP
 
     def test_sequence_unitary_message(self):
         seq = GateSequence((Fourier(0),), 2, Dimension.of(17))
         with pytest.raises(ScaleLimitError) as err:
             sequence_unitary(seq)
-        assert str(err.value) == f"dense oracle capped at side {MAX_DENSE_SIDE}, need 289"
+        assert str(err.value) == cap_message("dense oracle side", 289)
