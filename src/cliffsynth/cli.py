@@ -11,8 +11,9 @@ input (NonSymplecticError, DegenerateWordError, DimensionMismatchError,
 MalformedMatrixError), 4 verification failure (also SynthesisCheckError),
 5 scale cap exceeded (ScaleLimitError: a need above one of the caps in
 ``errors.SCALE_CAPS``, such as the dense oracle's side, embed-check's
-ambient dimension or d itself). ``--verify unitary`` checks the oracle's
-cap before any output and before numpy is loaded. The oracle has no
+ambient dimension or d itself). ``--verify unitary`` and ``verify --mode
+unitary`` check the oracle's cap before any output and before numpy is
+loaded. The oracle has no
 tolerance to set: it decides each overlap at 1/2 (see ``unitary``).
 Only ``--verify unitary`` and ``verify --mode unitary`` import
 ``unitary``, and with it numpy; every other call runs on exact Python
@@ -150,6 +151,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.mode == "symplectic":
         ok = sequence_matrix(seq) == m
     else:
+        check_scale("dense oracle side", m.dim.d**m.n)
         from .unitary import check_program
 
         ok = check_program(seq, m)

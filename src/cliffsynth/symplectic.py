@@ -493,11 +493,52 @@ class GateSequence:
         return sequence_matrix(self)
 
     def inverse(self) -> "GateSequence":
-        """The reversed program with each gate inverted (merged afterwards)."""
+        """The inverse program: the merged program reversed, phase and sum
+        powers negated, and each block of adjacent Fourier gates kept as it
+        is, with one sign fix per single-qudit run.
+
+        F^-1 = F^3 = F (-I), and -I commutes with every gate of a qudit's
+        run of single-qudit gates between two sum gates that touch it, so
+        keeping the m blocks F or F^3 of a run leaves it off by (-I)^m.
+        When m is odd, its middle block flips between F and F^3. Reversal
+        maps the middle block to itself, so the inverse of the inverse is
+        the merged program again, and the output is a reduced word, as
+        merged. A lone F on a qudit still becomes F^3, but a run with two,
+        as in most table and closed-form words, keeps both.
+        """
+        gates = merge_gates(self.gates, self.dim)[::-1]
+        blocks: list[list[Gate]] = []  # merged: each Fourier block is F, F^2 or F^3
+        odd: dict[int, list[int]] = {}  # qudit -> its run's odd blocks so far
+        flips: set[int] = set()
+
+        def close(qudit: int) -> None:
+            run = odd.pop(qudit, None)
+            if run and len(run) % 2:
+                flips.add(run[len(run) // 2])
+
+        i = 0
+        while i < len(gates):
+            g = gates[i]
+            if type(g) is Fourier:
+                j = i + 1
+                while j < len(gates) and type(gates[j]) is Fourier and gates[j].qudit == g.qudit:
+                    j += 1
+                if (j - i) % 2:
+                    odd.setdefault(g.qudit, []).append(len(blocks))
+                blocks.append(gates[i:j])
+                i = j
+                continue
+            if type(g) is Sum:
+                close(g.control)
+                close(g.target)
+            blocks.append(invert_gate(g, self.dim))
+            i += 1
+        for qudit in list(odd):
+            close(qudit)
         inv: list[Gate] = []
-        for g in reversed(self.gates):
-            inv.extend(invert_gate(g, self.dim))
-        return GateSequence(tuple(merge_gates(inv, self.dim)), self.n, self.dim)
+        for k, block in enumerate(blocks):
+            inv.extend([block[0]] * (4 - len(block)) if k in flips else block)
+        return GateSequence(tuple(inv), self.n, self.dim)
 
     def to_text(self) -> str:
         return "\n".join(format_gate(g) for g in self.gates)

@@ -9,19 +9,33 @@ shorter than the chain (`_peg_vector`): a shortest one from a
 breadth-first table of SL(2, Z_D) for D <= MAX_TABLE_D = 24, else one
 closed form of at most 7 gates (`_closed_form`). The same loop, run with
 sum gates on a pair of qudits, reduces a Z (x) Z exponent pair to its
-gcd. Stacking the two gives the word normal form (`_peg_gates`): any
-word goes to a power of Z on its last qudit. Word-to-word transport
-takes the normal form of one word and the inverse normal form of the
-other, whose single-qudit words come from the same loop, inverted as
-matrices. The full n-qudit decomposition works in two stages.
-Elimination (`_eliminate`) reduces the inverse of the input to the
-identity with row operations only (`_PackedRows.act`), last qudit first:
-the normal form takes each Z_j column to Z_j, then gates that fix Z_j
-clear the X_j column. The gates, in the order applied, are a program for
-the input. Then one scan (`_shorten_runs`) joins each qudit's run of
-Fourier and phase gates between sum gates, normal-form words with the
-scale and clearing gates around them, and replaces it by the
-shortest-known program for its 2x2 matrix when that is shorter. The
+gcd (`_sum_peg_vector`).
+
+The word normal form (`_peg_gates`) takes any word to a power of Z on
+its last qudit. A word program only has to map one exponent vector, not
+realize a chain's matrix. So once a unit hub exists, the first qudit
+before the last at which the running fold value is a unit mod D, each
+qudit (a, b) gets a vector-target word of at most three gates: none for
+a = 0, P^(-b/a) F for a unit a, F P^(a/b) F for a unit b, and the Euclid
+word only when neither entry is a unit (composite d). One sum gate from
+the hub then clears each later qudit, and one more leaves a chosen unit
+t on the last qudit: the gcd for `generalized_peg`, 1 for elimination,
+and for `transport` the value the other word's program ends on, so
+no scale gates are needed unless neither word has a hub. Without a hub
+(one qudit, no unit, or a unit on the last qudit only) every qudit gets
+its Euclid word and the sum loop folds the values onto the last qudit.
+Word-to-word transport takes the normal form of one word and the
+inverse normal form of the other.
+
+The full n-qudit decomposition works in two stages. Elimination
+(`_eliminate`) reduces the inverse of the input to the identity with
+row operations only (`_PackedRows.act`), last qudit first: the normal
+form, taken mod D, takes each Z_j column to Z_j, then gates that fix
+Z_j clear the X_j column. The gates, in the order applied, are a
+program for the input. Then one scan (`_shorten_runs`) joins each
+qudit's run of Fourier and phase gates between sum gates, normal-form
+words with the scale and clearing gates around them, and replaces it by
+the shortest-known program for its 2x2 matrix when that is shorter. The
 finished program is merged once and checked once against its input.
 `decompose_single` is `decompose` on one qudit. The golden tests pin
 the text of both stages, the merged elimination digest and the final
@@ -165,29 +179,74 @@ def scale_sequence(k: int, dim: Dimension) -> GateSequence:
 
 
 def _peg_gates(
-    xs: Sequence[int], zs: Sequence[int], D: int, inverse: bool = False
+    xs: Sequence[int], zs: Sequence[int], D: int, target: int, inverse: bool = False
 ) -> tuple[list[Gate], int]:
     """Unmerged gates mapping the word with exponents ``xs``, ``zs`` (in
-    [0, D), not all zero) to a power of Z on its last qudit, and that power:
-    the gcd of all the exponents. With ``inverse``, the gates of the
-    inverse program: the sum chain inverted gate by gate, then each
-    qudit's inverse word, last qudit first."""
+    [0, D), not all zero) to a power of Z on its last qudit, and that power.
+
+    The hub is the first qudit h before the last at which the fold's
+    running value u is a unit mod D, that is gcd(D, the exponents of
+    qudits 0 to h) = 1. With a hub, each qudit's word maps one vector,
+    not a Euclid chain: none for a = 0, P^(-b/a) F to (0, a) for a unit
+    a, F P^(a/b) F to (0, -b) for a unit b, else `_peg_vector`. The sum
+    fold runs up to h, then Sum(j, h, z_j/u) clears each later qudit j,
+    and Sum(h, last, u/t) moves the value ``target`` = t, a unit mod D,
+    to the last qudit (the last clearing sum also adds t there). The
+    power is then t. With no hub, every qudit gets `_peg_vector`'s word
+    and the fold runs to the end: the power is the gcd of all the
+    exponents.
+
+    With ``inverse``, the gates of the inverse program: the sums
+    inverted gate by gate, then each qudit's inverse word. A unit a
+    then gets F P^(b/a) from (0, -a), and a unit b F P^(-a/b) F.
+    """
+    n = len(xs)
+    hub = None
+    g = D
+    for i in range(n - 1):
+        g = math.gcd(g, xs[i], zs[i])
+        if g == 1:
+            hub = i
+            break
     chunks: list[list[Gate]] = []
     zvals: list[int] = []
     for i, (a, b) in enumerate(zip(xs, zs)):
-        if (a, b) == (0, 0):
-            zvals.append(0)
+        if a == 0:  # (0, b) is its own target
+            zvals.append(b)
             continue
-        chunk, g = _peg_vector(a, b, D, i, inverse)
-        chunks.append(chunk)
-        zvals.append(g)
+        if hub is not None and math.gcd(a, D) == 1:
+            f, e = Fourier(i), b * pow(a, -1, D) % D
+            if inverse:
+                chunks.append([f, Phase(i, e)] if e else [f])
+                zvals.append(D - a)
+            else:
+                chunks.append([Phase(i, D - e), f] if e else [f])
+                zvals.append(a)
+        elif hub is not None and math.gcd(b, D) == 1:
+            f, e = Fourier(i), a * pow(b, -1, D) % D
+            chunks.append([f, Phase(i, D - e if inverse else e), f])
+            zvals.append(D - b)
+        else:
+            chunk, v = _peg_vector(a, b, D, i, inverse)
+            chunks.append(chunk)
+            zvals.append(v)
     sums: list[Gate] = []
     cur = zvals[0]
-    for i in range(len(zvals) - 1):
+    for i in range(n - 1 if hub is None else hub):
         nxt = zvals[i + 1]
         if (cur, nxt) != (0, 0):
             sums.extend(_sum_peg_vector(cur, nxt, D, i, i + 1))
         cur = gcd0(cur, nxt)
+    if hub is not None:
+        uinv = pow(cur, -1, D)
+        for j in range(hub + 1, n - 1):
+            if zvals[j]:
+                sums.append(Sum(j, hub, zvals[j] * uinv % D))
+        e = (zvals[-1] - target) * uinv % D
+        if e:
+            sums.append(Sum(n - 1, hub, e))
+        sums.append(Sum(hub, n - 1, cur * pow(target, -1, D) % D))
+        cur = target
     if not inverse:
         return [g for chunk in chunks for g in chunk] + sums, cur
     gates: list[Gate] = [Sum(g.control, g.target, D - g.power) for g in reversed(sums)]
@@ -199,12 +258,16 @@ def _peg_gates(
 def generalized_peg(w: PauliWord) -> tuple[GateSequence, int]:
     """Program mapping a word to I x ... x I x Z^k, k = gcd of all exponents.
 
-    Each qudit is first reduced to a pure Z power, then the sum-gate loop
-    folds the Z exponents left to right onto the last qudit.
+    Each qudit is first reduced to a pure Z power. With a unit hub (see
+    `_peg_gates`) a qudit with a unit exponent takes a vector-target
+    word of at most three gates, and one sum per qudit from the hub plus
+    one more leave Z^k on the last qudit. Otherwise each qudit takes its
+    Euclid word and the sum-gate loop folds the Z exponents left to
+    right onto the last qudit.
     """
     if w.is_identity:
         raise DegenerateWordError("the identity word has no reduction target")
-    gates, k = _peg_gates(w.xexp, w.zexp, w.dim.D)
+    gates, k = _peg_gates(w.xexp, w.zexp, w.dim.D, math.gcd(*w.xexp, *w.zexp))
     return GateSequence(tuple(merge_gates(gates, w.dim)), w.n, w.dim), k
 
 
@@ -240,8 +303,11 @@ def transport(p: PauliWord, q: PauliWord) -> GateSequence | None:
 
     Feasible exactly when gcd(q's exponents) = k * gcd(p's exponents)
     mod d for some unit k mod d; returns None otherwise. The program is
-    p's peg gates, the scale gates and the gates of q's inverse peg
-    program, merged once.
+    p's peg gates, then the gates of q's inverse peg program, merged
+    once. A word with a unit hub ends its fold on the value the other
+    word's program takes, q's gcd for p and p's value for q, so the two
+    meet on the last qudit. Only when neither word has a hub do the six
+    scale gates for k go between them.
     """
     if p.dim != q.dim or p.n != q.n:
         raise DimensionMismatchError("transport endpoints disagree on layout")
@@ -250,13 +316,15 @@ def transport(p: PauliWord, q: PauliWord) -> GateSequence | None:
     n, dim = p.n, p.dim
     if p == q:
         return GateSequence((), n, dim)
-    k = _transport_unit(math.gcd(*p.xexp, *p.zexp), math.gcd(*q.xexp, *q.zexp), dim.d)
+    gq = math.gcd(*q.xexp, *q.zexp)
+    k = _transport_unit(math.gcd(*p.xexp, *p.zexp), gq, dim.d)
     if k is None:
         return None
-    gates, _ = _peg_gates(p.xexp, p.zexp, dim.D)
-    if k != 1:
+    gates, vp = _peg_gates(p.xexp, p.zexp, dim.D, gq)
+    inv, vq = _peg_gates(q.xexp, q.zexp, dim.D, vp, inverse=True)
+    if vp != vq:  # neither word has a hub: vp, vq are the gcds
         gates.extend(_scale_gates(k, dim.D, n - 1))
-    gates.extend(_peg_gates(q.xexp, q.zexp, dim.D, inverse=True)[0])
+    gates.extend(inv)
     return GateSequence(tuple(merge_gates(gates, dim)), n, dim)
 
 
@@ -433,8 +501,9 @@ def _eliminate(m: SymplecticMatrix) -> list[Gate]:
     Row operations (`_PackedRows.act`) only, on one working copy
     of ``m``'s inverse: the gates that reduce it to the identity are, in
     the order applied, a program for ``m``. A loop over the qudits j, last
-    to first: the Z_j column, a word on qudits 0 to j, goes to a power of
-    Z_j with the word normal form (`_peg_gates`) and is rescaled to Z_j.
+    to first: the Z_j column, a word on qudits 0 to j, goes to Z_j with
+    the word normal form (`_peg_gates`, target 1 mod D), rescaled when
+    the word has no hub and its gcd is not 1.
     The X_j column then has x_j = 1 (symplecticity), and gates that fix
     Z_j clear the rest of it: a sum gate from j for each x_i, a Fourier
     gate and a sum gate for each z_i, and a phase power on j for z_j.
@@ -463,7 +532,7 @@ def _eliminate(m: SymplecticMatrix) -> list[Gate]:
     for j in range(n - 1, -1, -1):
         z = n + j
         col = column(z)
-        push(_peg_gates(col[: j + 1], col[n : z + 1], D)[0])
+        push(_peg_gates(col[: j + 1], col[n : z + 1], D, 1)[0])
         k = entry(work[z], z)
         kinv = mod_inverse(k, D)
         if kinv is None:

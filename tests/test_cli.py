@@ -440,3 +440,13 @@ class TestNumpyOnlyForTheOracle:
         assert proc.returncode == 5 and proc.stdout == ""
         assert f"scale limit: {cap_message('dense oracle side', 289)}\n" in proc.stderr
         assert not self._loads_numpy(proc.stderr)
+
+    def test_over_cap_verify_unitary_exits_5_without_numpy(self, tmp_path):
+        (tmp_path / "d17.txt").write_text(IDENTITY_D17_N2_TEXT)
+        (tmp_path / "prog.txt").write_text("F 0\nF 0\nF 0\nF 0\n")
+        proc = self._child(
+            tmp_path, "-m", "cliffsynth", "verify", "d17.txt", "prog.txt", "--mode", "unitary"
+        )
+        assert proc.returncode == 5 and proc.stdout == ""
+        assert f"scale limit: {cap_message('dense oracle side', 289)}\n" in proc.stderr
+        assert not self._loads_numpy(proc.stderr)

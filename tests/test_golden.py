@@ -43,8 +43,8 @@ DIMS = (2, 3, 4, 5, 6, 12, 97)
 KINDS = {"sparse": 2, "dense": 20}  # gates per qudit
 SEEDS = range(3)
 
-GOLDEN_DIGEST = "387b83dee428ee7fbc9dd31f254ef2fef3d5146b75b96fc802d3d297b4920565"
-FINAL_DIGEST = "4a50a022bb960c8def312b07a9f92ab18603f674ce415e3fd38ce389f107e803"
+GOLDEN_DIGEST = "6a8a98f349ab571d2d1dcb76e61d3e72d123d4159df1edd0de7ee4baab8d7db8"
+FINAL_DIGEST = "ceb0f08e7ed2444459c7241f131dccce5ec225d0445dbac0df1c596649381709"
 
 
 def golden_cases():
@@ -89,8 +89,8 @@ WORD_DIMS = (2, 6, 12, 97, 1024)
 WORD_NS = (1, 2, 5, 16, 64)
 WORD_SEEDS = range(4)
 
-WORD_DIGEST = "98b91d1b89925e24f228fba86f2e8c43f01600a6c7c47d4df3303c9796410726"
-WORD_MATRIX_DIGEST = "77c25fb3ca8a413da3d60d203b8fb8dbf690192e29d7d50a7ac357217381c9a4"
+WORD_DIGEST = "b337d569892e3931384100f298679a6fba9e74647e742d0bbf05c26631724a9b"
+WORD_MATRIX_DIGEST = "4fed3583b9f0e2cf9aa4bccc851825cbb889029cadc1c7e4fb54eb0439e79b7d"
 
 
 def divisors_below(d):

@@ -39,13 +39,14 @@ from cliffsynth.synthesis import (
     _act2,
     _closed_form,
     _eliminate,
+    _peg_gates,
     _peg_vector,
     _shorten_runs,
     _table_word,
     _transport_unit,
 )
 
-from conftest import child_env, gate_lists, random_gate_sequence
+from conftest import child_env, gate_lists, random_gate_sequence, random_word_exponents
 
 DIM5 = Dimension.of(5)
 DIM6 = Dimension.of(6)
@@ -546,6 +547,109 @@ class TestTransportUnit:
         seq = transport(p, q)
         assert seq is not None
         assert apply_to_word(sequence_matrix(seq), p) == q
+
+
+def act_on_exponents(gates, xs, zs, modulus):
+    """The image of X^xs Z^zs under ``gates``, exponents mod ``modulus``:
+    each gate's row operation written out, apart from the library."""
+    a, b = list(xs), list(zs)
+    for g in gates:
+        if type(g) is Fourier:
+            a[g.qudit], b[g.qudit] = -b[g.qudit] % modulus, a[g.qudit]
+        elif type(g) is Phase:
+            b[g.qudit] = (b[g.qudit] + g.power * a[g.qudit]) % modulus
+        else:
+            a[g.target] = (a[g.target] + g.power * a[g.control]) % modulus
+            b[g.control] = (b[g.control] - g.power * b[g.target]) % modulus
+    return a, b
+
+
+def single_qudit_gates(seq, qudit):
+    return [g for g in seq if type(g) is not Sum and g.qudit == qudit]
+
+
+class TestVectorTargetWords:
+    """Word programs with and without a unit hub, each checked by
+    `act_on_exponents`; transport covers the inverse words."""
+
+    def check(self, d, xs, zs):
+        """The peg of the word and transports to and from X on qudit 0."""
+        dim = Dimension.of(d)
+        n = len(xs)
+        w = PauliWord(dim, tuple(xs), tuple(zs))
+        seq, k = generalized_peg(w)
+        assert k == math.gcd(*xs, *zs)
+        assert act_on_exponents(seq, xs, zs, d) == ([0] * n, [0] * (n - 1) + [k])
+        if k == 1:
+            x0 = PauliWord(dim, (1,) + (0,) * (n - 1), (0,) * n)
+            for p, q in ((w, x0), (x0, w)):
+                out = transport(p, q)
+                assert act_on_exponents(out, p.xexp, p.zexp, d) == (list(q.xexp), list(q.zexp))
+        return seq
+
+    def test_one_qudit_keeps_the_euclid_word(self):
+        for a, b in ((3, 5), (1, 0), (0, 4), (96, 2)):
+            seq = self.check(97, [a], [b])
+            assert list(seq) == merge_gates(_peg_vector(a, b, 97, 0)[0], Dimension.of(97))
+
+    def test_unit_only_on_the_last_qudit_folds_as_before(self):
+        seq = self.check(12, [2, 0, 5], [4, 6, 1])
+        assert len(single_qudit_gates(seq, 2)) == len(_peg_vector(5, 1, 24, 2)[0])
+
+    def test_no_unit_at_composite_d(self):
+        seq = self.check(12, [2, 4, 0], [6, 8, 10])
+        assert math.gcd(2, 4, 6, 8, 10) == 2 and len(seq) > 0
+
+    def test_unit_after_non_unit_qudits(self):
+        # qudits 0 and 1 share the factor 2 with D = 24; qudit 2 is the hub
+        seq = self.check(12, [2, 4, 5, 3, 7], [6, 2, 1, 0, 9])
+        assert len(single_qudit_gates(seq, 2)) <= 2
+        assert len(single_qudit_gates(seq, 4)) <= 2
+        # one sum clears each later qudit, one moves the value to the last
+        sums = [(g.control, g.target) for g in seq if type(g) is Sum]
+        later = [pair for pair in sums if max(pair) > 2]
+        assert later == [(3, 2), (4, 2), (2, 4)]
+
+    def test_qudit_with_zero_x_gets_no_gate(self):
+        seq = self.check(97, [0, 5, 0], [7, 3, 11])
+        assert single_qudit_gates(seq, 0) == [] and single_qudit_gates(seq, 2) == []
+
+    def test_only_z_is_a_unit(self):
+        seq = self.check(12, [2, 1, 0], [5, 3, 7])
+        assert [type(g) for g in single_qudit_gates(seq, 0)] == [Fourier, Phase, Fourier]
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6, 97])
+    def test_unit_target_mod_D(self, d):
+        # the elimination's column: entries mod D, the hub leaves exactly 1
+        D = Dimension.of(d).D
+        for seed in range(20):
+            xs, zs = random_word_exponents(6, D, seed)
+            xs = (1,) + xs[1:]
+            gates, t = _peg_gates(xs, zs, D, 1)
+            assert t == 1
+            assert act_on_exponents(gates, xs, zs, D) == ([0] * 6, [0] * 5 + [1])
+            inv, _ = _peg_gates(xs, zs, D, 1, inverse=True)
+            assert act_on_exponents(inv, [0] * 6, [0] * 5 + [1], D) == (list(xs), list(zs))
+
+    @pytest.mark.parametrize("d, bound", [(2, 3.5), (97, 6.5)])
+    def test_transport_gates_per_qudit_at_n256(self, d, bound):
+        dim, n = Dimension.of(d), 256
+        for seed in range(3):
+            p = PauliWord(dim, *random_word_exponents(n, d, 2 * seed))
+            q = PauliWord(dim, *random_word_exponents(n, d, 2 * seed + 1))
+            out = transport(p, q)
+            assert act_on_exponents(out, p.xexp, p.zexp, d) == (list(q.xexp), list(q.zexp))
+            assert len(out) <= bound * n
+
+    @pytest.mark.parametrize("d", [2, 12, 97])
+    @pytest.mark.parametrize("n", [2, 5, 64, 256])
+    def test_peg_with_a_non_last_unit_uses_at_most_n_plus_1_sums(self, d, n):
+        for seed in range(3):
+            xs, zs = random_word_exponents(n, d, seed)
+            xs = xs[:n - 2] + (1,) + xs[n - 1:]  # a unit on qudit n - 2
+            seq, k = generalized_peg(PauliWord(Dimension.of(d), xs, zs))
+            assert act_on_exponents(seq, xs, zs, d) == ([0] * n, [0] * (n - 1) + [k])
+            assert sum(type(g) is Sum for g in seq) <= n + 1
 
 
 class TestDecompose:
