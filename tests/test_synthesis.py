@@ -573,18 +573,18 @@ class TestVectorTargetWords:
     `act_on_exponents`; transport covers the inverse words."""
 
     def check(self, d, xs, zs):
-        """The peg of the word and transports to and from X on qudit 0."""
+        """The peg of the word and transports to and from X^k on qudit 0,
+        k the gcd of the exponents."""
         dim = Dimension.of(d)
         n = len(xs)
         w = PauliWord(dim, tuple(xs), tuple(zs))
         seq, k = generalized_peg(w)
         assert k == math.gcd(*xs, *zs)
         assert act_on_exponents(seq, xs, zs, d) == ([0] * n, [0] * (n - 1) + [k])
-        if k == 1:
-            x0 = PauliWord(dim, (1,) + (0,) * (n - 1), (0,) * n)
-            for p, q in ((w, x0), (x0, w)):
-                out = transport(p, q)
-                assert act_on_exponents(out, p.xexp, p.zexp, d) == (list(q.xexp), list(q.zexp))
+        x0 = PauliWord(dim, (k,) + (0,) * (n - 1), (0,) * n)
+        for p, q in ((w, x0), (x0, w)):
+            out = transport(p, q)
+            assert act_on_exponents(out, p.xexp, p.zexp, d) == (list(q.xexp), list(q.zexp))
         return seq
 
     def test_one_qudit_keeps_the_euclid_word(self):
@@ -597,8 +597,8 @@ class TestVectorTargetWords:
         assert len(single_qudit_gates(seq, 2)) == len(_peg_vector(5, 1, 24, 2)[0])
 
     def test_no_unit_at_composite_d(self):
-        seq = self.check(12, [2, 4, 0], [6, 8, 10])
-        assert math.gcd(2, 4, 6, 8, 10) == 2 and len(seq) > 0
+        # gcd 2: no hub, so the fold ends on the gcd itself
+        self.check(12, [2, 4, 0], [6, 8, 10])
 
     def test_unit_after_non_unit_qudits(self):
         # qudits 0 and 1 share the factor 2 with D = 24; qudit 2 is the hub
@@ -609,6 +609,12 @@ class TestVectorTargetWords:
         sums = [(g.control, g.target) for g in seq if type(g) is Sum]
         later = [pair for pair in sums if max(pair) > 2]
         assert later == [(3, 2), (4, 2), (2, 4)]
+
+    def test_hub_leaves_a_unit_gcd(self):
+        # the gcd is a unit other than 1, so the last hub sum divides by it
+        for d, xs, zs in ((97, [3, 0, 6], [9, 12, 0]), (12, [5, 0, 10], [0, 10, 5])):
+            seq = self.check(d, xs, zs)
+            assert sum(type(g) is Sum for g in seq) <= len(xs) + 1
 
     def test_qudit_with_zero_x_gets_no_gate(self):
         seq = self.check(97, [0, 5, 0], [7, 3, 11])
