@@ -1,67 +1,52 @@
 """Unitary oracle for the classical representation.
 
 Checks a gate program's conjugation of Pauli words up to global phase on
-two probe vectors, and builds the full unitaries of the shift/clock
-Pauli operators, the three generator gates and gate programs as dense
-references. Everything here is desk-scale floating point; the classical
-modules stay exact.
+two probe vectors, and builds dense reference unitaries of Pauli words,
+generator gates and gate programs. Everything here is desk-scale
+floating point; the classical modules stay exact.
 
 Phase conventions: omega = exp(2*pi*i/d) and omega_hat = exp(2*pi*i/D),
-so omega_hat is the canonical square root of omega when d is even.
-The phase-shift gate is diag(omega^(j*(j-1)/2)) for odd d and
-diag(omega_hat^(j*j)) for even d; with these choices the conjugation
-relations X -> XZ (odd) and X -> omega_hat * XZ (even) hold exactly.
-The sum gate is the plain permutation |i, j> -> |i, i+j mod d> in every
-dimension, which conjugates all four two-qudit Pauli generators to their
-images with no stray phase.
+the canonical square root of omega when d is even. The phase-shift gate
+is diag(omega^(j*(j-1)/2)) for odd d and diag(omega_hat^(j*j)) for even
+d, so X -> XZ (odd) and X -> omega_hat * XZ (even) hold exactly. The sum
+gate is the plain permutation |i, j> -> |i, i+j mod d>, which conjugates
+all four two-qudit Pauli generators with no stray phase.
 
-No gate is built as a side x side matrix and multiplied in: ``_apply_gate``
-acts on one tensor axis of the row index, a d x d product for Fourier, a
-row scaling for phase, a row gather for sum. A Pauli word is an index map
-times a phase vector (``_word_maps``).
+One kernel, ``_push``, applies a gate program to a block of columns; the
+dense references run it on the identity. Phase and sum gates are
+monomial, so each run of them between two Fourier gates composes in
+integers alone, into a source-row map and a phase exponent mod D, and
+touches the block once. A Fourier gate is a d x d product on one tensor
+axis. A word X^a Z^b is a row shift and a phase (``_shifts``, ``_clocks``).
 
-Deciding a conjugation. The program's unitary U maps a word W to a
-multiple of W' exactly when ``Q = U^dagger W'^dagger U W`` is a multiple
-of the identity. Every gate is Clifford, so Q is a word X^a Z^b times a
-phase. On the basis vector e_0, X^a Z^b e_0 is e_a, orthogonal to e_0
-unless a = 0. Every X^a fixes the uniform vector u, so
-``<u, X^a Z^b u> = <u, Z^b u>``, which is 0 unless b = 0. So
+Deciding a conjugation. U maps a word W to a multiple of W' exactly when
+``Q = U^dagger W'^dagger U W`` is scalar. Every gate is Clifford, so Q is
+a word X^a Z^b times a phase: ``<e_0, Q e_0>`` is 0 unless a = 0, and as
+every X^a fixes the uniform vector u, ``<u, Q u>`` is 0 unless b = 0. So
 ``|<U W phi, W' U phi>| = |<phi, Q phi>|`` is 1 on both probes phi when
-Q is scalar, and 0 on at least one when it is not. ``_maps_words``
-pushes the columns ``[phi, W_1 phi, ..., W_k phi]`` for both probes
-through the program as one block, in O(gates * side * k) with no
-side x side array. The argument rests on each gate kernel being the
-Clifford unitary it names, which the tests check against kron references.
-
-Since those two exact values are the only outcomes, ``_maps_words``
-decides each overlap at 1/2 and takes no tolerance: floating-point error
-in a long program stays many orders of magnitude below 1/2. The dense
-comparisons (``equal_up_to_phase``, ``DenseOperator.is_unitary``) keep a
-tolerance, since they accept arbitrary unitaries.
+Q is scalar and 0 on at least one when not; each overlap is decided at
+1/2, with no tolerance. As W e_0 = e_a and W u = omega^(-a.b) Z^b u,
+``_maps_exponents`` pushes one column per distinct X part and one per
+distinct Z part of the source words. The argument rests on each gate
+kernel being the Clifford unitary it names, which the tests check
+against kron references. The dense comparisons (``equal_up_to_phase``,
+``DenseOperator.is_unitary``) keep a tolerance for arbitrary unitaries.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, MalformedMatrixError, check_scale
 from .modring import Dimension
 from .pauli import PauliWord
-from .symplectic import (
-    Fourier,
-    Gate,
-    GateSequence,
-    Phase,
-    SymplecticMatrix,
-    _gate_max_index,
-)
+from .symplectic import Gate, GateSequence, Phase, Sum, SymplecticMatrix, _gate_max_index
 
-# A probe overlap of Clifford conjugations is exactly 0 or 1 (module
-# docstring); 1/2 leaves the widest margin on both sides.
+# A probe overlap is exactly 0 or 1 (module docstring); 1/2 is the widest margin.
 _OVERLAP_CUT = 0.5
 
 
@@ -78,8 +63,7 @@ class DenseOperator:
         side = self.dim.d**self.n
         if m.shape != (side, side):
             raise DimensionMismatchError(
-                f"operator for d={self.dim.d}, n={self.n} must be {side}x{side}, "
-                f"got {m.shape}"
+                f"operator for d={self.dim.d}, n={self.n} must be {side}x{side}, got {m.shape}"
             )
         # freeze a view, so the caller's own array stays writeable and nothing is copied
         m = m.view()
@@ -99,8 +83,7 @@ class DenseOperator:
         return DenseOperator(self.dim, self.n, self.matrix @ other.matrix)
 
     def is_unitary(self, tol: float = 1e-9) -> bool:
-        eye = np.eye(self.side)
-        return bool(np.max(np.abs(self.matrix @ self.matrix.conj().T - eye)) <= tol)
+        return bool(np.max(np.abs(self.matrix @ self.matrix.conj().T - np.eye(self.side))) <= tol)
 
 
 def omega(dim: Dimension) -> complex:
@@ -118,56 +101,76 @@ def pauli_unitaries(dim: Dimension) -> tuple[DenseOperator, DenseOperator]:
     return word_unitary(PauliWord(dim, (1,), (0,))), word_unitary(PauliWord(dim, (0,), (1,)))
 
 
+class _Layout(NamedTuple):
+    """Read-only tables of one (dim, n); every row is indexed by basis state."""
+
+    digits: np.ndarray  # (n, side): qudit q's digit, qudit 0 most significant
+    place: np.ndarray  # (n,): qudit q's place value d^(n-1-q)
+    theta: np.ndarray  # (n, side): the phase gate's exponent of omega_hat on qudit q
+    roots: np.ndarray  # (D,): omega_hat^k, each computed from its own reduced k
+    fourier: np.ndarray  # (d, d): column j holds omega^(j*k) / sqrt(d)
+    sums: dict  # (control, target, power mod d) -> a sum gate's source rows, filled on use
+
+
 @functools.lru_cache(maxsize=8)
-def _fourier_1q(dim: Dimension) -> np.ndarray:
-    """The d x d Fourier table, built once per dimension and read-only.
-
-    The exponents j*k are reduced mod d first: omega's rounding error grows
-    with the exponent, to 1.9e-12 per entry at d = 256 for exponents up to
-    (d-1)^2, against 7.6e-15 for exponents below d.
-    """
-    k = np.arange(dim.d)
-    # column j holds omega^(j*k) / sqrt(d)
-    table = omega(dim) ** (np.outer(k, k) % dim.d) / np.sqrt(dim.d)
-    table.flags.writeable = False
-    return table
-
-
-def _phase_1q(dim: Dimension, power: int) -> np.ndarray:
-    d = dim.d
+def _layout(dim: Dimension, n: int) -> _Layout:
+    d, D = dim.d, dim.D
+    digits = np.indices((d,) * n).reshape(n, -1)
     j = np.arange(d)
-    if d % 2 == 1:
-        phases = omega(dim) ** ((j * (j - 1) // 2) % d)
-    else:
-        phases = omega_hat(dim) ** ((j * j) % dim.D)
-    return phases**power
+    # omega^(j(j-1)/2) with D = d for odd d; omega_hat^(j*j) for even d
+    table = (j * (j - 1) // 2) % d if d % 2 else (j * j) % D
+    place = d ** np.arange(n - 1, -1, -1)
+    roots = np.exp(2j * np.pi * np.arange(D) / D)
+    arrays = digits, place, table[digits], roots, roots[np.outer(j, j) % d * (D // d)] / d**0.5
+    for arr in arrays:
+        arr.flags.writeable = False
+    return _Layout(*arrays, {})
 
 
-def _digits(dim: Dimension, n: int) -> np.ndarray:
-    """Row q holds qudit q's digit of every basis index (qudit 0 most significant)."""
-    return np.indices((dim.d,) * n).reshape(n, -1)
+def _shifts(lay: _Layout, d: int, xs: np.ndarray) -> np.ndarray:
+    """Row k: the index of basis state x + xs[k] (digit-wise mod d), for every x."""
+    # digit q wraps, losing d * place[q], where it is at least d - xs[k, q]
+    wraps = lay.digits >= (d - xs)[:, :, None]
+    return np.arange(lay.digits.shape[1]) + (xs @ lay.place)[:, None] - d * (lay.place @ wraps)
 
 
-def _apply_gate(u: np.ndarray, g: Gate, dim: Dimension, digits: np.ndarray) -> np.ndarray:
-    """``gate_unitary(g) @ u``, acting on one tensor axis of u's row index."""
-    d = dim.d
-    if isinstance(g, Fourier):
-        rows = u.reshape(d**g.qudit, d, -1)
-        return (_fourier_1q(dim) @ rows).reshape(u.shape)
-    if isinstance(g, Phase):
-        return u * _phase_1q(dim, g.power)[digits[g.qudit]][:, None]
-    c, t = g.control, g.target
-    # |x> goes to |x + power * x_c e_t>, so output row x is input row x - power * x_c e_t.
-    place = d ** (digits.shape[0] - 1 - t)
-    source = np.arange(u.shape[0]) + ((digits[t] - g.power * digits[c]) % d - digits[t]) * place
-    return u[source]
+def _clocks(lay: _Layout, dim: Dimension, zs: np.ndarray) -> np.ndarray:
+    """Row k: the exponent of omega_hat in Z^zs[k]'s phase on every basis state."""
+    return (zs @ lay.digits) % dim.d * (dim.D // dim.d)
 
 
-def _word_maps(w: PauliWord, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index map and phase vector of a word: ``W |x> = phase[x] |shift[x]>``."""
-    d = w.dim.d
-    shift = np.ravel_multi_index((digits + np.array(w.xexp)[:, None]) % d, (d,) * w.n)
-    return shift, omega(w.dim) ** ((np.array(w.zexp) @ digits) % d)
+def _push(gates: Sequence[Gate], dim: Dimension, n: int, block: np.ndarray) -> np.ndarray:
+    """``U @ block`` for the unitary U of a gate program (first gate applied first)."""
+    d, D = dim.d, dim.D
+    lay = _layout(dim, n)
+    # the pending run of monomial gates: output row x is omega_hat^ph[x] times
+    # input row src[x]; None stands for the identity map and the zero exponent
+    src = ph = None
+    for g in (*gates, None):
+        if type(g) is Phase:
+            step = g.power % D * lay.theta[g.qudit]
+            ph = step if ph is None else ph + step
+            continue
+        if type(g) is Sum:
+            key = (g.control, g.target, g.power % d)
+            s = lay.sums.get(key)
+            if s is None:
+                # |x> goes to |x + e * x_c e_t>, so output row x is input row x - e * x_c e_t
+                t, place = lay.digits[g.target], lay.place[g.target]
+                s = ((t - key[2] * lay.digits[g.control]) % d - t) * place + np.arange(t.size)
+                s.flags.writeable = False
+                lay.sums[key] = s
+            src = s if src is None else src[s]
+            ph = None if ph is None else ph[s]
+            continue
+        if src is not None:
+            block = block[src]
+        if ph is not None:
+            block = lay.roots[ph % D][:, None] * block
+        src = ph = None
+        if g is not None:
+            block = (lay.fourier @ block.reshape(d**g.qudit, d, -1)).reshape(block.shape)
+    return block
 
 
 def gate_unitary(g: Gate, n: int, dim: Dimension) -> DenseOperator:
@@ -175,28 +178,26 @@ def gate_unitary(g: Gate, n: int, dim: Dimension) -> DenseOperator:
     if _gate_max_index(g) >= n:
         raise MalformedMatrixError(f"gate {g} out of range for n={n}")
     check_scale("dense operator side", dim.d**n)
-    eye = np.eye(dim.d**n, dtype=np.complex128)
-    return DenseOperator(dim, n, _apply_gate(eye, g, dim, _digits(dim, n)))
+    return DenseOperator(dim, n, _push((g,), dim, n, np.eye(dim.d**n, dtype=np.complex128)))
 
 
 def word_unitary(w: PauliWord) -> DenseOperator:
     """Tensor product of X^a Z^b factors (X powers left of Z powers)."""
     side = w.dim.d**w.n
     check_scale("dense operator side", side)
-    shift, phase = _word_maps(w, _digits(w.dim, w.n))
+    lay = _layout(w.dim, w.n)
+    # X^a Z^b |x> = omega^(b.x) |x + a>
+    shift = _shifts(lay, w.dim.d, np.array([w.xexp]))[0]
     m = np.zeros((side, side), dtype=np.complex128)
-    m[shift, np.arange(side)] = phase
+    m[shift, np.arange(side)] = lay.roots[_clocks(lay, w.dim, np.array([w.zexp]))[0]]
     return DenseOperator(w.dim, w.n, m)
 
 
 def sequence_unitary(seq: GateSequence) -> DenseOperator:
     """Unitary of a gate program (first gate applied first)."""
     check_scale("dense oracle side", seq.dim.d**seq.n)
-    digits = _digits(seq.dim, seq.n)
-    acc = np.eye(seq.dim.d**seq.n, dtype=np.complex128)
-    for g in seq.gates:
-        acc = _apply_gate(acc, g, seq.dim, digits)
-    return DenseOperator(seq.dim, seq.n, acc)
+    eye = np.eye(seq.dim.d**seq.n, dtype=np.complex128)
+    return DenseOperator(seq.dim, seq.n, _push(seq.gates, seq.dim, seq.n, eye))
 
 
 def equal_up_to_phase(a: DenseOperator, b: DenseOperator, tol: float = 1e-9) -> bool:
@@ -212,34 +213,37 @@ def equal_up_to_phase(a: DenseOperator, b: DenseOperator, tol: float = 1e-9) -> 
     return bool(overlap >= a.side * (1.0 - tol))
 
 
+def _maps_exponents(seq: GateSequence, sources: np.ndarray, targets: np.ndarray) -> bool:
+    """``_maps_words`` on exponent arrays: row k of ``sources`` and of ``targets``
+    is the vector (a | b) of the pair's W and of its W', reduced mod d."""
+    dim, n, lay = seq.dim, seq.n, _layout(seq.dim, seq.n)
+    d, side = dim.d, lay.digits.shape[1]
+    # columns e_a per distinct X part a, then Z^b u per distinct Z part b, by basis index
+    a_at, b_at = {0: 0}, {0: 0}
+    keys = zip((sources[:, :n] @ lay.place).tolist(), (sources[:, n:] @ lay.place).tolist())
+    cols = [(a_at.setdefault(a, len(a_at)), b_at.setdefault(b, len(b_at))) for a, b in keys]
+    na = len(a_at)
+    block = np.zeros((side, na + len(b_at)), dtype=np.complex128)
+    block[list(a_at), np.arange(na)] = 1.0
+    block[:, na:] = lay.roots[_clocks(lay, dim, lay.digits[:, list(b_at)].T)].T * side**-0.5
+    out = _push(seq.gates, dim, n, block)
+    # <U W phi, W' U phi>: W' sends entry x of U phi to entry shift[x], times its clock phase
+    cols = np.array(cols, dtype=np.int64).reshape(-1, 2) + [0, na]
+    moved = out[_shifts(lay, d, targets[:, :n])[:, None, :], cols[:, :, None]]
+    phases = lay.roots[_clocks(lay, dim, targets[:, n:])]
+    overlaps = np.einsum("kpx,kx,xp->kp", moved.conj(), phases, out[:, [0, na]])
+    return bool(np.all(np.abs(overlaps) > _OVERLAP_CUT))
+
+
 def _maps_words(seq: GateSequence, pairs: Sequence[tuple[PauliWord, PauliWord]]) -> bool:
     """True iff the program's unitary U has ``U W U^dagger = lambda W'`` for
-    every pair (W, W'), each with its own unit scalar lambda.
-
-    Decided on the probes e_0 and uniform/sqrt(side), as the module
-    docstring argues. The caller checks the side against its cap.
+    every pair (W, W'), each with its own unit scalar lambda, decided on the
+    probes of the module docstring. The caller checks the side against its cap.
     """
-    side = seq.dim.d**seq.n
-    digits = _digits(seq.dim, seq.n)
-    probes = np.zeros((side, 2), dtype=np.complex128)
-    probes[0, 0] = 1.0
-    probes[:, 1] = side**-0.5
-    block = np.zeros((side, len(pairs) + 1, 2), dtype=np.complex128)
-    block[:, 0] = probes
-    for i, (w, _) in enumerate(pairs, 1):
-        shift, phase = _word_maps(w, digits)
-        block[shift, i] = phase[:, None] * probes
-    out = block.reshape(side, -1)
-    for g in seq.gates:
-        out = _apply_gate(out, g, seq.dim, digits)
-    out = out.reshape(block.shape)
-    for i, (_, w) in enumerate(pairs, 1):
-        # <U W phi, W' U phi>: W' sends entry x of U phi to entry shift[x], times phase[x]
-        shift, phase = _word_maps(w, digits)
-        overlaps = np.einsum("xp,x,xp->p", out[shift, i].conj(), phase, out[:, 0])
-        if np.any(np.abs(overlaps) <= _OVERLAP_CUT):
-            return False
-    return True
+    if any(w.n != seq.n or w.dim != seq.dim for pair in pairs for w in pair):
+        raise DimensionMismatchError("program and word disagree on layout")
+    exps = np.array([[w.xexp + w.zexp for w in pair] for pair in pairs], dtype=np.int64)
+    return _maps_exponents(seq, *exps.reshape(-1, 2, 2 * seq.n).transpose(1, 0, 2))
 
 
 def check_program(seq: GateSequence, m: SymplecticMatrix) -> bool:
@@ -251,10 +255,6 @@ def check_program(seq: GateSequence, m: SymplecticMatrix) -> bool:
     """
     if seq.n != m.n or seq.dim != m.dim:
         raise DimensionMismatchError("program and matrix disagree on layout")
-    n, dim = m.n, m.dim
-    check_scale("dense oracle side", dim.d**n)
-    # generator i (X_i, then Z_i) maps to the word of column i of m
-    gens = [PauliWord.x_generator(i, n, dim) for i in range(n)]
-    gens += [PauliWord.z_generator(i, n, dim) for i in range(n)]
-    pairs = [(g, PauliWord(dim, col[:n], col[n:])) for g, col in zip(gens, zip(*m.rows))]
-    return _maps_words(seq, pairs)
+    check_scale("dense oracle side", m.dim.d**m.n)
+    # generator i (X_i, then Z_i) is row i of the identity; its image is column i of m
+    return _maps_exponents(seq, np.eye(2 * m.n, dtype=np.int64), np.array(m.rows).T % m.dim.d)

@@ -10,6 +10,7 @@ import cliffsynth
 from cliffsynth import (
     DenseOperator,
     Dimension,
+    DimensionMismatchError,
     GateSequence,
     MalformedMatrixError,
     PauliWord,
@@ -414,6 +415,82 @@ class TestAxisLocalKernel:
         assert _maps_words(seq, accepted)
         assert not _maps_words(seq, pairs)
 
+    @pytest.mark.parametrize("d, n", KERNEL_SHAPES)
+    def test_fourier_free_runs_match_reference_product(self, d, n):
+        # Runs without a Fourier gate hold every phase and sum gate, and as
+        # many again drawn at random, so that no run's product cancels, in
+        # shuffled order; the last run ends the program. Composing a run's
+        # source map as s[src] for src[s], or adding a phase to the
+        # exponents before permuting them, fails this.
+        dim = Dimension.of(d)
+        rng = random.Random(31 * d + n)
+        monomial = [Phase(q, e) for q in range(n) for e in range(dim.D)]
+        monomial += [
+            Sum(c, t, e) for c, t in itertools.permutations(range(n), 2) for e in range(dim.D)
+        ]
+        runs = []
+        for _ in range(3):
+            run = monomial + rng.choices(monomial, k=len(monomial))
+            rng.shuffle(run)
+            runs.append(tuple(run))
+        gates = runs[0] + (Fourier(0),) + runs[1] + (Fourier(n - 1),) + runs[2]
+        for program in [(), runs[0], gates]:
+            acc = np.eye(d**n)
+            for g in program:
+                acc = reference_gate(g, n, dim) @ acc
+            seq = GateSequence(program, n, dim)
+            assert close(sequence_unitary(seq).matrix, acc, 1e-12), len(program)
+
+    @pytest.mark.parametrize("d, n", KERNEL_SHAPES)
+    def test_shared_probe_columns_match_dense_products(self, d, n):
+        # Sources that share an X part, share a Z part, repeat, or are the
+        # identity share block columns; every pair keeps its own verdict.
+        dim = Dimension.of(d)
+        rng = random.Random(17 * d + n)
+
+        def part():
+            return tuple(rng.randrange(d) for _ in range(n))
+
+        seq = random_gate_sequence(n, dim, 12, seed=7 * d + n)
+        u, m = sequence_unitary(seq), sequence_matrix(seq)
+        x, z = part(), part()
+        sources = [PauliWord(dim, x, z), PauliWord(dim, x, part()), PauliWord(dim, part(), z)]
+        sources += [PauliWord(dim, x, z), PauliWord.identity(n, dim)]
+        passing, failing = [], []
+        for w in sources:
+            dense = u @ word_unitary(w) @ u.dagger()
+            for target in (cliffsynth.apply_to_word(m, w), PauliWord(dim, part(), part())):
+                expected = equal_up_to_phase(dense, word_unitary(target))
+                assert _maps_words(seq, [(w, target)]) == expected
+                (passing if expected else failing).append((w, target))
+        assert passing and failing
+        assert _maps_words(seq, passing)
+        for pair in failing:
+            assert not _maps_words(seq, passing[:3] + [pair] + passing[3:])
+
+
+class TestMapsWordsLayout:
+    PROGRAM = GateSequence((Fourier(0), Sum(0, 1, 1), Phase(1, 2)), 2, Dimension.of(3))
+
+    @pytest.mark.parametrize(
+        "word",
+        [
+            PauliWord(Dimension.of(3), (1, 0, 2), (0, 1, 1)),
+            PauliWord(Dimension.of(3), (1,), (2,)),
+            PauliWord(Dimension.of(5), (1, 0), (0, 1)),
+        ],
+        ids=["n=3", "n=1", "d=5"],
+    )
+    def test_word_of_another_layout_raises_before_the_kernel(self, word, monkeypatch):
+        def boom(*args):
+            raise AssertionError("the kernel ran on a word of another layout")
+
+        monkeypatch.setattr(cliffsynth.unitary, "_maps_exponents", boom)
+        fits = PauliWord.identity(2, Dimension.of(3))
+        for pair in [(word, fits), (fits, word)]:
+            with pytest.raises(DimensionMismatchError):
+                _maps_words(self.PROGRAM, [(fits, fits), pair])
+
 
 def _alter_one_exponent(seq, rng):
     gates = list(seq.gates)
@@ -472,9 +549,10 @@ class TestCheckProgramAgainstRecomposition:
 
 
 class TestLongProgramsAtD256:
-    # Float error grows with the number of Fourier gates: on true pairs
-    # 1 - |overlap| reaches about 1e-9 at 600 gates and 7e-9 at 3000, far
-    # from the cut at 1/2 but past a cut as close to 1 as 1 - 1e-9.
+    # Phase and sum gates act through exact integer exponents mod D, so
+    # float error comes from the Fourier products alone: on true pairs
+    # 1 - |overlap| reaches 4.3e-15 at 600 gates and 1.7e-14 at 3000,
+    # far from the cut at 1/2.
     CASES = [(600, 0), (3000, 0)]
 
     @pytest.mark.parametrize("length, seed", CASES)
