@@ -228,13 +228,26 @@ def merge_gates(gates: Iterable[Gate], dim: Dimension) -> list[Gate]:
     that reduces to the identity is popped, which exposes the letter
     below it to the next gate. Reduced words in a free product are unique,
     so the result depends only on the element the input represents:
-    ``merge(a + b) == merge(merge(a) + merge(b))``, and a program built
-    from raw pieces can be merged once at the end. Those relations all
+    ``merge(a + b) == merge(merge(a) + merge(b))``. So a program built
+    from pieces that are already reduced words need only be merged where
+    two pieces meet (`_merge_onto` with ``reduced``). Those relations all
     hold among the gate matrices, so merging keeps ``sequence_matrix``.
     """
-    D = dim.D
-    out: list[Gate] = []
-    for g in gates:
+    return _merge_onto([], gates, dim.D, reduced=False)
+
+
+def _merge_onto(out: list[Gate], gates: Iterable[Gate], D: int, reduced: bool) -> list[Gate]:
+    """Push ``gates`` onto the reduced word ``out`` by `merge_gates`' rules,
+    in place, and return ``out``: ``merge_gates(out + gates)``.
+
+    With ``reduced``, ``gates`` is itself a reduced word, so only the
+    seam is merged: letters pop and combine while the next gate falls in
+    the group of the top letter, and once one gate is pushed as a new
+    letter the rest is appended as it is, since no two adjacent gates of
+    a reduced word combine.
+    """
+    rest = iter(gates)
+    for g in rest:
         kind = type(g)
         prev = out[-1] if out else None
         if kind is Fourier:
@@ -247,8 +260,7 @@ def merge_gates(gates: Iterable[Gate], dim: Dimension) -> list[Gate]:
                     out.pop()
                     run += 1
                 out.extend([g] * ((run + 1) % 4))
-            else:
-                out.append(g)
+                continue
         elif kind is Phase:
             if not (type(g.qudit) is type(g.power) is int and 0 <= g.power < D):
                 g = _normalize_gate(g, D)
@@ -257,8 +269,9 @@ def merge_gates(gates: Iterable[Gate], dim: Dimension) -> list[Gate]:
                 p = (prev.power + g.power) % D
                 if p:
                     out.append(Phase(g.qudit, p))
-            elif g.power:
-                out.append(g)
+                continue
+            if not g.power:
+                continue
         else:
             if not (
                 type(g.control) is type(g.target) is type(g.power) is int and 0 <= g.power < D
@@ -269,8 +282,13 @@ def merge_gates(gates: Iterable[Gate], dim: Dimension) -> list[Gate]:
                 p = (prev.power + g.power) % D
                 if p:
                     out.append(Sum(g.control, g.target, p))
-            elif g.power:
-                out.append(g)
+                continue
+            if not g.power:
+                continue
+        out.append(g)
+        if reduced:
+            out.extend(rest)
+            break
     return out
 
 
@@ -478,6 +496,17 @@ class GateSequence:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "gates", gates)
 
+    @classmethod
+    def _derived(cls, gates: tuple[Gate, ...], n: int, dim: Dimension) -> "GateSequence":
+        """A program the library emits already checked: ``n`` an int, every
+        gate in normal form and in range. It skips the walk over the gates
+        in ``__post_init__``."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "gates", gates)
+        object.__setattr__(seq, "n", n)
+        object.__setattr__(seq, "dim", dim)
+        return seq
+
     def __len__(self) -> int:
         return len(self.gates)
 
@@ -538,7 +567,7 @@ class GateSequence:
         inv: list[Gate] = []
         for k, block in enumerate(blocks):
             inv.extend([block[0]] * (4 - len(block)) if k in flips else block)
-        return GateSequence(tuple(inv), self.n, self.dim)
+        return GateSequence._derived(tuple(inv), self.n, self.dim)
 
     def to_text(self) -> str:
         return "\n".join(format_gate(g) for g in self.gates)

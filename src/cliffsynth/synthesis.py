@@ -27,6 +27,14 @@ its Euclid word and the sum loop folds the values onto the last qudit.
 Word-to-word transport takes the normal form of one word and the
 inverse normal form of the other.
 
+Every piece of a word program is emitted as a reduced word, the form
+`merge_gates` returns: each qudit's word, the sum fold (its fix-up joins
+the loop's last step) and the hub sums. So `generalized_peg` returns its
+gates as they are, and `transport` merges only where its pieces meet
+(`_merge_onto`). Each Fourier gate is one shared instance per qudit
+(`_fourier`), and the library's own programs skip the gate-by-gate
+check of `GateSequence` (`GateSequence._derived`).
+
 The full n-qudit decomposition works in two stages. Elimination
 (`_eliminate`) reduces the inverse of the input to the identity with
 row operations only (`_PackedRows.act`), last qudit first: the normal
@@ -35,8 +43,9 @@ Z_j clear the X_j column. The gates, in the order applied, are a
 program for the input. Then one scan (`_shorten_runs`) joins each
 qudit's run of Fourier and phase gates between sum gates, normal-form
 words with the scale and clearing gates around them, and replaces it by
-the shortest-known program for its 2x2 matrix when that is shorter. The
-finished program is merged once and checked once against its input.
+the shortest-known program for its 2x2 matrix when that is shorter; the
+candidate is built as gates only then. The finished program is merged
+once and checked once against its input.
 `decompose_single` is `decompose` on one qudit. The golden tests pin
 the text of both stages, the merged elimination digest and the final
 digest, and the matrix of every word program.
@@ -66,6 +75,7 @@ from .symplectic import (
     Phase,
     Sum,
     SymplecticMatrix,
+    _merge_onto,
     _PackedRows,
     inverse,
     merge_gates,
@@ -75,6 +85,21 @@ from .symplectic import (
 
 # ---------------------------------------------------------------------------
 # elementary Euclid loops
+
+
+@functools.cache
+def _fourier(qudit: int) -> Fourier:
+    """The one shared ``Fourier(qudit)``: gates are frozen, and word
+    programs hold one on nearly every qudit, so it is built once per index
+    per process. Phase and sum gates carry powers and are built per use."""
+    return Fourier(qudit)
+
+
+def _word(letters: list[int], qudit: int) -> list[Gate]:
+    """The gates of a single-qudit word on ``qudit``: letter 0 is F and a
+    letter e in [1, D) is P^e."""
+    f = _fourier(qudit)
+    return [Phase(qudit, e) if e else f for e in letters]
 
 
 def _peg_vector(
@@ -90,7 +115,7 @@ def _peg_vector(
     on four ints and its length. The inverse chain is the chain inverted
     as a reduced word: F^3 for a closing F first, then the steps in
     reverse, each F^3 P^-k F or P^k. The gates emitted are the
-    chain, or the shortest-known word for its matrix (`_shortest_word`)
+    chain, or the shortest-known word for its matrix (`_shortest_letters`)
     when that is strictly shorter, so the map is the chain's either way.
     """
     if a == 0 and b == 0:
@@ -120,10 +145,10 @@ def _peg_vector(
         p, q, r, s = s, -q % D, -r % D, p
         length += 2 * close
         steps = [(five, -k) for five, k in reversed(steps)]
-    word = _shortest_word(p, q, r, s, D, qudit)
-    if len(word) < length:
-        return word, b
-    f = Fourier(qudit)
+    short = _shortest_letters(p, q, r, s, D)
+    if len(short) < length:
+        return _word(short, qudit), b
+    f = _fourier(qudit)
     chain: list[Gate] = [f, f, f] if inverse and close else []
     for five, k in steps:
         chain.extend([f, f, f, Phase(qudit, k % D), f] if five else [Phase(qudit, k % D)])
@@ -132,26 +157,33 @@ def _peg_vector(
     return chain, b
 
 
-def _sum_peg_vector(a: int, b: int, D: int, i: int, j: int) -> list[Gate]:
-    """Sum-only gates on qudits i, j mapping their z-exponents (a, b) to
-    (0, gcd0(a, b)); a two-gate fix-up moves the gcd over to qudit j when
-    the loop stops with it on qudit i.
+def _sum_peg_vector(a: int, b: int, D: int, i: int, j: int) -> list[tuple[int, int, int]]:
+    """The sum gates on qudits i, j, as (control, target, power) triples,
+    that map their z-exponents (a, b) to (0, gcd0(a, b)), a reduced word.
+
+    The steps alternate between the pairs (i, j) and (j, i). When the
+    loop stops at (g, 0), Sum(j, i, -1) then Sum(i, j, 1) move g to qudit
+    j: (g, 0) -> (g, g) -> (0, g). The first of the two joins the loop's
+    last step, if any: Sum(j, i, k) with k = b / a >= 2, as a < b and a
+    divides b. So it becomes Sum(j, i, k - 1), no power is 0, and no two
+    neighbours combine.
     """
     if a == 0 and b == 0:
         raise DegenerateWordError("cannot reduce the zero exponent pair")
-    gates: list[Gate] = []
+    sums: list[tuple[int, int, int]] = []
     while a != 0 and b != 0:
         if a >= b:
             q = a // b
-            gates.append(Sum(i, j, q))  # z-block [[1,-q],[0,1]]
+            sums.append((i, j, q))  # z-block [[1,-q],[0,1]]
             a -= q * b
         else:
             q = b // a
-            gates.append(Sum(j, i, q))  # z-block [[1,0],[-q,1]]
+            sums.append((j, i, q))  # z-block [[1,0],[-q,1]]
             b -= q * a
     if b == 0:
-        gates.extend([Sum(j, i, D - 1), Sum(i, j, 1)])  # (g,0) -> (g,g) -> (0,g)
-    return gates
+        k = sums.pop()[2] if sums else 0
+        sums += [(j, i, (k - 1) % D), (i, j, 1)]
+    return sums
 
 
 def _scale_gates(k: int, D: int, qudit: int) -> list[Gate]:
@@ -160,7 +192,7 @@ def _scale_gates(k: int, D: int, qudit: int) -> list[Gate]:
     kinv = mod_inverse(k, D)
     if kinv is None:
         raise NonSymplecticError(f"scale factor {k} is not a unit mod {D}")
-    f = Fourier(qudit)
+    f = _fourier(qudit)
     return [Phase(qudit, kinv), f, Phase(qudit, k), f, Phase(qudit, kinv), f]
 
 
@@ -181,8 +213,9 @@ def scale_sequence(k: int, dim: Dimension) -> GateSequence:
 def _peg_gates(
     xs: Sequence[int], zs: Sequence[int], D: int, target: int, inverse: bool = False
 ) -> tuple[list[Gate], int]:
-    """Unmerged gates mapping the word with exponents ``xs``, ``zs`` (in
-    [0, D), not all zero) to a power of Z on its last qudit, and that power.
+    """A reduced word (its own `merge_gates`) mapping the word with
+    exponents ``xs``, ``zs`` (in [0, D), not all zero) to a power of Z on
+    its last qudit, and that power.
 
     The hub is the first qudit h before the last at which the fold's
     running value u is a unit mod D, that is gcd(D, the exponents of
@@ -199,6 +232,10 @@ def _peg_gates(
     With ``inverse``, the gates of the inverse program: the sums
     inverted gate by gate, then each qudit's inverse word. A unit a
     then gets F P^(b/a) from (0, -a), and a unit b F P^(-a/b) F.
+
+    Each qudit's word is reduced and no two of them share a qudit; the
+    sums are reduced folds (`_sum_peg_vector`) on successive pairs, then
+    hub sums on distinct pairs; no power is 0. So the whole is reduced.
     """
     n = len(xs)
     hub = None
@@ -215,7 +252,7 @@ def _peg_gates(
             zvals.append(b)
             continue
         if hub is not None and math.gcd(a, D) == 1:
-            f, e = Fourier(i), b * pow(a, -1, D) % D
+            f, e = _fourier(i), b * pow(a, -1, D) % D
             if inverse:
                 chunks.append([f, Phase(i, e)] if e else [f])
                 zvals.append(D - a)
@@ -223,14 +260,14 @@ def _peg_gates(
                 chunks.append([Phase(i, D - e), f] if e else [f])
                 zvals.append(a)
         elif hub is not None and math.gcd(b, D) == 1:
-            f, e = Fourier(i), a * pow(b, -1, D) % D
+            f, e = _fourier(i), a * pow(b, -1, D) % D
             chunks.append([f, Phase(i, D - e if inverse else e), f])
             zvals.append(D - b)
         else:
             chunk, v = _peg_vector(a, b, D, i, inverse)
             chunks.append(chunk)
             zvals.append(v)
-    sums: list[Gate] = []
+    sums: list[tuple[int, int, int]] = []  # (control, target, power)
     cur = zvals[0]
     for i in range(n - 1 if hub is None else hub):
         nxt = zvals[i + 1]
@@ -241,15 +278,17 @@ def _peg_gates(
         uinv = pow(cur, -1, D)
         for j in range(hub + 1, n - 1):
             if zvals[j]:
-                sums.append(Sum(j, hub, zvals[j] * uinv % D))
+                sums.append((j, hub, zvals[j] * uinv % D))
         e = (zvals[-1] - target) * uinv % D
         if e:
-            sums.append(Sum(n - 1, hub, e))
-        sums.append(Sum(hub, n - 1, cur * pow(target, -1, D) % D))
+            sums.append((n - 1, hub, e))
+        sums.append((hub, n - 1, cur * pow(target, -1, D) % D))
         cur = target
     if not inverse:
-        return [g for chunk in chunks for g in chunk] + sums, cur
-    gates: list[Gate] = [Sum(g.control, g.target, D - g.power) for g in reversed(sums)]
+        gates = [g for chunk in chunks for g in chunk]
+        gates += [Sum(c, t, e) for c, t, e in sums]
+        return gates, cur
+    gates = [Sum(c, t, D - e) for c, t, e in reversed(sums)]
     for chunk in reversed(chunks):
         gates.extend(chunk)
     return gates, cur
@@ -268,7 +307,7 @@ def generalized_peg(w: PauliWord) -> tuple[GateSequence, int]:
     if w.is_identity:
         raise DegenerateWordError("the identity word has no reduction target")
     gates, k = _peg_gates(w.xexp, w.zexp, w.dim.D, math.gcd(*w.xexp, *w.zexp))
-    return GateSequence(tuple(merge_gates(gates, w.dim)), w.n, w.dim), k
+    return GateSequence._derived(tuple(gates), w.n, w.dim), k
 
 
 def peg_reduce(a: int, b: int, dim: Dimension) -> tuple[GateSequence, int]:
@@ -303,11 +342,13 @@ def transport(p: PauliWord, q: PauliWord) -> GateSequence | None:
 
     Feasible exactly when gcd(q's exponents) = k * gcd(p's exponents)
     mod d for some unit k mod d; returns None otherwise. The program is
-    p's peg gates, then the gates of q's inverse peg program, merged
-    once. A word with a unit hub ends its fold on the value the other
-    word's program takes, q's gcd for p and p's value for q, so the two
-    meet on the last qudit. Only when neither word has a hub do the six
-    scale gates for k go between them.
+    p's peg gates, then the gates of q's inverse peg program. A word with
+    a unit hub ends its fold on the value the other word's program takes,
+    q's gcd for p and p's value for q, so the two meet on the last qudit.
+    Only when neither word has a hub do the six scale gates for k go
+    between them. Each piece is a reduced word, so they are merged only
+    where they meet (`_merge_onto`): the program is the merged
+    concatenation, built without a second pass over the gates.
     """
     if p.dim != q.dim or p.n != q.n:
         raise DimensionMismatchError("transport endpoints disagree on layout")
@@ -315,7 +356,7 @@ def transport(p: PauliWord, q: PauliWord) -> GateSequence | None:
         raise DegenerateWordError("transport endpoints must be nonidentity words")
     n, dim = p.n, p.dim
     if p == q:
-        return GateSequence((), n, dim)
+        return GateSequence._derived((), n, dim)
     gq = math.gcd(*q.xexp, *q.zexp)
     k = _transport_unit(math.gcd(*p.xexp, *p.zexp), gq, dim.d)
     if k is None:
@@ -323,9 +364,9 @@ def transport(p: PauliWord, q: PauliWord) -> GateSequence | None:
     gates, vp = _peg_gates(p.xexp, p.zexp, dim.D, gq)
     inv, vq = _peg_gates(q.xexp, q.zexp, dim.D, vp, inverse=True)
     if vp != vq:  # neither word has a hub: vp, vq are the gcds
-        gates.extend(_scale_gates(k, dim.D, n - 1))
-    gates.extend(inv)
-    return GateSequence(tuple(merge_gates(gates, dim)), n, dim)
+        _merge_onto(gates, _scale_gates(k, dim.D, n - 1), dim.D, reduced=True)
+    _merge_onto(gates, inv, dim.D, reduced=True)
+    return GateSequence._derived(tuple(gates), n, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +381,9 @@ def _act2(g: Gate, p: int, q: int, r: int, s: int, D: int) -> tuple[int, int, in
     return p, q, (r + e * p) % D, (s + e * q) % D
 
 
-def _closed_form(p: int, q: int, r: int, s: int, D: int, qudit: int) -> list[Gate]:
-    """Fourier/phase gates on ``qudit`` for the 2x2 symplectic matrix
-    M = [[p, q], [r, s]] (entries in [0, D)), at most 7 of them.
+def _closed_form(p: int, q: int, r: int, s: int, D: int) -> list[int]:
+    """The letters (see `_word`) of a program for the 2x2 symplectic
+    matrix M = [[p, q], [r, s]] (entries in [0, D)), at most 7 of them.
 
     The core, for a unit top-right entry q, is the matrix P^m F P^q F P^n
     with m, n read off the entries. F M F and M F^3 move r and p into that
@@ -356,29 +397,28 @@ def _closed_form(p: int, q: int, r: int, s: int, D: int, qudit: int) -> list[Gat
     """
     if (p, q, r, s) == (1, 0, 0, 1):
         return []
-    f = Fourier(qudit)
 
     def unit(v: int) -> bool:
         return gcd0(v, D) == 1
 
-    def core(p: int, q: int, s: int) -> list[Gate]:
+    def core(p: int, q: int, s: int) -> list[int]:
         qinv = pow(q, -1, D)
         m, n = qinv * (s + 1) % D, qinv * (p + 1) % D
-        word: list[Gate] = [Phase(qudit, n)] if n else []
-        word += [f, Phase(qudit, q), f]
-        return word + [Phase(qudit, m)] if m else word
+        word = [n] if n else []
+        word += [0, q, 0]
+        return word + [m] if m else word
 
     if unit(q):
         return core(p, q, s)
     if unit(r):
-        return [f] + core(-s % D, r, -p % D) + [f]
+        return [0] + core(-s % D, r, -p % D) + [0]
     if unit(p):
-        return [f] + core(-q % D, p, r)
+        return [0] + core(-q % D, p, r)
     t = next((t for t in range(D) if unit((s + t * q) % D)), None)
     if t is None:
         raise NonSymplecticError(f"[[{p}, {q}], [{r}, {s}]] is not symplectic mod {D}")
-    word = core((r + t * p) % D, (s + t * q) % D, -q % D) + [f]
-    return word + [Phase(qudit, D - t)] if t else word
+    word = core((r + t * p) % D, (s + t * q) % D, -q % D) + [0]
+    return word + [D - t] if t else word
 
 
 # Largest D whose shortest programs come from a breadth-first table of
@@ -417,30 +457,32 @@ def _shortest_table(D: int) -> bytearray:
     return table
 
 
-def _table_word(p: int, q: int, r: int, s: int, D: int, qudit: int) -> list[Gate]:
-    """A shortest Fourier/phase program for [[p, q], [r, s]], D <= MAX_TABLE_D."""
+def _table_letters(p: int, q: int, r: int, s: int, D: int) -> list[int]:
+    """The letters (see `_word`) of a shortest Fourier/phase program for
+    [[p, q], [r, s]], D <= MAX_TABLE_D."""
     table = _shortest_table(D)
-    f = Fourier(qudit)
-    word: list[Gate] = []
+    word: list[int] = []
     while (p, q, r, s) != (1, 0, 0, 1):
         letter = table[((p * D + q) * D + r) * D + s]
         if letter == 1:  # M = F M'
-            word.append(f)
+            word.append(0)
             p, q, r, s = r, s, -p % D, -q % D
         else:  # M = P^e M'
             e = letter - 1
-            word.append(Phase(qudit, e))
+            word.append(e)
             r, s = (r - e * p) % D, (s - e * q) % D
     word.reverse()
     return word
 
 
-def _shortest_word(p: int, q: int, r: int, s: int, D: int, qudit: int) -> list[Gate]:
-    """The shortest-known reduced program for [[p, q], [r, s]]: a shortest
-    one from the table for D <= MAX_TABLE_D, else the closed form."""
+def _shortest_letters(p: int, q: int, r: int, s: int, D: int) -> list[int]:
+    """The letters of the shortest-known reduced program for [[p, q], [r, s]]:
+    a shortest one from the table for D <= MAX_TABLE_D, else the closed
+    form. Callers compare lengths first and build gates (`_word`) only
+    for a word they emit."""
     if D <= MAX_TABLE_D:
-        return _table_word(p, q, r, s, D, qudit)
-    return _closed_form(p, q, r, s, D, qudit)
+        return _table_letters(p, q, r, s, D)
+    return _closed_form(p, q, r, s, D)
 
 
 def _shorter_run(run: list[Gate], D: int, qudit: int) -> list[Gate]:
@@ -449,8 +491,8 @@ def _shorter_run(run: list[Gate], D: int, qudit: int) -> list[Gate]:
     p, q, r, s = 1, 0, 0, 1
     for g in run:
         p, q, r, s = _act2(g, p, q, r, s, D)
-    short = _shortest_word(p, q, r, s, D, qudit)
-    return short if len(short) < len(run) else run
+    short = _shortest_letters(p, q, r, s, D)
+    return _word(short, qudit) if len(short) < len(run) else run
 
 
 def _shorten_runs(gates: list[Gate], dim: Dimension) -> list[Gate]:
@@ -548,7 +590,7 @@ def _eliminate(m: SymplecticMatrix) -> list[Gate]:
                 push([Sum(j, i, -e % D)])
             e = entry(work[n + i], j)
             if e:
-                push([Fourier(i), Sum(j, i, e)])
+                push([_fourier(i), Sum(j, i, e)])
         e = entry(work[z], j)
         if e:
             push([Phase(j, -e % D)])
@@ -568,7 +610,7 @@ def decompose(m: SymplecticMatrix) -> GateSequence:
     """
     n, dim = m.n, m.dim
     gates = merge_gates(_shorten_runs(_eliminate(m), dim), dim)
-    seq = GateSequence(tuple(gates), n, dim)
+    seq = GateSequence._derived(tuple(gates), n, dim)
     if sequence_matrix(seq) != m:
         raise SynthesisCheckError(
             f"the {len(seq)}-gate program does not recompose the input (n={n}, d={dim.d})"

@@ -30,6 +30,7 @@ from cliffsynth.symplectic import (
     Fourier,
     Phase,
     Sum,
+    _merge_onto,
     _normalize_gate,
     _PackedRows,
     invert_gate,
@@ -461,6 +462,24 @@ class TestMergeNormalForm:
         assert merge_gates(gates + inverted(gates, dim), dim) == []
         assert merge_gates(inverted(gates, dim) + gates, dim) == []
 
+    @given(gate_lists(), st.data())
+    def test_join_of_reduced_words_is_the_merge(self, case, data):
+        gates, _, dim = case
+        a, b = split(gates, data)
+        word = merge_gates(a, dim)
+        assert _merge_onto(word, merge_gates(b, dim), dim.D, reduced=True) is word
+        assert word == merge_gates(a + b, dim)
+
+    @given(gate_lists(), st.data())
+    def test_join_cancels_across_the_seam(self, case, data):
+        # b ends with the inverse of a, so the seam cascades through the
+        # whole of a; a dropped pop or combine leaves a letter behind
+        gates, _, dim = case
+        a, rest = split(gates, data)
+        b = inverted(a, dim) + rest
+        joined = _merge_onto(merge_gates(a, dim), merge_gates(b, dim), dim.D, reduced=True)
+        assert joined == merge_gates(rest, dim)
+
     @given(gate_lists())
     def test_output_is_reduced(self, case):
         gates, _, dim = case
@@ -487,6 +506,16 @@ class TestSequenceInverse:
         gates, n, dim = case
         seq = GateSequence(tuple(gates), n, dim)
         assert seq.inverse().inverse().gates == tuple(merge_gates(seq.gates, dim))
+
+
+class TestDerivedSequence:
+    @settings(deadline=None)
+    @given(gate_lists(dims=(2, 3, 12, 97), max_n=16, max_size=80))
+    def test_inverse_is_a_checked_sequence(self, case):
+        gates, n, dim = case
+        inv = GateSequence(tuple(gates), n, dim).inverse()
+        assert type(inv.gates) is tuple and type(inv.n) is int
+        assert inv == GateSequence(inv.gates, n, dim)
 
 
 class TestNormalization:

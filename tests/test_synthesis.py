@@ -41,9 +41,11 @@ from cliffsynth.synthesis import (
     _eliminate,
     _peg_gates,
     _peg_vector,
+    _scale_gates,
     _shorten_runs,
-    _table_word,
+    _table_letters,
     _transport_unit,
+    _word,
 )
 
 from conftest import child_env, gate_lists, random_gate_sequence, random_word_exponents
@@ -245,7 +247,7 @@ class TestDecomposeSingle:
             assert sequence_matrix(seq) == m
             assert len(seq) <= 7
             total += len(seq)
-            closed = _closed_form(p, q, r, s, dim.D, 0)
+            closed = _word(_closed_form(p, q, r, s, dim.D), 0)
             assert merge_gates(closed, dim) == closed  # already reduced
             acc = (1, 0, 0, 1)
             for g in closed:
@@ -259,7 +261,7 @@ class TestDecomposeSingle:
     def test_closed_form_rejects_non_symplectic(self):
         # every entry even mod 28: no s + t*q is a unit
         with pytest.raises(NonSymplecticError, match="not symplectic mod 28"):
-            _closed_form(2, 2, 2, 2, 28, 0)
+            _closed_form(2, 2, 2, 2, 28)
 
     def test_rejects_non_2x2(self):
         with pytest.raises(Exception):
@@ -291,7 +293,7 @@ class TestShortestTable:
         assert D <= MAX_TABLE_D
         for p, q, r, s in sl2(D):
             acc = (1, 0, 0, 1)
-            for g in _table_word(p, q, r, s, D, 0):
+            for g in _word(_table_letters(p, q, r, s, D), 0):
                 assert type(g) is Fourier or 0 < g.power < D
                 acc = _act2(g, *acc, D)
             assert acc == (p, q, r, s)
@@ -302,7 +304,7 @@ class TestShortestTable:
         elements = sl2(D)
         assert sorted(best) == elements
         for m in elements:
-            assert len(_table_word(*m, D, 0)) == best[m]
+            assert len(_table_letters(*m, D)) == best[m]
 
 
 class TestShortenRuns:
@@ -656,6 +658,134 @@ class TestVectorTargetWords:
             seq, k = generalized_peg(PauliWord(Dimension.of(d), xs, zs))
             assert act_on_exponents(seq, xs, zs, d) == ([0] * n, [0] * (n - 1) + [k])
             assert sum(type(g) is Sum for g in seq) <= n + 1
+
+
+def prime_factors(D):
+    return [f for f in range(2, D + 1) if D % f == 0 and all(f % p for p in range(2, f))]
+
+
+@st.composite
+def peg_words(draw):
+    """(xs, zs, d, target): a nonzero word in [0, D) and a unit target. The
+    shapes: any entries; every entry a multiple of one prime factor of D
+    (a composite gcd, no hub); and that, but with a unit on the last qudit
+    (no hub, the fold ends on the last qudit's unit)."""
+    d = draw(st.sampled_from((2, 4, 6, 12, 97, 1024)))
+    n = draw(st.sampled_from((1, 2, 3, 16)))
+    D = Dimension.of(d).D
+    shape = draw(st.sampled_from(("any", "shared factor", "unit on the last qudit only")))
+    f = 1 if shape == "any" else draw(st.sampled_from(prime_factors(D)))
+    entries = draw(st.lists(st.integers(0, D - 1), min_size=2 * n, max_size=2 * n))
+    xs, zs = [v * f % D for v in entries[:n]], [v * f % D for v in entries[n:]]
+    unit = st.integers(1, D - 1).filter(lambda v: math.gcd(v, D) == 1)
+    if shape == "unit on the last qudit only":
+        (xs if draw(st.booleans()) else zs)[-1] = draw(unit)
+    if not any(xs + zs):
+        xs[-1] = 1
+    return xs, zs, d, draw(unit)
+
+
+def transport_reference(p, q):
+    """`transport`'s program as its raw pieces concatenated and merged once,
+    and the raw length: p's peg gates, the scale gates when the two halves
+    end on different values, q's inverse peg gates. No gates when p = q."""
+    if p == q:
+        return [], 0
+    D = p.dim.D
+    gq = math.gcd(*q.xexp, *q.zexp)
+    k = _transport_unit(math.gcd(*p.xexp, *p.zexp), gq, p.dim.d)
+    gates, vp = _peg_gates(p.xexp, p.zexp, D, gq)
+    inv, vq = _peg_gates(q.xexp, q.zexp, D, vp, inverse=True)
+    raw = gates + (_scale_gates(k, D, p.n - 1) if vp != vq else []) + inv
+    return merge_gates(raw, p.dim), len(raw)
+
+
+class TestReducedPieces:
+    """Every piece of a word program is emitted as a reduced word, so
+    programs are assembled with no merge pass over their gates."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(peg_words())
+    def test_peg_gates_are_reduced(self, word):
+        xs, zs, d, target = word
+        dim = Dimension.of(d)
+        D, n = dim.D, len(xs)
+        gates, t = _peg_gates(xs, zs, D, target)
+        assert merge_gates(gates, dim) == gates
+        assert act_on_exponents(gates, xs, zs, D) == ([0] * n, [0] * (n - 1) + [t])
+        inv, t_inv = _peg_gates(xs, zs, D, target, inverse=True)
+        assert t_inv == t
+        assert merge_gates(inv, dim) == inv
+        assert act_on_exponents(inv, [0] * n, [0] * (n - 1) + [t], D) == (xs, zs)
+
+    @settings(deadline=None, max_examples=100)
+    @given(peg_words(), st.integers(0, 2**16))
+    def test_library_sequences_are_checked_sequences(self, word, seed):
+        # transport, generalized_peg, decompose and inverse skip the
+        # gate-by-gate check; each must equal the checked sequence
+        xs, zs, d, _ = word
+        dim, n = Dimension.of(d), len(xs)
+        p = PauliWord(dim, tuple(v % d for v in xs), tuple(v % d for v in zs))
+        q = PauliWord(dim, *random_word_exponents(n, d, seed))
+        seqs = []
+        if n <= 3:
+            seqs.append(decompose(sequence_matrix(random_gate_sequence(n, dim, 8 * n, seed))))
+        if not p.is_identity:
+            seqs.append(generalized_peg(p)[0])
+            if not q.is_identity and transport(p, q) is not None:
+                seqs.append(transport(p, q))
+        for seq in seqs + [seq.inverse() for seq in seqs]:
+            assert type(seq.gates) is tuple and type(seq.n) is int
+            assert seq == GateSequence(seq.gates, seq.n, seq.dim)
+
+
+class TestSeamCascades:
+    """`transport` merges only where its pieces meet; the result is the
+    merged concatenation, however far the cancellation runs."""
+
+    def check(self, p, q):
+        out = transport(p, q)
+        merged, raw = transport_reference(p, q)
+        assert list(out.gates) == merged
+        assert act_on_exponents(out, p.xexp, p.zexp, p.dim.d) == (list(q.xexp), list(q.zexp))
+        return raw - len(merged)
+
+    @pytest.mark.parametrize("d", [2, 6, 12, 97])
+    @pytest.mark.parametrize("n", [2, 3, 5, 16])
+    def test_words_that_differ_on_one_qudit(self, d, n):
+        # Z-only words take no single-qudit gates, and a qudit's value is
+        # its z on both halves; so every hub sum past the changed qudit i
+        # meets its own inverse across the seam, and the cascade runs
+        # until it reaches i. Random words with one entry changed cover
+        # the halves whose values differ in sign.
+        dim = Dimension.of(d)
+        cancelled = []
+        for seed in range(12):
+            xs, zs = random_word_exponents(n, d, seed)
+            i = seed % n
+            for p in (PauliWord(dim, (0,) * n, zs), PauliWord(dim, xs, zs)):
+                x = p.xexp[:i] + ((p.xexp[i] + 1) % d,) + p.xexp[i + 1 :]
+                q = PauliWord(dim, x, p.zexp)
+                if not (p.is_identity or q.is_identity or transport(p, q) is None):
+                    cancelled.append(self.check(p, q))
+        assert max(cancelled) >= {2: 3, 3: 5, 5: 7, 16: 20}[n]
+
+    @pytest.mark.parametrize("d", [5, 6, 9, 12])
+    def test_every_one_qudit_pair(self, d):
+        # one qudit has no hub: a pair whose gcds differ by a unit other
+        # than 1 takes the six scale gates between its halves
+        dim = Dimension.of(d)
+        words = [PauliWord(dim, (a,), (b,)) for a in range(d) for b in range(d) if a or b]
+        scaled = far = 0
+        for p in words:
+            for q in words:
+                if transport(p, q) is None:
+                    continue
+                cancelled = self.check(p, q)
+                gp, gq = math.gcd(*p.xexp, *p.zexp), math.gcd(*q.xexp, *q.zexp)
+                scaled += gp % d != gq % d
+                far += cancelled >= 3
+        assert scaled and far
 
 
 class TestDecompose:
