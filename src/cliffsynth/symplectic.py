@@ -9,6 +9,13 @@ a global phase. The three generator gates are
 * ``Phase(i, e)``  -- e-th power of the phase-shift gate, block [[1,0],[e,1]]
 * ``Sum(c, t, e)`` -- e-th power of the two-qudit sum gate (control c, target t)
 
+A gate is an immutable tuple of its fields, so ``Sum(1, 2, 3)`` equals
+``(1, 2, 3)``; gates of different kinds differ in length and never compare
+equal. The public constructors check the qudit indices. The library's own
+emitters build gates whose fields are already ints in range with the
+trusted constructor ``_gate``, and its kernels unpack gates rather than
+read their fields by name.
+
 Gate sequences are stored in application order: the first gate listed is
 the first one applied to a state, so the matrix of a sequence is the
 reversed product of its gate matrices.
@@ -22,7 +29,7 @@ any size; numpy is imported only for the dense references (``gate_matrix``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index, mul
+from operator import index, itemgetter, mul
 from typing import TYPE_CHECKING, Iterable, Iterator, Union
 
 from .errors import (
@@ -42,58 +49,96 @@ if TYPE_CHECKING:
 # gates
 
 
-@dataclass(frozen=True)
-class Fourier:
+def _check_qudit(q: int) -> None:
+    """Raise `MalformedMatrixError` unless the qudit index ``q`` compares
+    as a number that is not negative: a str or None does not."""
+    try:
+        negative = q < 0
+    except TypeError:
+        raise MalformedMatrixError(f"qudit index {q!r} is not an integer") from None
+    if negative:
+        raise MalformedMatrixError(f"negative qudit index {q}")
+
+
+class _GateTuple(tuple):
+    """A gate: an immutable tuple of its fields, in ``__match_args__``
+    order, each also read by name. Pickling and copying rebuild it from
+    its fields through the public constructor."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __getnewargs__(self) -> tuple[int, ...]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__match_args__, self))
+        return f"{type(self).__name__}({fields})"
+
+
+class Fourier(_GateTuple):
     """Discrete Fourier gate on one qudit."""
 
-    qudit: int
+    __slots__ = ()
+    __match_args__ = ("qudit",)
 
-    def __post_init__(self) -> None:
-        if self.qudit < 0:
-            raise MalformedMatrixError(f"negative qudit index {self.qudit}")
+    def __new__(cls, qudit: int) -> "Fourier":
+        _check_qudit(qudit)
+        return tuple.__new__(cls, (qudit,))
+
+    qudit = property(itemgetter(0))
 
 
-@dataclass(frozen=True)
-class Phase:
+class Phase(_GateTuple):
     """Power of the phase-shift gate on one qudit."""
 
-    qudit: int
-    power: int
+    __slots__ = ()
+    __match_args__ = ("qudit", "power")
 
-    def __post_init__(self) -> None:
-        if self.qudit < 0:
-            raise MalformedMatrixError(f"negative qudit index {self.qudit}")
+    def __new__(cls, qudit: int, power: int) -> "Phase":
+        _check_qudit(qudit)
+        return tuple.__new__(cls, (qudit, power))
+
+    qudit = property(itemgetter(0))
+    power = property(itemgetter(1))
 
 
-@dataclass(frozen=True)
-class Sum:
+class Sum(_GateTuple):
     """Power of the two-qudit sum gate (qudit generalization of CNOT)."""
 
-    control: int
-    target: int
-    power: int
+    __slots__ = ()
+    __match_args__ = ("control", "target", "power")
 
-    def __post_init__(self) -> None:
-        if self.control < 0 or self.target < 0:
-            raise MalformedMatrixError("negative qudit index on sum gate")
-        if self.control == self.target:
+    def __new__(cls, control: int, target: int, power: int) -> "Sum":
+        _check_qudit(control)
+        _check_qudit(target)
+        if control == target:
             raise MalformedMatrixError("sum gate needs distinct control and target")
+        return tuple.__new__(cls, (control, target, power))
 
+    control = property(itemgetter(0))
+    target = property(itemgetter(1))
+    power = property(itemgetter(2))
+
+
+# The trusted constructor, ``_gate(Sum, (c, t, e))``: no checks, for
+# fields the library already knows are ints in range.
+_gate = tuple.__new__
 
 Gate = Union[Fourier, Phase, Sum]
 
 
 def _gate_max_index(g: Gate) -> int:
-    if type(g) is Sum:
-        return max(g.control, g.target)
-    return g.qudit
+    return max(g[0], g[1]) if type(g) is Sum else g[0]
 
 
 def _normalize_gate(g: Gate, D: int) -> Gate:
     """The gate with int fields and its power in [0, D); a gate already so
     is returned as is. A field that is not an integer raises
-    `MalformedMatrixError`."""
-    fields = tuple(vars(g).values())
+    `MalformedMatrixError`, and so does an object that is not a gate."""
+    if type(g) not in (Fourier, Phase, Sum):
+        raise MalformedMatrixError(f"{g!r} is not a gate")
+    fields = tuple(g)
     try:
         ints = [index(v) for v in fields]
     except TypeError:
@@ -189,14 +234,16 @@ class _PackedRows:
         arXiv:quant-ph/0406196). The gate's power may lie outside [0, D).
         """
         D, reduce = self.D, self._reduce
-        if isinstance(g, Fourier):
-            i = g.qudit
+        kind = type(g)
+        if kind is Fourier:
+            (i,) = g
             work[i], work[n + i] = reduce(self.all_D - work[n + i]), work[i]
-        elif isinstance(g, Phase):
-            q = g.qudit
-            work[n + q] = reduce(work[n + q] + g.power % D * work[q])
+        elif kind is Phase:
+            q, e = g
+            work[n + q] = reduce(work[n + q] + e % D * work[q])
         else:
-            c, t, e = g.control, g.target, g.power % D
+            c, t, e = g
+            e %= D
             work[t] = reduce(work[t] + e * work[c])
             work[n + c] = reduce(work[n + c] + (D - e) % D * work[n + t])
 
@@ -205,7 +252,8 @@ def invert_gate(g: Gate, dim: Dimension) -> list[Gate]:
     """Gates whose sequence matrix is the inverse of ``g``'s matrix.
 
     The Fourier gate has order 4, so its inverse is three Fourier gates;
-    phase and sum powers invert by negating the exponent mod D.
+    phase and sum powers invert by negating the exponent mod D. The
+    one-gate reference for `GateSequence.inverse`, which does not call it.
     """
     if isinstance(g, Fourier):
         return [g, g, g]
@@ -251,40 +299,45 @@ def _merge_onto(out: list[Gate], gates: Iterable[Gate], D: int, reduced: bool) -
         kind = type(g)
         prev = out[-1] if out else None
         if kind is Fourier:
-            if type(g.qudit) is not int:
+            if type(g[0]) is not int:
                 g = _normalize_gate(g, D)
-            if type(prev) is Fourier and prev.qudit == g.qudit:
+            # gates of different kinds differ in length, so never compare equal
+            if prev == g:
                 # count the trailing run, wrap at 4
                 run = 0
-                while out and type(out[-1]) is Fourier and out[-1].qudit == g.qudit:
+                while out and out[-1] == g:
                     out.pop()
                     run += 1
                 out.extend([g] * ((run + 1) % 4))
                 continue
         elif kind is Phase:
-            if not (type(g.qudit) is type(g.power) is int and 0 <= g.power < D):
+            q, e = g
+            if not (type(q) is type(e) is int and 0 <= e < D):
                 g = _normalize_gate(g, D)
-            if type(prev) is Phase and prev.qudit == g.qudit:
+                q, e = g
+            if type(prev) is Phase and prev[0] == q:
                 out.pop()
-                p = (prev.power + g.power) % D
+                p = (prev[1] + e) % D
                 if p:
-                    out.append(Phase(g.qudit, p))
+                    out.append(_gate(Phase, (q, p)))
                 continue
-            if not g.power:
+            if not e:
+                continue
+        elif kind is Sum:
+            c, t, e = g
+            if not (type(c) is type(t) is type(e) is int and 0 <= e < D):
+                g = _normalize_gate(g, D)
+                c, t, e = g
+            if type(prev) is Sum and prev[0] == c and prev[1] == t:
+                out.pop()
+                p = (prev[2] + e) % D
+                if p:
+                    out.append(_gate(Sum, (c, t, p)))
+                continue
+            if not e:
                 continue
         else:
-            if not (
-                type(g.control) is type(g.target) is type(g.power) is int and 0 <= g.power < D
-            ):
-                g = _normalize_gate(g, D)
-            if type(prev) is Sum and prev.control == g.control and prev.target == g.target:
-                out.pop()
-                p = (prev.power + g.power) % D
-                if p:
-                    out.append(Sum(g.control, g.target, p))
-                continue
-            if not g.power:
-                continue
+            raise MalformedMatrixError(f"{g!r} is not a gate")
         out.append(g)
         if reduced:
             out.extend(rest)
@@ -293,11 +346,14 @@ def _merge_onto(out: list[Gate], gates: Iterable[Gate], D: int, reduced: bool) -
 
 
 def format_gate(g: Gate) -> str:
-    if isinstance(g, Fourier):
-        return f"F {g.qudit}"
-    if isinstance(g, Phase):
-        return f"P {g.qudit} {g.power}"
-    return f"C {g.control} {g.target} {g.power}"
+    kind = type(g)
+    if kind is Fourier:
+        return f"F {g[0]}"
+    if kind is Phase:
+        q, e = g
+        return f"P {q} {e}"
+    c, t, e = g
+    return f"C {c} {t} {e}"
 
 
 def parse_gate_line(line: str) -> Gate:
@@ -471,6 +527,7 @@ class GateSequence:
     gates: tuple[Gate, ...]
     n: int
     dim: Dimension
+    _reduced = False  # not a field: set by `_derived` only
 
     def __post_init__(self) -> None:
         n, D = _qudit_count(self.n), self.dim.D
@@ -480,13 +537,13 @@ class GateSequence:
         for g in gates:
             kind = type(g)
             if kind is Sum:
-                c, t, e = g.control, g.target, g.power
+                c, t, e = g
                 ok = type(c) is type(t) is type(e) is int and c < n and t < n and 0 <= e < D
             elif kind is Phase:
-                q, e = g.qudit, g.power
+                q, e = g
                 ok = type(q) is type(e) is int and q < n and 0 <= e < D
             else:
-                ok = kind is Fourier and type(g.qudit) is int and g.qudit < n
+                ok = kind is Fourier and type(g[0]) is int and g[0] < n
             if not ok:  # some gate is out of range or not in normal form
                 gates = tuple(_normalize_gate(h, D) for h in gates)
                 for h in gates:
@@ -499,12 +556,14 @@ class GateSequence:
     @classmethod
     def _derived(cls, gates: tuple[Gate, ...], n: int, dim: Dimension) -> "GateSequence":
         """A program the library emits already checked: ``n`` an int, every
-        gate in normal form and in range. It skips the walk over the gates
-        in ``__post_init__``."""
+        gate in normal form and in range, and the gates a reduced word, their
+        own `merge_gates`. It skips the walk over the gates in
+        ``__post_init__``, and its `inverse` skips the merge."""
         seq = object.__new__(cls)
         object.__setattr__(seq, "gates", gates)
         object.__setattr__(seq, "n", n)
         object.__setattr__(seq, "dim", dim)
+        object.__setattr__(seq, "_reduced", True)
         return seq
 
     def __len__(self) -> int:
@@ -524,7 +583,8 @@ class GateSequence:
     def inverse(self) -> "GateSequence":
         """The inverse program: the merged program reversed, phase and sum
         powers negated, and each block of adjacent Fourier gates kept as it
-        is, with one sign fix per single-qudit run.
+        is, with one sign fix per single-qudit run. A program the library
+        emits (`_derived`) is already merged, so it is not merged again.
 
         F^-1 = F^3 = F (-I), and -I commutes with every gate of a qudit's
         run of single-qudit gates between two sum gates that touch it, so
@@ -535,38 +595,50 @@ class GateSequence:
         merged. A lone F on a qudit still becomes F^3, but a run with two,
         as in most table and closed-form words, keeps both.
         """
-        gates = merge_gates(self.gates, self.dim)[::-1]
-        blocks: list[list[Gate]] = []  # merged: each Fourier block is F, F^2 or F^3
-        odd: dict[int, list[int]] = {}  # qudit -> its run's odd blocks so far
-        flips: set[int] = set()
+        D = self.dim.D
+        gates = self.gates if self._reduced else merge_gates(self.gates, self.dim)
+        gates = gates[::-1]
+        inv: list[Gate] = []  # merged: each Fourier block is F, F^2 or F^3
+        odd: dict[int, list[tuple[int, int]]] = {}  # qudit -> its run's odd blocks so far
+        flips: list[tuple[int, int]] = []  # (start in inv, length) of each block to flip
 
         def close(qudit: int) -> None:
             run = odd.pop(qudit, None)
             if run and len(run) % 2:
-                flips.add(run[len(run) // 2])
+                flips.append(run[len(run) // 2])
 
-        i = 0
-        while i < len(gates):
+        i, size = 0, len(gates)
+        while i < size:
             g = gates[i]
-            if type(g) is Fourier:
+            kind = type(g)
+            if kind is Fourier:
                 j = i + 1
-                while j < len(gates) and type(gates[j]) is Fourier and gates[j].qudit == g.qudit:
+                while j < size and gates[j] == g:
                     j += 1
                 if (j - i) % 2:
-                    odd.setdefault(g.qudit, []).append(len(blocks))
-                blocks.append(gates[i:j])
+                    odd.setdefault(g[0], []).append((len(inv), j - i))
+                inv += gates[i:j]
                 i = j
                 continue
-            if type(g) is Sum:
-                close(g.control)
-                close(g.target)
-            blocks.append(invert_gate(g, self.dim))
+            if kind is Sum:  # powers of a reduced word lie in [1, D)
+                c, t, e = g
+                close(c)
+                close(t)
+                inv.append(_gate(Sum, (c, t, D - e)))
+            else:
+                q, e = g
+                inv.append(_gate(Phase, (q, D - e)))
             i += 1
         for qudit in list(odd):
             close(qudit)
-        inv: list[Gate] = []
-        for k, block in enumerate(blocks):
-            inv.extend([block[0]] * (4 - len(block)) if k in flips else block)
+        if flips:
+            out: list[Gate] = []
+            done = 0
+            for k, m in sorted(flips):
+                out += inv[done:k]
+                out += [inv[k]] * (4 - m)
+                done = k + m
+            inv = out + inv[done:]
         return GateSequence._derived(tuple(inv), self.n, self.dim)
 
     def to_text(self) -> str:

@@ -32,8 +32,11 @@ Every piece of a word program is emitted as a reduced word, the form
 the loop's last step) and the hub sums. So `generalized_peg` returns its
 gates as they are, and `transport` merges only where its pieces meet
 (`_merge_onto`). Each Fourier gate is one shared instance per qudit
-(`_fourier`), and the library's own programs skip the gate-by-gate
-check of `GateSequence` (`GateSequence._derived`).
+(`_fourier`), and every phase and sum gate is built with the trusted
+constructor `_gate`, since its fields are ints in range by construction.
+The library's own programs skip the gate-by-gate check of
+`GateSequence` (`GateSequence._derived`), and, being reduced words,
+the merge in their `GateSequence.inverse`.
 
 The full n-qudit decomposition works in two stages. Elimination
 (`_eliminate`) reduces the inverse of the input to the identity with
@@ -75,6 +78,7 @@ from .symplectic import (
     Phase,
     Sum,
     SymplecticMatrix,
+    _gate,
     _merge_onto,
     _PackedRows,
     inverse,
@@ -91,7 +95,8 @@ from .symplectic import (
 def _fourier(qudit: int) -> Fourier:
     """The one shared ``Fourier(qudit)``: gates are frozen, and word
     programs hold one on nearly every qudit, so it is built once per index
-    per process. Phase and sum gates carry powers and are built per use."""
+    per process. Phase and sum gates carry powers and are built per use
+    (`_gate`)."""
     return Fourier(qudit)
 
 
@@ -99,7 +104,7 @@ def _word(letters: list[int], qudit: int) -> list[Gate]:
     """The gates of a single-qudit word on ``qudit``: letter 0 is F and a
     letter e in [1, D) is P^e."""
     f = _fourier(qudit)
-    return [Phase(qudit, e) if e else f for e in letters]
+    return [_gate(Phase, (qudit, e)) if e else f for e in letters]
 
 
 def _peg_vector(
@@ -151,7 +156,8 @@ def _peg_vector(
     f = _fourier(qudit)
     chain: list[Gate] = [f, f, f] if inverse and close else []
     for five, k in steps:
-        chain.extend([f, f, f, Phase(qudit, k % D), f] if five else [Phase(qudit, k % D)])
+        phase = _gate(Phase, (qudit, k % D))
+        chain.extend([f, f, f, phase, f] if five else [phase])
     if close and not inverse:
         chain.append(f)
     return chain, b
@@ -193,7 +199,8 @@ def _scale_gates(k: int, D: int, qudit: int) -> list[Gate]:
     if kinv is None:
         raise NonSymplecticError(f"scale factor {k} is not a unit mod {D}")
     f = _fourier(qudit)
-    return [Phase(qudit, kinv), f, Phase(qudit, k), f, Phase(qudit, kinv), f]
+    p, pinv = _gate(Phase, (qudit, k)), _gate(Phase, (qudit, kinv))
+    return [pinv, f, p, f, pinv, f]
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +261,14 @@ def _peg_gates(
         if hub is not None and math.gcd(a, D) == 1:
             f, e = _fourier(i), b * pow(a, -1, D) % D
             if inverse:
-                chunks.append([f, Phase(i, e)] if e else [f])
+                chunks.append([f, _gate(Phase, (i, e))] if e else [f])
                 zvals.append(D - a)
             else:
-                chunks.append([Phase(i, D - e), f] if e else [f])
+                chunks.append([_gate(Phase, (i, D - e)), f] if e else [f])
                 zvals.append(a)
         elif hub is not None and math.gcd(b, D) == 1:
             f, e = _fourier(i), a * pow(b, -1, D) % D
-            chunks.append([f, Phase(i, D - e if inverse else e), f])
+            chunks.append([f, _gate(Phase, (i, D - e if inverse else e)), f])
             zvals.append(D - b)
         else:
             chunk, v = _peg_vector(a, b, D, i, inverse)
@@ -286,9 +293,9 @@ def _peg_gates(
         cur = target
     if not inverse:
         gates = [g for chunk in chunks for g in chunk]
-        gates += [Sum(c, t, e) for c, t, e in sums]
+        gates += [_gate(Sum, s) for s in sums]
         return gates, cur
-    gates = [Sum(c, t, D - e) for c, t, e in reversed(sums)]
+    gates = [_gate(Sum, (c, t, D - e)) for c, t, e in reversed(sums)]
     for chunk in reversed(chunks):
         gates.extend(chunk)
     return gates, cur
@@ -377,7 +384,7 @@ def _act2(g: Gate, p: int, q: int, r: int, s: int, D: int) -> tuple[int, int, in
     """The entries of ``g``'s 2x2 block times [[p, q], [r, s]], mod D."""
     if type(g) is Fourier:
         return -r % D, -s % D, p, q
-    e = g.power
+    _, e = g
     return p, q, (r + e * p) % D, (s + e * q) % D
 
 
@@ -515,11 +522,12 @@ def _shorten_runs(gates: list[Gate], dim: Dimension) -> list[Gate]:
 
     for g in gates:
         if type(g) is Sum:
-            flush(g.control)
-            flush(g.target)
+            c, t, _ = g
+            flush(c)
+            flush(t)
             out.append(g)
         else:
-            runs.setdefault(g.qudit, []).append(g)
+            runs.setdefault(g[0], []).append(g)
     for qudit in sorted(runs):
         flush(qudit)
     return out
@@ -587,13 +595,13 @@ def _eliminate(m: SymplecticMatrix) -> list[Gate]:
         for i in range(j):
             e = entry(work[i], j)
             if e:
-                push([Sum(j, i, -e % D)])
+                push([_gate(Sum, (j, i, D - e))])
             e = entry(work[n + i], j)
             if e:
-                push([_fourier(i), Sum(j, i, e)])
+                push([_fourier(i), _gate(Sum, (j, i, e))])
         e = entry(work[z], j)
         if e:
-            push([Phase(j, -e % D)])
+            push([_gate(Phase, (j, D - e))])
         _require_unit(column(j), j, j, "column")
         _require_unit(packed.unpack(work[z]), z, j, "row")
         _require_unit(packed.unpack(work[j]), j, j, "row")

@@ -147,17 +147,20 @@ def _push(gates: Sequence[Gate], dim: Dimension, n: int, block: np.ndarray) -> n
     # input row src[x]; None stands for the identity map and the zero exponent
     src = ph = None
     for g in (*gates, None):
-        if type(g) is Phase:
-            step = g.power % D * lay.theta[g.qudit]
+        kind = type(g)
+        if kind is Phase:
+            q, e = g
+            step = e % D * lay.theta[q]
             ph = step if ph is None else ph + step
             continue
-        if type(g) is Sum:
-            key = (g.control, g.target, g.power % d)
+        if kind is Sum:
+            c, t, e = g
+            key = (c, t, e % d)
             s = lay.sums.get(key)
             if s is None:
                 # |x> goes to |x + e * x_c e_t>, so output row x is input row x - e * x_c e_t
-                t, place = lay.digits[g.target], lay.place[g.target]
-                s = ((t - key[2] * lay.digits[g.control]) % d - t) * place + np.arange(t.size)
+                tdig, place = lay.digits[t], lay.place[t]
+                s = ((tdig - key[2] * lay.digits[c]) % d - tdig) * place + np.arange(tdig.size)
                 s.flags.writeable = False
                 lay.sums[key] = s
             src = s if src is None else src[s]
@@ -169,7 +172,7 @@ def _push(gates: Sequence[Gate], dim: Dimension, n: int, block: np.ndarray) -> n
             block = lay.roots[ph % D][:, None] * block
         src = ph = None
         if g is not None:
-            block = (lay.fourier @ block.reshape(d**g.qudit, d, -1)).reshape(block.shape)
+            block = (lay.fourier @ block.reshape(d ** g[0], d, -1)).reshape(block.shape)
     return block
 
 

@@ -15,6 +15,10 @@ A second digest covers `generalized_peg`, `transport` and
 {1, 2, 5, 16, 64}), with feasible and infeasible pairs and composite gcds.
 A third covers the symplectic matrix of each of those programs, so a
 change that shortens word programs must keep every one the same Clifford.
+
+The library builds its gates with the trusted constructor, which skips
+the checks; the last test rebuilds every gate and program of both
+corpora through the public constructors.
 """
 
 import hashlib
@@ -34,7 +38,14 @@ from cliffsynth import (
     transport,
 )
 
-from cliffsynth.symplectic import format_matrix_text, merge_gates, sequence_matrix
+from cliffsynth.symplectic import (
+    Fourier,
+    Phase,
+    Sum,
+    format_matrix_text,
+    merge_gates,
+    sequence_matrix,
+)
 from cliffsynth.synthesis import _eliminate
 
 from conftest import random_gate_sequence
@@ -169,3 +180,36 @@ def word_matrix_digest():
 
 def test_golden_word_matrices_unchanged():
     assert word_matrix_digest() == WORD_MATRIX_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# trusted construction
+
+
+def library_programs():
+    """(elimination gates, programs) of both corpora: `decompose`'s, and each
+    word program with its inverse; every program is a `_derived` one."""
+    for d, n, kind, length, seed in golden_cases():
+        m = reference_matrix(random_gate_sequence(n, Dimension.of(d), length, seed))
+        yield _eliminate(m), [decompose(m)]
+    for d, n, s, p, q in word_cases():
+        seqs = [generalized_peg(p)[0], transport(p, q)]
+        seqs = [seq for seq in seqs if seq is not None]
+        yield [], seqs + [seq.inverse() for seq in seqs]
+
+
+def test_trusted_gates_match_checked_ones():
+    programs = gates = 0
+    for eliminated, seqs in library_programs():
+        for g in [*eliminated, *(g for seq in seqs for g in seq.gates)]:
+            assert type(g) in (Fourier, Phase, Sum)
+            assert type(g)(*(getattr(g, k) for k in g.__match_args__)) == g
+            gates += 1
+        for seq in seqs:
+            checked = GateSequence(seq.gates, seq.n, seq.dim)
+            assert checked == seq
+            assert merge_gates(seq.gates, seq.dim) == list(seq.gates)
+            assert seq._reduced and not checked._reduced
+            assert seq.inverse() == checked.inverse()  # the second one merges first
+            programs += 1
+    assert programs == 504 + 2 * (300 + 276) and gates > 150_000

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -518,6 +520,93 @@ class TestDerivedSequence:
         assert inv == GateSequence(inv.gates, n, dim)
 
 
+class TestGateConstructor:
+    @pytest.mark.parametrize(
+        "build", [lambda: Fourier(-1), lambda: Phase(-1, 1), lambda: Sum(-1, 0, 1),
+                  lambda: Sum(0, -2, 1)],
+        ids=["Fourier", "Phase", "Sum control", "Sum target"],
+    )
+    def test_negative_qudit_index_rejected(self, build):
+        with pytest.raises(MalformedMatrixError, match="negative qudit index"):
+            build()
+
+    def test_sum_needs_distinct_qudits(self):
+        with pytest.raises(MalformedMatrixError, match="distinct control and target"):
+            Sum(2, 2, 1)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: Fourier("1"), lambda: Phase(None, 1), lambda: Sum(0, "1", 1),
+         lambda: Sum(None, 1, 1)],
+        ids=["Fourier str", "Phase None", "Sum str target", "Sum None control"],
+    )
+    def test_str_or_none_qudit_rejected(self, build):
+        with pytest.raises(MalformedMatrixError, match="is not an integer"):
+            build()
+
+    @pytest.mark.parametrize("g", [(0, 1, 2), (0,), "F 0", 5, None])
+    def test_non_gates_rejected(self, g):
+        with pytest.raises(MalformedMatrixError, match="is not a gate"):
+            GateSequence((Fourier(0), g), 2, DIM6)
+        with pytest.raises(MalformedMatrixError, match="is not a gate"):
+            merge_gates([Fourier(0), g], DIM6)
+
+
+class TestGateValues:
+    GATES = [Fourier(3), Phase(0, 5), Sum(1, 2, 3)]
+
+    @pytest.mark.parametrize("g", GATES)
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, g, protocol):
+        back = pickle.loads(pickle.dumps(g, protocol))
+        assert back == g and type(back) is type(g)
+
+    @pytest.mark.parametrize("g", GATES)
+    def test_copies_are_equal(self, g):
+        for twin in (copy.copy(g), copy.deepcopy(g)):
+            assert twin == g and type(twin) is type(g)
+
+    def test_repr(self):
+        assert [repr(g) for g in self.GATES] == [
+            "Fourier(qudit=3)", "Phase(qudit=0, power=5)", "Sum(control=1, target=2, power=3)"
+        ]
+
+    def test_fields(self):
+        f, p, c = self.GATES
+        assert f.qudit == 3
+        assert (p.qudit, p.power) == (0, 5)
+        assert (c.control, c.target, c.power) == (1, 2, 3)
+
+    @pytest.mark.parametrize("g", GATES)
+    def test_immutable(self, g):
+        for name in g.__match_args__:
+            with pytest.raises(AttributeError):
+                setattr(g, name, 0)
+        with pytest.raises(AttributeError):
+            g.extra = 0
+
+    def test_equal_gates_hash_alike(self):
+        assert hash(Sum(1, 2, 3)) == hash(Sum(1, 2, 3))
+        assert hash(Phase(np.int64(0), 5)) == hash(Phase(0, 5))
+        assert len({Fourier(0), Fourier(0), Phase(0, 0), Phase(0, 0)}) == 2
+
+    def test_distinct_types_never_equal(self):
+        assert Fourier(0) != Phase(0, 0)
+        assert Phase(0, 1) != Sum(0, 1, 0)
+
+    def test_a_gate_is_a_tuple_of_its_fields(self):
+        assert Fourier(1) == (1,) and isinstance(Sum(1, 2, 3), tuple)
+        with pytest.raises(TypeError):
+            vars(Phase(0, 1))
+
+    def test_class_patterns_read_fields(self):
+        match Sum(4, 5, 6):
+            case Phase(q, e):
+                pytest.fail(f"a sum gate matched Phase({q}, {e})")
+            case Sum(c, t, e):
+                assert (c, t, e) == (4, 5, 6)
+
+
 class TestNormalization:
     def test_in_range_gate_is_returned_as_is(self):
         for g in (Fourier(0), Phase(0, 0), Phase(1, 11), Sum(0, 1, 5)):
@@ -569,7 +658,8 @@ class TestNormalization:
         gates = (Phase(np.int64(0), np.int64(-1)), Fourier(np.int32(1)), Sum(1, np.int64(0), 2))
         seq = GateSequence(gates, 2, DIM6)
         assert seq.gates == (Phase(0, DIM6.D - 1), Fourier(1), Sum(1, 0, 2))
-        assert all(type(v) is int for g in seq.gates for v in vars(g).values())
+        names = {Fourier: ["qudit"], Phase: ["qudit", "power"], Sum: ["control", "target", "power"]}
+        assert all(type(getattr(g, k)) is int for g in seq.gates for k in names[type(g)])
         assert merge_gates(gates, DIM6) == list(seq.gates)
         assert type(GateSequence(gates, np.int64(2), DIM6).n) is int
 
