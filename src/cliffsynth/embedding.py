@@ -19,13 +19,13 @@ mod D.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index, mul
+from operator import index
 from typing import TYPE_CHECKING, Literal, Sequence
 
 from .errors import CliffSynthError, DimensionMismatchError, check_scale
 from .modring import Dimension
 from .pauli import PauliWord
-from .symplectic import Fourier, GateSequence, Phase, Sum, SymplecticMatrix, sequence_matrix
+from .symplectic import Fourier, GateSequence, Phase, Sum, SymplecticMatrix, _image, sequence_matrix
 
 if TYPE_CHECKING:
     import numpy as np
@@ -150,11 +150,6 @@ def logical_feasible_single(e: Embedding, gate: LogicalGate) -> SymplecticMatrix
                 b, c = hit
                 return SymplecticMatrix(dim, ((a, b), (c, ee)))
     return None
-
-
-def _image(m: SymplecticMatrix, gen: Sequence[int]) -> list[int]:
-    """The exponent vector ``m @ gen``, unreduced."""
-    return [sum(map(mul, row, gen)) for row in m.rows]
 
 
 def verify_single_witness(e: Embedding, gate: LogicalGate, m: SymplecticMatrix) -> bool:

@@ -71,18 +71,26 @@ class PauliWord:
     @classmethod
     def x_generator(cls, i: int, n: int, dim: Dimension) -> "PauliWord":
         """The word with a single X on qudit ``i``."""
-        n = _qudit_count(n)
-        xs = [0] * n
-        xs[i] = 1
-        return cls(dim, tuple(xs), (0,) * n)
+        return cls._generator(i, n, dim, 0)
 
     @classmethod
     def z_generator(cls, i: int, n: int, dim: Dimension) -> "PauliWord":
         """The word with a single Z on qudit ``i``."""
+        return cls._generator(i, n, dim, 1)
+
+    @classmethod
+    def _generator(cls, i: int, n: int, dim: Dimension, block: int) -> "PauliWord":
+        """The unit word on qudit ``i`` of the X (``block`` 0) or Z (1) block."""
         n = _qudit_count(n)
-        zs = [0] * n
-        zs[i] = 1
-        return cls(dim, (0,) * n, tuple(zs))
+        try:
+            ok = 0 <= index(i) < n
+        except TypeError:
+            ok = False
+        if not ok:
+            raise DimensionMismatchError(f"qudit index must lie in [0, {n}), got {i!r}")
+        vec = [0] * (2 * n)
+        vec[block * n + index(i)] = 1
+        return cls.from_vector(vec, dim)
 
     @classmethod
     def identity(cls, n: int, dim: Dimension) -> "PauliWord":

@@ -11,10 +11,14 @@ a global phase. The three generator gates are
 
 A gate is an immutable tuple of its fields, so ``Sum(1, 2, 3)`` equals
 ``(1, 2, 3)``; gates of different kinds differ in length and never compare
-equal. The public constructors check the qudit indices. The library's own
-emitters build gates whose fields are already ints in range with the
-trusted constructor ``_gate``, and its kernels unpack gates rather than
-read their fields by name.
+equal. The public constructors check the qudit indices. A gate in normal
+form has int fields, its power in [0, D) and its qudits below n. Every
+public entry that takes gates (``GateSequence``, ``merge_gates``,
+``gate_matrix``, ``invert_gate``, ``unitary.gate_unitary``) checks them
+with ``_normal_gates``. The library builds its gates in normal form with
+the trusted constructor ``_gate``, and the merge kernel ``_merge_onto``
+trusts its gates: ``transport``'s seams and ``GateSequence.inverse`` are
+not checked again. Kernels unpack or index gates, not read fields by name.
 
 Gate sequences are stored in application order: the first gate listed is
 the first one applied to a state, so the matrix of a sequence is the
@@ -28,9 +32,10 @@ any size; numpy is imported only for the dense references (``gate_matrix``,
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from operator import index, itemgetter, mul
-from typing import TYPE_CHECKING, Iterable, Iterator, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
 from .errors import (
     DimensionMismatchError,
@@ -128,25 +133,48 @@ _gate = tuple.__new__
 Gate = Union[Fourier, Phase, Sum]
 
 
-def _gate_max_index(g: Gate) -> int:
-    return max(g[0], g[1]) if type(g) is Sum else g[0]
-
-
-def _normalize_gate(g: Gate, D: int) -> Gate:
-    """The gate with int fields and its power in [0, D); a gate already so
-    is returned as is. A field that is not an integer raises
-    `MalformedMatrixError`, and so does an object that is not a gate."""
-    if type(g) not in (Fourier, Phase, Sum):
-        raise MalformedMatrixError(f"{g!r} is not a gate")
-    fields = tuple(g)
-    try:
-        ints = [index(v) for v in fields]
-    except TypeError:
-        raise MalformedMatrixError(f"gate {g} has a field that is not an integer") from None
-    if type(g) is not Fourier:
-        ints[-1] %= D
-    in_form = ints == list(fields) and all(type(v) is int for v in fields)
-    return g if in_form else type(g)(*ints)
+def _normal_gates(gates: Iterable[Gate], D: int, n: int | None = None) -> tuple[Gate, ...]:
+    """``gates`` in normal form, qudits below ``n`` if given: the one check
+    of gates. Gates in form are kept, and so is the tuple when all are;
+    numpy fields and powers outside [0, D) are normalized, and anything
+    else raises `MalformedMatrixError`. One pass tests each gate inline;
+    only a gate out of form sends the tuple down the per-gate path."""
+    gates = tuple(gates)
+    top = sys.maxsize if n is None else _qudit_count(n)
+    for g in gates:
+        kind = type(g)
+        if kind is Fourier:
+            (q,) = g
+            if type(q) is int and q < top:
+                continue
+        elif kind is Sum:
+            c, t, e = g
+            if type(c) is type(t) is type(e) is int and c < top and t < top and 0 <= e < D:
+                continue
+        elif kind is Phase:
+            q, e = g
+            if type(q) is type(e) is int and q < top and 0 <= e < D:
+                continue
+        break
+    else:
+        return gates
+    out = []
+    for g in gates:
+        kind = type(g)
+        if kind not in (Fourier, Phase, Sum):
+            raise MalformedMatrixError(f"{g!r} is not a gate")
+        try:
+            ints = [index(v) for v in g]
+        except TypeError:
+            raise MalformedMatrixError(f"gate {g} has a field that is not an integer") from None
+        if kind is not Fourier:
+            ints[-1] %= D
+        if ints != list(g) or any(type(v) is not int for v in g):
+            g = kind(*ints)
+        if max(ints[: 2 if kind is Sum else 1]) >= top:
+            raise MalformedMatrixError(f"gate {g} out of range for n={n}")
+        out.append(g)
+    return tuple(out)
 
 
 def gate_matrix(g: Gate, n: int, dim: Dimension) -> np.ndarray:
@@ -156,8 +184,7 @@ def gate_matrix(g: Gate, n: int, dim: Dimension) -> np.ndarray:
     """
     import numpy as np
 
-    if _gate_max_index(g) >= n:
-        raise MalformedMatrixError(f"gate {g} out of range for n={n}")
+    (g,) = _normal_gates((g,), dim.D, n)
     D = dim.D
     m = np.eye(2 * n, dtype=np.int64)
     if isinstance(g, Fourier):
@@ -167,11 +194,11 @@ def gate_matrix(g: Gate, n: int, dim: Dimension) -> np.ndarray:
         m[i, n + i] = D - 1
         m[n + i, i] = 1
     elif isinstance(g, Phase):
-        m[n + g.qudit, g.qudit] = g.power % D
+        m[n + g.qudit, g.qudit] = g.power
     else:
-        e = g.power % D
+        e = g.power
         m[g.target, g.control] = e
-        m[n + g.control, n + g.target] = (-e) % D
+        m[n + g.control, n + g.target] = -e % D
     return m
 
 
@@ -255,11 +282,11 @@ def invert_gate(g: Gate, dim: Dimension) -> list[Gate]:
     phase and sum powers invert by negating the exponent mod D. The
     one-gate reference for `GateSequence.inverse`, which does not call it.
     """
-    if isinstance(g, Fourier):
+    (g,) = _normal_gates((g,), dim.D)
+    if type(g) is Fourier:
         return [g, g, g]
-    if isinstance(g, Phase):
-        return [Phase(g.qudit, (-g.power) % dim.D)]
-    return [Sum(g.control, g.target, (-g.power) % dim.D)]
+    *qudits, e = g
+    return [_gate(type(g), (*qudits, -e % dim.D))]
 
 
 def merge_gates(gates: Iterable[Gate], dim: Dimension) -> list[Gate]:
@@ -281,13 +308,15 @@ def merge_gates(gates: Iterable[Gate], dim: Dimension) -> list[Gate]:
     two pieces meet (`_merge_onto` with ``reduced``). Those relations all
     hold among the gate matrices, so merging keeps ``sequence_matrix``.
     """
-    return _merge_onto([], gates, dim.D, reduced=False)
+    return _merge_onto([], _normal_gates(gates, dim.D), dim.D, reduced=False)
 
 
 def _merge_onto(out: list[Gate], gates: Iterable[Gate], D: int, reduced: bool) -> list[Gate]:
     """Push ``gates`` onto the reduced word ``out`` by `merge_gates`' rules,
     in place, and return ``out``: ``merge_gates(out + gates)``.
 
+    The kernel trusts its input: every gate is in normal form
+    (`_normal_gates`), as the library's own gates are by construction.
     With ``reduced``, ``gates`` is itself a reduced word, so only the
     seam is merged: letters pop and combine while the next gate falls in
     the group of the top letter, and once one gate is pushed as a new
@@ -295,12 +324,11 @@ def _merge_onto(out: list[Gate], gates: Iterable[Gate], D: int, reduced: bool) -
     a reduced word combine.
     """
     rest = iter(gates)
+    prev = out[-1] if out else None
+    top = type(prev)  # the kind of the top letter
     for g in rest:
         kind = type(g)
-        prev = out[-1] if out else None
         if kind is Fourier:
-            if type(g[0]) is not int:
-                g = _normalize_gate(g, D)
             # gates of different kinds differ in length, so never compare equal
             if prev == g:
                 # count the trailing run, wrap at 4
@@ -309,62 +337,46 @@ def _merge_onto(out: list[Gate], gates: Iterable[Gate], D: int, reduced: bool) -
                     out.pop()
                     run += 1
                 out.extend([g] * ((run + 1) % 4))
+                prev = out[-1] if out else None
+                top = type(prev)
                 continue
-        elif kind is Phase:
-            q, e = g
-            if not (type(q) is type(e) is int and 0 <= e < D):
-                g = _normalize_gate(g, D)
-                q, e = g
-            if type(prev) is Phase and prev[0] == q:
-                out.pop()
-                p = (prev[1] + e) % D
-                if p:
-                    out.append(_gate(Phase, (q, p)))
-                continue
-            if not e:
-                continue
-        elif kind is Sum:
-            c, t, e = g
-            if not (type(c) is type(t) is type(e) is int and 0 <= e < D):
-                g = _normalize_gate(g, D)
-                c, t, e = g
-            if type(prev) is Sum and prev[0] == c and prev[1] == t:
-                out.pop()
-                p = (prev[2] + e) % D
-                if p:
-                    out.append(_gate(Sum, (c, t, p)))
-                continue
-            if not e:
-                continue
-        else:
-            raise MalformedMatrixError(f"{g!r} is not a gate")
+        elif top is kind and prev[0] == g[0] and (kind is Phase or prev[1] == g[1]):
+            # phase powers on one qudit, or sum powers on one pair, add
+            out.pop()
+            p = (prev[-1] + g[-1]) % D
+            if p:
+                out.append(_gate(kind, (*g[:-1], p)))
+            prev = out[-1] if out else None
+            top = type(prev)
+            continue
+        elif not g[-1]:
+            continue
         out.append(g)
+        prev, top = g, kind
         if reduced:
             out.extend(rest)
             break
     return out
 
 
+# The text form of a gate is its letter, then its fields: ``F q``, ``P q e``, ``C c t e``.
+_LETTERS = {Fourier: "F", Phase: "P", Sum: "C"}
+_KINDS = {letter: kind for kind, letter in _LETTERS.items()}
+
+
 def format_gate(g: Gate) -> str:
-    kind = type(g)
-    if kind is Fourier:
-        return f"F {g[0]}"
-    if kind is Phase:
-        q, e = g
-        return f"P {q} {e}"
-    c, t, e = g
-    return f"C {c} {t} {e}"
+    letter = _LETTERS.get(type(g))
+    if letter is None:
+        raise MalformedMatrixError(f"{g!r} is not a gate")
+    return " ".join([letter, *map(str, g)])
 
 
 def parse_gate_line(line: str) -> Gate:
-    parts = line.split()
+    letter, *fields = line.split() or [""]
+    kind = _KINDS.get(letter)
     try:
-        if parts[0] == "F" and len(parts) == 2:
-            return Fourier(int(parts[1]))
-        if parts[0] == "P" and len(parts) == 3:
-            return Phase(int(parts[1]), int(parts[2]))
-        if parts[0] == "C" and len(parts) == 4:
-            return Sum(int(parts[1]), int(parts[2]), int(parts[3]))
+        if kind is not None and len(fields) == len(kind.__match_args__):
+            return kind(*map(int, fields))
     except (ValueError, MalformedMatrixError) as exc:
         raise ParseError(f"bad gate line: {line!r}") from exc
     raise ParseError(f"bad gate line: {line!r}")
@@ -505,14 +517,18 @@ def inverse(m: SymplecticMatrix) -> SymplecticMatrix:
     return SymplecticMatrix._derived(m.dim, tuple(top + bottom))
 
 
+def _image(m: SymplecticMatrix, vec: Sequence[int]) -> list[int]:
+    """``m`` times the exponent vector ``vec``, unreduced."""
+    return [sum(map(mul, row, vec)) for row in m.rows]
+
+
 def apply_to_word(m: SymplecticMatrix, w: PauliWord) -> PauliWord:
     """Phase-free conjugation action: multiply the exponent vector, mod d."""
     if m.dim != w.dim:
         raise DimensionMismatchError(f"matrix dim {m.dim} != word dim {w.dim}")
     if m.n != w.n:
         raise DimensionMismatchError(f"matrix n={m.n} != word n={w.n}")
-    vec = w.xexp + w.zexp
-    image = [sum(map(mul, row, vec)) for row in m.rows]
+    image = _image(m, w.xexp + w.zexp)
     return PauliWord(w.dim, tuple(image[: w.n]), tuple(image[w.n :]))
 
 
@@ -530,28 +546,11 @@ class GateSequence:
     _reduced = False  # not a field: set by `_derived` only
 
     def __post_init__(self) -> None:
-        n, D = _qudit_count(self.n), self.dim.D
+        n = _qudit_count(self.n)
         if n < 1:
             raise DimensionMismatchError(f"qudit count must be >= 1, got {n}")
-        gates = tuple(self.gates)
-        for g in gates:
-            kind = type(g)
-            if kind is Sum:
-                c, t, e = g
-                ok = type(c) is type(t) is type(e) is int and c < n and t < n and 0 <= e < D
-            elif kind is Phase:
-                q, e = g
-                ok = type(q) is type(e) is int and q < n and 0 <= e < D
-            else:
-                ok = kind is Fourier and type(g[0]) is int and g[0] < n
-            if not ok:  # some gate is out of range or not in normal form
-                gates = tuple(_normalize_gate(h, D) for h in gates)
-                for h in gates:
-                    if _gate_max_index(h) >= n:
-                        raise MalformedMatrixError(f"gate {h} out of range for n={n}")
-                break
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "gates", gates)
+        object.__setattr__(self, "gates", _normal_gates(self.gates, self.dim.D, n))
 
     @classmethod
     def _derived(cls, gates: tuple[Gate, ...], n: int, dim: Dimension) -> "GateSequence":
@@ -577,9 +576,6 @@ class GateSequence:
             raise DimensionMismatchError("cannot concatenate sequences of different shape")
         return GateSequence(self.gates + other.gates, self.n, self.dim)
 
-    def matrix(self) -> SymplecticMatrix:
-        return sequence_matrix(self)
-
     def inverse(self) -> "GateSequence":
         """The inverse program: the merged program reversed, phase and sum
         powers negated, and each block of adjacent Fourier gates kept as it
@@ -596,7 +592,7 @@ class GateSequence:
         as in most table and closed-form words, keeps both.
         """
         D = self.dim.D
-        gates = self.gates if self._reduced else merge_gates(self.gates, self.dim)
+        gates = self.gates if self._reduced else _merge_onto([], self.gates, D, reduced=False)
         gates = gates[::-1]
         inv: list[Gate] = []  # merged: each Fourier block is F, F^2 or F^3
         odd: dict[int, list[tuple[int, int]]] = {}  # qudit -> its run's odd blocks so far

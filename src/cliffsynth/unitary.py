@@ -41,10 +41,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, MalformedMatrixError, check_scale
+from .errors import DimensionMismatchError, check_scale
 from .modring import Dimension
 from .pauli import PauliWord
-from .symplectic import Gate, GateSequence, Phase, Sum, SymplecticMatrix, _gate_max_index
+from .symplectic import Gate, GateSequence, Phase, Sum, SymplecticMatrix, _normal_gates
 
 # A probe overlap is exactly 0 or 1 (module docstring); 1/2 is the widest margin.
 _OVERLAP_CUT = 0.5
@@ -178,10 +178,9 @@ def _push(gates: Sequence[Gate], dim: Dimension, n: int, block: np.ndarray) -> n
 
 def gate_unitary(g: Gate, n: int, dim: Dimension) -> DenseOperator:
     """Tensor-embedded unitary of a generator gate (qudit 0 leftmost)."""
-    if _gate_max_index(g) >= n:
-        raise MalformedMatrixError(f"gate {g} out of range for n={n}")
+    gates = _normal_gates((g,), dim.D, n)
     check_scale("dense operator side", dim.d**n)
-    return DenseOperator(dim, n, _push((g,), dim, n, np.eye(dim.d**n, dtype=np.complex128)))
+    return DenseOperator(dim, n, _push(gates, dim, n, np.eye(dim.d**n, dtype=np.complex128)))
 
 
 def word_unitary(w: PauliWord) -> DenseOperator:

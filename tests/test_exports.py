@@ -39,3 +39,5 @@ class TestExportList:
         assert not hasattr(cliffsynth.PauliWord, "vector")
         assert "omega_hat" not in cliffsynth.__all__ and not hasattr(cliffsynth, "omega_hat")
         assert not hasattr(cliffsynth.Embedding, "shift_protection")
+        # `sequence_matrix(seq)` is the one spelling
+        assert not hasattr(cliffsynth.GateSequence, "matrix")

@@ -17,8 +17,9 @@ A third covers the symplectic matrix of each of those programs, so a
 change that shortens word programs must keep every one the same Clifford.
 
 The library builds its gates with the trusted constructor, which skips
-the checks; the last test rebuilds every gate and program of both
-corpora through the public constructors.
+the checks; the last tests rebuild every gate and program of both
+corpora through the public constructors, and show that what the library
+hands the unchecked merge kernel is already in normal form.
 """
 
 import hashlib
@@ -42,11 +43,12 @@ from cliffsynth.symplectic import (
     Fourier,
     Phase,
     Sum,
+    _normal_gates,
     format_matrix_text,
     merge_gates,
     sequence_matrix,
 )
-from cliffsynth.synthesis import _eliminate
+from cliffsynth.synthesis import _eliminate, _scale_gates, _shorten_runs
 
 from conftest import random_gate_sequence
 
@@ -213,3 +215,19 @@ def test_trusted_gates_match_checked_ones():
             assert seq.inverse() == checked.inverse()  # the second one merges first
             programs += 1
     assert programs == 504 + 2 * (300 + 276) and gates > 150_000
+
+
+def test_kernel_inputs_are_in_normal_form():
+    # `_merge_onto` checks nothing: decompose hands it the shortened
+    # elimination program, and transport the scale gates at a seam
+    for d, n, kind, length, seed in golden_cases():
+        dim = Dimension.of(d)
+        m = reference_matrix(random_gate_sequence(n, dim, length, seed))
+        gates = tuple(_shorten_runs(_eliminate(m), dim))
+        assert _normal_gates(gates, dim.D, n) is gates
+    for d in DIMS + (1024,):
+        D = Dimension.of(d).D
+        for k in range(-D, 2 * D):
+            if gcd(k, D) == 1:
+                gates = tuple(_scale_gates(k, D, 2))
+                assert _normal_gates(gates, D, 3) is gates

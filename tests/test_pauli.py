@@ -180,6 +180,20 @@ class TestWordBasics:
         assert parse_word(format_word(w)) == w
 
     @pytest.mark.parametrize(
+        "build, xs, zs",
+        [(PauliWord.x_generator, [0, 1, 0], [0, 0, 0]),
+         (PauliWord.z_generator, [0, 0, 0], [0, 1, 0])],
+        ids=["x", "z"],
+    )
+    def test_generators(self, build, xs, zs):
+        dim = Dimension.of(6)
+        assert build(np.int64(1), 3, dim) == word(6, xs, zs)
+        # -1 once gave the last qudit, 3 a bare IndexError, 0.5 a bare TypeError
+        for i in (-1, 3, 1.0, 0.5, "0", None):
+            with pytest.raises(DimensionMismatchError, match=r"qudit index must lie in \[0, 3\)"):
+                build(i, 3, dim)
+
+    @pytest.mark.parametrize(
         "text",
         ["", "d=6 n=2 a=1 b=0,3", "d=6 n=2 a=1,9 b=0,3", "nonsense", "d=x n=1 a=1 b=0"],
     )

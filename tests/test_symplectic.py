@@ -33,10 +33,13 @@ from cliffsynth.symplectic import (
     Phase,
     Sum,
     _merge_onto,
-    _normalize_gate,
+    _normal_gates,
     _PackedRows,
+    format_gate,
     invert_gate,
+    parse_gate_line,
 )
+from cliffsynth.unitary import gate_unitary
 
 from conftest import gate_lists, random_gate_sequence, random_word_exponents, word_vector
 
@@ -419,6 +422,11 @@ class TestTextFormats:
         with pytest.raises(ParseError):
             GateSequence.from_text("C 0 0 1", 2, DIM6)
 
+    @pytest.mark.parametrize("line", ["", "   ", "\t"])
+    def test_blank_gate_line_rejected(self, line):
+        with pytest.raises(ParseError, match="bad gate line"):
+            parse_gate_line(line)
+
 
 # ---------------------------------------------------------------------------
 # merge_gates as a normal form
@@ -546,10 +554,17 @@ class TestGateConstructor:
 
     @pytest.mark.parametrize("g", [(0, 1, 2), (0,), "F 0", 5, None])
     def test_non_gates_rejected(self, g):
-        with pytest.raises(MalformedMatrixError, match="is not a gate"):
-            GateSequence((Fourier(0), g), 2, DIM6)
-        with pytest.raises(MalformedMatrixError, match="is not a gate"):
-            merge_gates([Fourier(0), g], DIM6)
+        entries = [
+            lambda: GateSequence((Fourier(0), g), 2, DIM6),
+            lambda: merge_gates([Fourier(0), g], DIM6),
+            lambda: gate_matrix(g, 2, DIM6),
+            lambda: invert_gate(g, DIM6),
+            lambda: format_gate(g),
+            lambda: gate_unitary(g, 2, DIM6),
+        ]
+        for entry in entries:
+            with pytest.raises(MalformedMatrixError, match="is not a gate"):
+                entry()
 
 
 class TestGateValues:
@@ -609,8 +624,11 @@ class TestGateValues:
 
 class TestNormalization:
     def test_in_range_gate_is_returned_as_is(self):
-        for g in (Fourier(0), Phase(0, 0), Phase(1, 11), Sum(0, 1, 5)):
-            assert _normalize_gate(g, DIM6.D) is g
+        gates = (Fourier(0), Phase(0, 0), Phase(1, 11), Sum(0, 1, 5))
+        assert _normal_gates(gates, DIM6.D) is gates
+        assert _normal_gates(gates, DIM6.D, 2) is gates
+        for g in gates:
+            assert _normal_gates([g], DIM6.D)[0] is g
 
     def test_out_of_range_powers_reduce(self):
         seq = GateSequence((Phase(0, -1), Sum(0, 1, DIM6.D + 3)), 2, DIM6)
@@ -646,9 +664,11 @@ class TestNormalization:
             lambda n: PauliWord.z_generator(0, n, DIM6),
             lambda n: PauliWord.identity(n, DIM6),
             lambda n: SymplecticMatrix.identity(n, DIM6),
+            lambda n: gate_matrix(Fourier(0), n, DIM6),
+            lambda n: gate_unitary(Phase(0, 1), n, DIM6),
         ],
         ids=["GateSequence", "swap_sequence", "x_generator", "z_generator", "word_identity",
-             "matrix_identity"],
+             "matrix_identity", "gate_matrix", "gate_unitary"],
     )
     def test_non_integer_qudit_count_rejected(self, build, n):
         with pytest.raises(MalformedMatrixError, match="qudit count must be an integer"):
