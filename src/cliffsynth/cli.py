@@ -77,8 +77,8 @@ def _load_matrix(path: str) -> SymplecticMatrix:
     mat, dim = parse_matrix_text(_read_text(path))
     try:
         return SymplecticMatrix(dim, mat)
-    except NonSymplecticError:
-        raise NonSymplecticError(f"matrix in {path} is not symplectic mod {dim.D}") from None
+    except NonSymplecticError as exc:
+        raise NonSymplecticError(f"{path}: {exc}") from None
 
 
 def _print_program(seq: GateSequence) -> None:

@@ -17,8 +17,14 @@ public entry that takes gates (``GateSequence``, ``merge_gates``,
 ``gate_matrix``, ``invert_gate``, ``unitary.gate_unitary``) checks them
 with ``_normal_gates``. The library builds its gates in normal form with
 the trusted constructor ``_gate``, and the merge kernel ``_merge_onto``
-trusts its gates: ``transport``'s seams and ``GateSequence.inverse`` are
-not checked again. Kernels unpack or index gates, not read fields by name.
+trusts its gates: what ``decompose``, ``transport``'s seams and
+``GateSequence.inverse`` hand it is not checked again. Kernels unpack or
+index gates, not read fields by name.
+
+``GateSequence.inverse`` is the group inverse, gate by gate (F^-1 = F^3,
+phase and sum powers negated), merged into a reduced word. It is exact
+as a unitary up to phase at every d, not only as a Z_D matrix, which at
+odd d fixes a program only up to a Pauli word.
 
 Gate sequences are stored in application order: the first gate listed is
 the first one applied to a state, so the matrix of a sequence is the
@@ -280,7 +286,7 @@ def invert_gate(g: Gate, dim: Dimension) -> list[Gate]:
 
     The Fourier gate has order 4, so its inverse is three Fourier gates;
     phase and sum powers invert by negating the exponent mod D. The
-    one-gate reference for `GateSequence.inverse`, which does not call it.
+    checked one-gate form of the step `GateSequence.inverse` takes per gate.
     """
     (g,) = _normal_gates((g,), dim.D)
     if type(g) is Fourier:
@@ -412,6 +418,14 @@ def _as_rows(mat: object, dim: Dimension) -> Rows:
     return rows
 
 
+def _positive_count(n: object) -> int:
+    """The qudit count ``n`` as an int, `DimensionMismatchError` below 1."""
+    n = _qudit_count(n)
+    if n < 1:
+        raise DimensionMismatchError(f"qudit count must be >= 1, got {n}")
+    return n
+
+
 def _symplectic_defect(rows: Rows, D: int) -> str | None:
     """None if N^T S N = S mod D, else the first entry (r, c) that differs:
     the product of the images of generators r and c.
@@ -485,7 +499,7 @@ class SymplecticMatrix:
 
     @classmethod
     def identity(cls, n: int, dim: Dimension) -> "SymplecticMatrix":
-        side = range(2 * _qudit_count(n))
+        side = range(2 * _positive_count(n))
         return cls._derived(dim, tuple(tuple(int(r == c) for c in side) for r in side))
 
     def __matmul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
@@ -543,26 +557,21 @@ class GateSequence:
     gates: tuple[Gate, ...]
     n: int
     dim: Dimension
-    _reduced = False  # not a field: set by `_derived` only
 
     def __post_init__(self) -> None:
-        n = _qudit_count(self.n)
-        if n < 1:
-            raise DimensionMismatchError(f"qudit count must be >= 1, got {n}")
+        n = _positive_count(self.n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "gates", _normal_gates(self.gates, self.dim.D, n))
 
     @classmethod
     def _derived(cls, gates: tuple[Gate, ...], n: int, dim: Dimension) -> "GateSequence":
-        """A program the library emits already checked: ``n`` an int, every
-        gate in normal form and in range, and the gates a reduced word, their
-        own `merge_gates`. It skips the walk over the gates in
-        ``__post_init__``, and its `inverse` skips the merge."""
+        """A program the library emits already checked: ``n`` an int >= 1
+        and every gate in normal form and in range. It skips the walk over
+        the gates in ``__post_init__``."""
         seq = object.__new__(cls)
         object.__setattr__(seq, "gates", gates)
         object.__setattr__(seq, "n", n)
         object.__setattr__(seq, "dim", dim)
-        object.__setattr__(seq, "_reduced", True)
         return seq
 
     def __len__(self) -> int:
@@ -577,65 +586,28 @@ class GateSequence:
         return GateSequence(self.gates + other.gates, self.n, self.dim)
 
     def inverse(self) -> "GateSequence":
-        """The inverse program: the merged program reversed, phase and sum
-        powers negated, and each block of adjacent Fourier gates kept as it
-        is, with one sign fix per single-qudit run. A program the library
-        emits (`_derived`) is already merged, so it is not merged again.
-
-        F^-1 = F^3 = F (-I), and -I commutes with every gate of a qudit's
-        run of single-qudit gates between two sum gates that touch it, so
-        keeping the m blocks F or F^3 of a run leaves it off by (-I)^m.
-        When m is odd, its middle block flips between F and F^3. Reversal
-        maps the middle block to itself, so the inverse of the inverse is
-        the merged program again, and the output is a reduced word, as
-        merged. A lone F on a qudit still becomes F^3, but a run with two,
-        as in most table and closed-form words, keeps both.
+        """The group inverse: the gates in reverse order, each one inverted
+        (F^-1 = F^3, since F has order 4, and phase and sum powers negated
+        mod D), merged into a reduced word. Each gate's inverse is exact as a
+        unitary, so ``self + self.inverse()`` is the identity up to a global
+        phase at every d, not only as a Z_D matrix. The reduced word of an
+        inverse is the inverse of the reduced word, so the inverse of the
+        inverse is the merged program.
         """
         D = self.dim.D
-        gates = self.gates if self._reduced else _merge_onto([], self.gates, D, reduced=False)
-        gates = gates[::-1]
-        inv: list[Gate] = []  # merged: each Fourier block is F, F^2 or F^3
-        odd: dict[int, list[tuple[int, int]]] = {}  # qudit -> its run's odd blocks so far
-        flips: list[tuple[int, int]] = []  # (start in inv, length) of each block to flip
-
-        def close(qudit: int) -> None:
-            run = odd.pop(qudit, None)
-            if run and len(run) % 2:
-                flips.append(run[len(run) // 2])
-
-        i, size = 0, len(gates)
-        while i < size:
-            g = gates[i]
+        inv: list[Gate] = []
+        for g in reversed(self.gates):
             kind = type(g)
             if kind is Fourier:
-                j = i + 1
-                while j < size and gates[j] == g:
-                    j += 1
-                if (j - i) % 2:
-                    odd.setdefault(g[0], []).append((len(inv), j - i))
-                inv += gates[i:j]
-                i = j
-                continue
-            if kind is Sum:  # powers of a reduced word lie in [1, D)
-                c, t, e = g
-                close(c)
-                close(t)
-                inv.append(_gate(Sum, (c, t, D - e)))
-            else:
+                inv += (g, g, g)
+            elif kind is Phase:
                 q, e = g
-                inv.append(_gate(Phase, (q, D - e)))
-            i += 1
-        for qudit in list(odd):
-            close(qudit)
-        if flips:
-            out: list[Gate] = []
-            done = 0
-            for k, m in sorted(flips):
-                out += inv[done:k]
-                out += [inv[k]] * (4 - m)
-                done = k + m
-            inv = out + inv[done:]
-        return GateSequence._derived(tuple(inv), self.n, self.dim)
+                inv.append(_gate(Phase, (q, -e % D)))
+            else:
+                c, t, e = g
+                inv.append(_gate(Sum, (c, t, -e % D)))
+        gates = tuple(_merge_onto([], inv, D, reduced=False))
+        return GateSequence._derived(gates, self.n, self.dim)
 
     def to_text(self) -> str:
         return "\n".join(format_gate(g) for g in self.gates)

@@ -35,8 +35,7 @@ gates as they are, and `transport` merges only where its pieces meet
 (`_fourier`), and every phase and sum gate is built with the trusted
 constructor `_gate`, since its fields are ints in range by construction.
 The library's own programs skip the gate-by-gate check of
-`GateSequence` (`GateSequence._derived`), and, being reduced words,
-the merge in their `GateSequence.inverse`.
+`GateSequence` (`GateSequence._derived`).
 
 The full n-qudit decomposition works in two stages. Elimination
 (`_eliminate`) reduces the inverse of the input to the identity with
@@ -48,7 +47,8 @@ qudit's run of Fourier and phase gates between sum gates, normal-form
 words with the scale and clearing gates around them, and replaces it by
 the shortest-known program for its 2x2 matrix when that is shorter; the
 candidate is built as gates only then. The finished program is merged
-once and checked once against its input.
+once by the kernel `_merge_onto`, whose input is in normal form by
+construction, and checked once against its input.
 `decompose_single` is `decompose` on one qudit. The golden tests pin
 the text of both stages, the merged elimination digest and the final
 digest, and the matrix of every word program.
@@ -82,7 +82,6 @@ from .symplectic import (
     _merge_onto,
     _PackedRows,
     inverse,
-    merge_gates,
     sequence_matrix,
 )
 
@@ -617,7 +616,7 @@ def decompose(m: SymplecticMatrix) -> GateSequence:
     compared with ``m``; a failure raises `SynthesisCheckError`.
     """
     n, dim = m.n, m.dim
-    gates = merge_gates(_shorten_runs(_eliminate(m), dim), dim)
+    gates = _merge_onto([], _shorten_runs(_eliminate(m), dim), dim.D, reduced=False)
     seq = GateSequence._derived(tuple(gates), n, dim)
     if sequence_matrix(seq) != m:
         raise SynthesisCheckError(

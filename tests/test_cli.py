@@ -80,18 +80,21 @@ class TestSynth:
         code, _, err = run(capsys, "synth", str(f))
         assert code == 3 and "invalid input" in err
 
-    def test_non_symplectic_names_path_only(self, tmp_path, capsys):
+    def test_non_symplectic_names_path_and_defect(self, tmp_path, capsys):
         f = tmp_path / "m.txt"
         f.write_text("d 6 n 1\n1 1\n1 1\n")
         code, _, err = run(capsys, "synth", str(f))
         assert code == 3
-        assert err == f"invalid input: matrix in {f} is not symplectic mod 12\n"
+        assert err == (
+            f"invalid input: {f}: matrix is not symplectic mod 12: the images of X_0 and"
+            " Z_0 (columns 0 and 1) have symplectic product 0, not 1\n"
+        )
 
     def test_synthesis_check_failure_exit_4(self, tmp_path, capsys, monkeypatch):
         # decompose's own final check is what --verify symplectic relies on
-        merge = cliffsynth.synthesis.merge_gates
+        merge = cliffsynth.synthesis._merge_onto
         monkeypatch.setattr(
-            cliffsynth.synthesis, "merge_gates", lambda gates, dim: merge(gates, dim)[:-1]
+            cliffsynth.synthesis, "_merge_onto", lambda *a, **k: merge(*a, **k)[:-1]
         )
         f = tmp_path / "m.txt"
         f.write_text(GOLDEN_TEXT)

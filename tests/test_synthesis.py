@@ -862,12 +862,12 @@ class TestDecomposeLargeSizes:
 
 
 # A child interpreter under -O (asserts stripped) drops the last gate of
-# every merge and reports which error, if any, decompose raised.
+# every merge by the kernel and reports which error, if any, decompose raised.
 CORRUPTED_DECOMPOSE = """
 import cliffsynth.synthesis as syn
 from cliffsynth import CliffSynthError, Dimension, GateSequence, sequence_matrix
-merge = syn.merge_gates
-syn.merge_gates = lambda gates, dim: merge(gates, dim)[:-1]
+merge = syn._merge_onto
+syn._merge_onto = lambda *a, **k: merge(*a, **k)[:-1]
 seq = GateSequence.from_text({text!r}, 3, Dimension.of(5))
 try:
     syn.decompose(sequence_matrix(seq))
@@ -897,9 +897,9 @@ class TestDecomposeChecks:
         return sequence_matrix(random_gate_sequence(3, DIM5, 30, 4))
 
     def test_final_check_catches_dropped_gate(self, monkeypatch):
-        merge = cliffsynth.synthesis.merge_gates
+        merge = cliffsynth.synthesis._merge_onto
         monkeypatch.setattr(
-            cliffsynth.synthesis, "merge_gates", lambda gates, dim: merge(gates, dim)[:-1]
+            cliffsynth.synthesis, "_merge_onto", lambda *a, **k: merge(*a, **k)[:-1]
         )
         with pytest.raises(SynthesisCheckError, match="does not recompose"):
             decompose(self._matrix())

@@ -304,6 +304,16 @@ class TestSequenceUnitary:
             uu, vv = word_unitary(u).matrix, word_unitary(v).matrix
             assert close(uu @ vv, w ** sip(v, u) * (vv @ uu))
 
+    @pytest.mark.parametrize("d, n", [(d, n) for d in range(2, 7) for n in (1, 2)])
+    def test_program_then_inverse_is_the_identity(self, d, n):
+        # at odd d the Z_D matrix fixes a program only up to a Pauli, so an
+        # inverse that is right as a matrix alone leaves one behind
+        dim = Dimension.of(d)
+        eye = DenseOperator(dim, n, np.eye(d**n))
+        for seed in range(200):
+            seq = random_gate_sequence(n, dim, 6 * n + 6, seed)
+            assert equal_up_to_phase(sequence_unitary(seq + seq.inverse()), eye), seed
+
 
 # Independent references for the axis-local kernel: kron chains and a loop
 # over basis states, written from the gate definitions alone.
