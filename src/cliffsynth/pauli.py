@@ -159,11 +159,15 @@ def format_word(w: PauliWord) -> str:
 
 
 def parse_word(text: str) -> PauliWord:
-    """Parse the CLI text form, e.g. ``d=6 n=2 a=1,0 b=0,3``."""
+    """Parse the CLI text form, e.g. ``d=6 n=2 a=1,0 b=0,3``; d is checked
+    first, as in `parse_matrix_text`."""
     m = _WORD_RE.match(text)
     if m is None:
         raise ParseError(f"cannot parse Pauli word: {text!r}")
     d, n = int(m.group(1)), int(m.group(2))
+    if d < 2:
+        raise ParseError(f"Pauli word dimension must be d >= 2, got d={d}")
+    dim = Dimension.of(d)
     try:
         xs = [int(tok) for tok in m.group(3).split(",")]
         zs = [int(tok) for tok in m.group(4).split(",")]
@@ -176,4 +180,4 @@ def parse_word(text: str) -> PauliWord:
     bad = [e for e in xs + zs if not 0 <= e < d]
     if bad:
         raise ParseError(f"Pauli word exponents out of range [0, {d}): {bad}")
-    return PauliWord(Dimension.of(d), tuple(xs), tuple(zs))
+    return PauliWord(dim, tuple(xs), tuple(zs))

@@ -213,14 +213,14 @@ class _PackedRows:
 
     Entry c of a row is field c, ``width`` = 8 * ``nbytes`` bits, least
     significant first, so a row operation is a few operations on whole
-    ints, not a loop over the entries: `act` applies one gate, and
+    ints, not a loop over the entries: `act` applies a list of gates, and
     `combine` forms a linear combination of up to ``terms`` rows. A field
     that starts in [0, D) stays at most ``top`` = (D-1) + terms * (D-1)^2
     before it is reduced, and at most ``top * recip`` < 2^width when
     multiplied by ``recip``, so no field carries into the next. For
     x <= top, ``x * recip >> shift`` is x // D exactly (division by a
     scaled reciprocal, Granlund and Montgomery, PLDI 1994), and masked to
-    each field it gives every quotient at once (`_reduce`).
+    each field by ``quot_mask`` it gives every quotient at once.
     """
 
     def __init__(self, size: int, D: int, terms: int = 1) -> None:
@@ -251,34 +251,35 @@ class _PackedRows:
     def entry(self, x: int, c: int) -> int:
         return (x >> (self.width * c)) & self.field
 
-    def _reduce(self, x: int) -> int:
-        return x - self.D * ((x * self.recip >> self.shift) & self.quot_mask)
-
     def combine(self, coeffs: Iterable[int], rows: Iterable[int]) -> int:
         """The packed row sum of c * row mod D, for at most ``terms`` pairs
         with every c in [0, D)."""
-        return self._reduce(sum(map(mul, coeffs, rows)))
+        x = sum(map(mul, coeffs, rows))
+        return x - self.D * ((x * self.recip >> self.shift) & self.quot_mask)
 
-    def act(self, work: list[int], g: Gate, n: int) -> None:
-        """In place, ``work := gate_matrix(g) @ work mod D`` on the packed rows.
-
-        Each generator touches at most two rows, so one gate costs O(n),
-        the row update of a stabilizer tableau (Aaronson and Gottesman,
-        arXiv:quant-ph/0406196). The gate's power may lie outside [0, D).
+    def act(self, work: list[int], gates: Iterable[Gate], n: int) -> None:
+        """In place, ``work := gate_matrix(g) @ work mod D`` for each g of
+        ``gates`` in turn: the one exact gate kernel, one loop with the
+        reduction inline. Each generator touches at most two rows, so a
+        gate costs O(n), the row update of a stabilizer tableau (Aaronson
+        and Gottesman, arXiv:quant-ph/0406196). Powers may lie outside [0, D).
         """
-        D, reduce = self.D, self._reduce
-        kind = type(g)
-        if kind is Fourier:
-            (i,) = g
-            work[i], work[n + i] = reduce(self.all_D - work[n + i]), work[i]
-        elif kind is Phase:
-            q, e = g
-            work[n + q] = reduce(work[n + q] + e % D * work[q])
-        else:
-            c, t, e = g
-            e %= D
-            work[t] = reduce(work[t] + e * work[c])
-            work[n + c] = reduce(work[n + c] + (D - e) % D * work[n + t])
+        D, recip, shift, mask, all_D = self.D, self.recip, self.shift, self.quot_mask, self.all_D
+        for g in gates:
+            kind = type(g)
+            if kind is Fourier:
+                (i,) = g
+                x, work[n + i] = all_D - work[n + i], work[i]
+                work[i] = x - D * ((x * recip >> shift) & mask)
+            elif kind is Phase:
+                q, e = g
+                x = work[n + q] + e % D * work[q]
+                work[n + q] = x - D * ((x * recip >> shift) & mask)
+            else:
+                c, t, e = g
+                x, y = work[t] + e % D * work[c], work[n + c] + -e % D * work[n + t]
+                work[t] = x - D * ((x * recip >> shift) & mask)
+                work[n + c] = y - D * ((y * recip >> shift) & mask)
 
 
 def invert_gate(g: Gate, dim: Dimension) -> list[Gate]:
@@ -626,14 +627,12 @@ class GateSequence:
 def sequence_matrix(seq: GateSequence) -> SymplecticMatrix:
     """Product of the gate matrices, first-applied gate rightmost.
 
-    Each gate is applied to the accumulator as row operations on packed
-    rows (`_PackedRows.act`).
+    The kernel `_PackedRows.act` applies the whole program to packed unit rows.
     """
     n = seq.n
     packed = _PackedRows(2 * n, seq.dim.D)
     acc = [packed.unit(i) for i in range(2 * n)]
-    for g in seq.gates:
-        packed.act(acc, g, n)
+    packed.act(acc, seq.gates, n)
     return SymplecticMatrix._derived(seq.dim, tuple(map(packed.unpack, acc)))
 
 

@@ -31,27 +31,22 @@ Every piece of a word program is emitted as a reduced word, the form
 `merge_gates` returns: each qudit's word, the sum fold (its fix-up joins
 the loop's last step) and the hub sums. So `generalized_peg` returns its
 gates as they are, and `transport` merges only where its pieces meet
-(`_merge_onto`). Each Fourier gate is one shared instance per qudit
-(`_fourier`), and every phase and sum gate is built with the trusted
-constructor `_gate`, since its fields are ints in range by construction.
-The library's own programs skip the gate-by-gate check of
-`GateSequence` (`GateSequence._derived`).
+(`_merge_onto`). Gates are built with the trusted constructor `_gate`
+(Fourier gates shared, `_fourier`), and the library's own programs skip
+`GateSequence`'s check (`GateSequence._derived`).
 
 The full n-qudit decomposition works in two stages. Elimination
 (`_eliminate`) reduces the inverse of the input to the identity with
-row operations only (`_PackedRows.act`), last qudit first: the normal
-form, taken mod D, takes each Z_j column to Z_j, then gates that fix
-Z_j clear the X_j column. The gates, in the order applied, are a
-program for the input. Then one scan (`_shorten_runs`) joins each
-qudit's run of Fourier and phase gates between sum gates, normal-form
-words with the scale and clearing gates around them, and replaces it by
-the shortest-known program for its 2x2 matrix when that is shorter; the
-candidate is built as gates only then. The finished program is merged
-once by the kernel `_merge_onto`, whose input is in normal form by
-construction, and checked once against its input.
+row operations only, last qudit first: the normal form, taken mod D,
+takes each Z_j column to Z_j, then gates that fix Z_j clear the X_j
+column. Each step hands its gates to the one batched kernel
+`_PackedRows.act` as a list and checks packed rows whole. Then one scan
+(`_shorten_runs`) replaces each qudit's run of Fourier and phase gates
+between sum gates by the shortest-known program for its 2x2 matrix when
+that is shorter. The program is merged once (`_merge_onto`), then
+recomposed by the kernel and compared with the input's packed rows.
 `decompose_single` is `decompose` on one qudit. The golden tests pin
-the text of both stages, the merged elimination digest and the final
-digest, and the matrix of every word program.
+the text of both stages and the matrix of every word program.
 
 All quotients are taken from canonical representatives, so every routine
 is deterministic.
@@ -82,7 +77,6 @@ from .symplectic import (
     _merge_onto,
     _PackedRows,
     inverse,
-    sequence_matrix,
 )
 
 
@@ -92,10 +86,8 @@ from .symplectic import (
 
 @functools.cache
 def _fourier(qudit: int) -> Fourier:
-    """The one shared ``Fourier(qudit)``: gates are frozen, and word
-    programs hold one on nearly every qudit, so it is built once per index
-    per process. Phase and sum gates carry powers and are built per use
-    (`_gate`)."""
+    """The one shared ``Fourier(qudit)``, built once per index per process:
+    word programs hold one on nearly every qudit."""
     return Fourier(qudit)
 
 
@@ -207,12 +199,8 @@ def _scale_gates(k: int, D: int, qudit: int) -> list[Gate]:
 
 
 def scale_sequence(k: int, dim: Dimension) -> GateSequence:
-    """Single-qudit program for diag(k^-1, k), mapping Z to Z^k.
-
-    ``k`` must be a unit mod D. The program is the fixed six-gate pattern
-    F.P(k).F.P(k^-1).F.P(k) read right-to-left, i.e. the matrix
-    F P^(k^-1) F P^k F P^(k^-1).
-    """
+    """Single-qudit program for diag(k^-1, k), mapping Z to Z^k, for a
+    unit k mod D: the matrix F P^(k^-1) F P^k F P^(k^-1)."""
     return GateSequence(tuple(_scale_gates(k, dim.D, 0)), 1, dim)
 
 
@@ -508,8 +496,9 @@ def _shorten_runs(gates: list[Gate], dim: Dimension) -> list[Gate]:
     that touch it. They commute with every gate between them on other
     qudits, so one scan gathers each run and emits it, or a shorter
     program for its 2x2 matrix, just before the sum gate that ends it,
-    or at the end of the program. The output is a fixed point of the pass
-    and never longer than the input.
+    or at the end of the program. A one-gate run stays as it is: only P^0
+    is shorter, which `_eliminate` never emits and the merge drops. The
+    output is a fixed point of the pass and never longer than the input.
     """
     runs: dict[int, list[Gate]] = {}
     out: list[Gate] = []
@@ -517,7 +506,7 @@ def _shorten_runs(gates: list[Gate], dim: Dimension) -> list[Gate]:
     def flush(qudit: int) -> None:
         run = runs.pop(qudit, None)
         if run:
-            out.extend(_shorter_run(run, dim.D, qudit))
+            out.extend(run if len(run) == 1 else _shorter_run(run, dim.D, qudit))
 
     for g in gates:
         if type(g) is Sum:
@@ -544,66 +533,80 @@ def _require_unit(vec: Sequence[int], idx: int, qudit: int, line: str) -> None:
         )
 
 
+def _is_unit(packed: _PackedRows, work: list[int], c: int, rows: Sequence[int] = ()) -> bool:
+    """True iff column c of the packed rows ``work`` is e_c and each row r
+    of ``rows`` is e_r: the `_require_unit` checks on packed ints. Column
+    c is e_c iff field c is 1 in row c and 0 in the OR of the others."""
+    at, field = packed.width * c, packed.field
+    others = functools.reduce(int.__or__, work[:c] + work[c + 1 :])
+    ok = (work[c] >> at) & field == 1 and not (others >> at) & field
+    return ok and all(work[r] == packed.unit(r) for r in rows)
+
+
 def _eliminate(m: SymplecticMatrix) -> list[Gate]:
     """The unmerged elimination program of `decompose`, before `_shorten_runs`.
 
-    Row operations (`_PackedRows.act`) only, on one working copy
-    of ``m``'s inverse: the gates that reduce it to the identity are, in
-    the order applied, a program for ``m``. A loop over the qudits j, last
-    to first: the Z_j column, a word on qudits 0 to j, goes to Z_j with
-    the word normal form (`_peg_gates`, target 1 mod D), rescaled when
-    the word has no hub and its gcd is not 1.
+    Row operations (`_PackedRows.act`, a list per step) only, on one
+    packed copy of ``m``'s inverse: the gates that reduce it to the
+    identity are, in the order applied, a program for ``m``. A loop over
+    the qudits j, last to first: the Z_j column, a word on qudits 0 to j,
+    goes to Z_j with the word normal form (`_peg_gates`, target 1 mod D),
+    rescaled when the word has no hub and its gcd is not 1.
     The X_j column then has x_j = 1 (symplecticity), and gates that fix
     Z_j clear the rest of it: a sum gate from j for each x_i, a Fourier
     gate and a sum gate for each z_i, and a phase power on j for z_j.
+    The gates for qudit i touch rows i, n + i and n + j alone, so every
+    x_i and z_i is read before they go to the kernel, and z_j after.
     Qudit j is then the identity and no later step touches it; j = 0 is
     the same step on a one-qudit word.
 
-    Each elimination is checked in O(n); a failure raises
-    `SynthesisCheckError`, and a column gcd that is not a unit raises
-    `NonSymplecticError`.
+    Each elimination is checked on packed rows (`_is_unit`); a failure
+    raises `SynthesisCheckError` from `_require_unit`, and a column gcd
+    that is not a unit raises `NonSymplecticError`.
     """
     n, dim = m.n, m.dim
     D = dim.D
     packed = _PackedRows(2 * n, D)
     work = [packed.pack(row) for row in inverse(m).rows]
-    entry = packed.entry
+    width, field = packed.width, packed.field
     gates: list[Gate] = []
 
     def push(step: list[Gate]) -> None:
-        for g in step:
-            packed.act(work, g, n)
+        packed.act(work, step, n)
         gates.extend(step)
-
-    def column(c: int) -> list[int]:
-        return [entry(row, c) for row in work]
 
     for j in range(n - 1, -1, -1):
         z = n + j
-        col = column(z)
-        push(_peg_gates(col[: j + 1], col[n : z + 1], D, 1)[0])
-        k = entry(work[z], z)
+        at = width * z
+        xs = [(row >> at) & field for row in work[: j + 1]]
+        push(_peg_gates(xs, [(row >> at) & field for row in work[n : z + 1]], D, 1)[0])
+        k = (work[z] >> at) & field
         kinv = mod_inverse(k, D)
         if kinv is None:
             raise NonSymplecticError(f"column gcd {k} is not a unit mod {D}")
         if k != 1:
             push(_scale_gates(kinv, D, j))
-        _require_unit(column(z), z, j, "column")
+        if not _is_unit(packed, work, z):
+            _require_unit([packed.entry(row, z) for row in work], z, j, "column")
 
         # clear column j with gates that fix Z_j; each reads x_j = 1
+        at = width * j
+        step: list[Gate] = []
         for i in range(j):
-            e = entry(work[i], j)
+            e = (work[i] >> at) & field
             if e:
-                push([_gate(Sum, (j, i, D - e))])
-            e = entry(work[n + i], j)
+                step.append(_gate(Sum, (j, i, D - e)))
+            e = (work[n + i] >> at) & field
             if e:
-                push([_fourier(i), _gate(Sum, (j, i, e))])
-        e = entry(work[z], j)
+                step += [_fourier(i), _gate(Sum, (j, i, e))]
+        push(step)
+        e = (work[z] >> at) & field
         if e:
             push([_gate(Phase, (j, D - e))])
-        _require_unit(column(j), j, j, "column")
-        _require_unit(packed.unpack(work[z]), z, j, "row")
-        _require_unit(packed.unpack(work[j]), j, j, "row")
+        if not _is_unit(packed, work, j, (z, j)):
+            _require_unit([packed.entry(row, j) for row in work], j, j, "column")
+            _require_unit(packed.unpack(work[z]), z, j, "row")
+            _require_unit(packed.unpack(work[j]), j, j, "row")
     return gates
 
 
@@ -612,17 +615,24 @@ def decompose(m: SymplecticMatrix) -> GateSequence:
 
     The gates of `_eliminate`, which reduces ``m``'s inverse with row
     operations and the word normal form, with their single-qudit runs
-    shortened by `_shorten_runs`, merged once, then recomposed and
-    compared with ``m``; a failure raises `SynthesisCheckError`.
+    shortened by `_shorten_runs`, merged once, then recomposed on packed
+    rows and compared with ``m``'s; a failure raises `SynthesisCheckError`
+    naming the first entry that differs.
     """
     n, dim = m.n, m.dim
     gates = _merge_onto([], _shorten_runs(_eliminate(m), dim), dim.D, reduced=False)
-    seq = GateSequence._derived(tuple(gates), n, dim)
-    if sequence_matrix(seq) != m:
-        raise SynthesisCheckError(
-            f"the {len(seq)}-gate program does not recompose the input (n={n}, d={dim.d})"
-        )
-    return seq
+    packed = _PackedRows(2 * n, dim.D)
+    acc = [packed.unit(r) for r in range(2 * n)]
+    packed.act(acc, gates, n)
+    for r, (x, row) in enumerate(zip(acc, m.rows)):
+        if x != packed.pack(row):
+            got = packed.unpack(x)
+            c = next(c for c, v in enumerate(row) if got[c] != v)
+            raise SynthesisCheckError(
+                f"the {len(gates)}-gate program does not recompose the input (n={n}, "
+                f"d={dim.d}): entry ({r}, {c}) is {got[c]}, not {row[c]}"
+            )
+    return GateSequence._derived(tuple(gates), n, dim)
 
 
 def decompose_single(m: SymplecticMatrix) -> GateSequence:
@@ -642,18 +652,5 @@ def swap_sequence(i: int, j: int, n: int, dim: Dimension) -> GateSequence:
     n = _qudit_count(n)
     if i == j or not (0 <= i < n) or not (0 <= j < n):
         raise DimensionMismatchError(f"swap needs distinct indices below {n}, got ({i}, {j})")
-    return GateSequence(
-        (
-            Sum(i, j, 1),
-            Fourier(i),
-            Fourier(j),
-            Sum(i, j, 1),
-            Fourier(i),
-            Fourier(j),
-            Sum(i, j, 1),
-            Fourier(j),
-            Fourier(j),
-        ),
-        n,
-        dim,
-    )
+    gates = (Sum(i, j, 1), Fourier(i), Fourier(j)) * 2 + (Sum(i, j, 1), Fourier(j), Fourier(j))
+    return GateSequence(gates, n, dim)

@@ -127,6 +127,8 @@ class TestDimensionCap:
         [
             (["peg", "d=2000001 n=1 a=1 b=0"], None),
             (["synth", "{matrix}"], "d 1000001 n 1\n1 0\n0 1\n"),
+            # a = d is out of range too, but the cap on d is reported first
+            (["peg", "d=1000001 n=1 a=1000001 b=0"], None),
         ],
     )
     def test_dimension_over_cap_exit_5(self, tmp_path, capsys, argv, text):
@@ -186,6 +188,12 @@ class TestPeg:
     def test_identity_word_exit_3(self, capsys):
         code, _, _ = run(capsys, "peg", "d=6 n=1 a=0 b=0")
         assert code == 3
+
+    def test_dimension_below_two_exit_2(self, capsys):
+        # the dimension is refused before the exponents are range-checked
+        code, out, err = run(capsys, "peg", "d=1 n=1 a=1 b=0")
+        assert code == 2 and out == ""
+        assert err == "parse error: Pauli word dimension must be d >= 2, got d=1\n"
 
 
 class TestVerify:

@@ -203,6 +203,13 @@ class TestGateMatrix:
         assert np.array_equal(sequence_matrix(seq).mat, p.T)
 
 
+def _dense_product(gates, n, dim, w):
+    """``w`` under the gates in application order, by dense `gate_matrix` products."""
+    for g in gates:
+        w = gate_matrix(g, n, dim) @ w % dim.D
+    return w.tolist()
+
+
 class TestGateAction:
     """The packed-row kernel against the dense reference `gate_matrix`."""
 
@@ -222,7 +229,7 @@ class TestGateAction:
         for g in gates:
             w = rng.integers(0, D, size=(2 * n, 2 * n), dtype=np.int64)
             work = [packed.pack(row) for row in w.tolist()]
-            packed.act(work, g, n)
+            packed.act(work, [g], n)
             expected = (gate_matrix(g, n, dim) @ w % D).tolist()
             assert [list(packed.unpack(x)) for x in work] == expected, g
             assert [[packed.entry(x, c) for c in range(2 * n)] for x in work] == expected
@@ -241,8 +248,34 @@ class TestGateAction:
         for g in gates:
             rows = [tuple(int(v) for v in rng.integers(0, D, size=2 * n)) for _ in range(2 * n)]
             work = [packed.pack(row) for row in rows]
-            packed.act(work, g, n)
+            packed.act(work, [g], n)
             assert [packed.unpack(x) for x in work] == _act_on_list_rows(rows, g, n, D), g
+
+    @pytest.mark.parametrize("d", [2, 3, 12, 97, MAX_D])
+    def test_gate_list_matches_dense_product(self, d):
+        # one call on a whole program, with powers outside [0, D) among its
+        # gates, after one on the empty list, which changes nothing
+        dim = Dimension.of(d)
+        n, D = 3, dim.D
+        gates = list(random_gate_sequence(n, dim, 60, d))
+        gates[10:10] = [Phase(1, -1), Sum(2, 0, 3 * D + 2), Phase(0, D), Sum(0, 1, -D - 1)]
+        w = np.random.default_rng(d).integers(0, D, size=(2 * n, 2 * n), dtype=np.int64)
+        packed = _PackedRows(2 * n, D)
+        work = [packed.pack(row) for row in w.tolist()]
+        packed.act(work, [], n)
+        assert [list(packed.unpack(x)) for x in work] == w.tolist()
+        packed.act(work, gates, n)
+        assert [list(packed.unpack(x)) for x in work] == _dense_product(gates, n, dim, w)
+
+    @given(gate_lists(dims=(2, 3, 12, 97, MAX_D), max_n=4), st.data())
+    def test_any_gate_list_matches_dense_product(self, case, data):
+        gates, n, dim = case
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        w = np.random.default_rng(seed).integers(0, dim.D, size=(2 * n, 2 * n), dtype=np.int64)
+        packed = _PackedRows(2 * n, dim.D)
+        work = [packed.pack(row) for row in w.tolist()]
+        packed.act(work, gates, n)
+        assert [list(packed.unpack(x)) for x in work] == _dense_product(gates, n, dim, w)
 
 
 def _act_on_list_rows(rows, g, n, D):

@@ -32,15 +32,17 @@ from cliffsynth import (
     swap_sequence,
     transport,
 )
-from cliffsynth.symplectic import Fourier, Phase, Sum, invert_gate, merge_gates
+from cliffsynth.symplectic import Fourier, Phase, Sum, _PackedRows, invert_gate, merge_gates
 
 from cliffsynth.synthesis import (
     MAX_TABLE_D,
     _act2,
     _closed_form,
     _eliminate,
+    _is_unit,
     _peg_gates,
     _peg_vector,
+    _require_unit,
     _scale_gates,
     _shorten_runs,
     _table_letters,
@@ -892,9 +894,76 @@ except CliffSynthError as exc:
 """
 
 
+@st.composite
+def near_unit_rows(draw):
+    """(D, n, j, rows): the 2n x 2n identity over Z_D with up to six
+    entries overwritten, and a qudit j."""
+    D = Dimension.of(draw(st.sampled_from((2, 3, 12, 97, 10**6)))).D
+    n = draw(st.integers(1, 4))
+    rows = [[int(r == c) for c in range(2 * n)] for r in range(2 * n)]
+    for _ in range(draw(st.integers(0, 6))):
+        r, c = draw(st.integers(0, 2 * n - 1)), draw(st.integers(0, 2 * n - 1))
+        rows[r][c] = draw(st.integers(0, D - 1))
+    return D, n, draw(st.integers(0, n - 1)), rows
+
+
+def _passes(*checks):
+    """True iff none of the `_require_unit` calls (args tuples) raises."""
+    try:
+        for args in checks:
+            _require_unit(*args)
+    except SynthesisCheckError:
+        return False
+    return True
+
+
 class TestDecomposeChecks:
     def _matrix(self):
         return sequence_matrix(random_gate_sequence(3, DIM5, 30, 4))
+
+    @given(near_unit_rows())
+    def test_packed_checks_agree_with_entry_checks(self, case):
+        D, n, j, rows = case
+        z = n + j
+        packed = _PackedRows(2 * n, D)
+        work = [packed.pack(row) for row in rows]
+        cols = list(zip(*rows))
+        end = ((cols[j], j, j, "column"), (rows[z], z, j, "row"), (rows[j], j, j, "row"))
+        assert _is_unit(packed, work, j, (z, j)) == _passes(*end)
+        assert _is_unit(packed, work, z) == _passes((cols[z], z, j, "column"))
+
+    def test_column_check_catches_stray_entry_in_another_row(self, monkeypatch):
+        # the kernel drops the last gate of each list: the sum that clears
+        # x_0 from column 1 is recorded but never applied
+        class DropLast(_PackedRows):
+            def act(self, work, gates, n):
+                super().act(work, list(gates)[:-1], n)
+
+        bad = np.eye(4, dtype=np.int64)
+        bad[0, 1] = 2
+        monkeypatch.setattr(cliffsynth.synthesis, "_PackedRows", DropLast)
+        monkeypatch.setattr(
+            cliffsynth.synthesis, "inverse", lambda m: SimpleNamespace(rows=bad.tolist())
+        )
+        with pytest.raises(SynthesisCheckError, match=r"^qudit 1: column 1 .*: \[2, 1, 0, 0\]$"):
+            decompose(SymplecticMatrix.identity(2, DIM5))
+
+    def test_final_check_names_first_differing_entry(self, monkeypatch):
+        m = self._matrix()
+        short = GateSequence(decompose(m).gates[:-1], 3, DIM5)
+        got, want = sequence_matrix(short).rows, m.rows
+        r, c = next((r, c) for r in range(6) for c in range(6) if got[r][c] != want[r][c])
+        merge = cliffsynth.synthesis._merge_onto
+        monkeypatch.setattr(
+            cliffsynth.synthesis, "_merge_onto", lambda *a, **k: merge(*a, **k)[:-1]
+        )
+        expected = (
+            f"the {len(short)}-gate program does not recompose the input (n=3, d=5): "
+            f"entry ({r}, {c}) is {got[r][c]}, not {want[r][c]}"
+        )
+        with pytest.raises(SynthesisCheckError) as info:
+            decompose(m)
+        assert str(info.value) == expected
 
     def test_final_check_catches_dropped_gate(self, monkeypatch):
         merge = cliffsynth.synthesis._merge_onto
