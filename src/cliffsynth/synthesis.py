@@ -24,16 +24,27 @@ and for `transport` the value the other word's program ends on, so
 no scale gates are needed unless neither word has a hub. Without a hub
 (one qudit, no unit, or a unit on the last qudit only) every qudit gets
 its Euclid word and the sum loop folds the values onto the last qudit.
-Word-to-word transport takes the normal form of one word and the
-inverse normal form of the other.
+
+Word-to-word transport is local first. On one qudit, F and P^e take an
+exponent vector (a, b) to (a', b') exactly when both have the same
+content gcd(a, b, d). So a qudit where the two words agree takes no
+gate, and one where both are nonzero with one content takes a short
+map on that qudit alone (`_map_gates`): the core P^s F P^t, or the first
+of a few framed shapes that fits, each power the solution of one linear
+congruence. Only the remaining qudits, where one word is the identity or
+the contents differ, take sum gates: the hub transport (`_hub_gates`),
+the normal form of one restricted word and the inverse normal form of
+the other, placed on those qudits by `_peg_gates`' index map.
 
 Every piece of a word program is emitted as a reduced word, the form
 `merge_gates` returns: each qudit's word, the sum fold (its fix-up joins
-the loop's last step) and the hub sums. So `generalized_peg` returns its
-gates as they are, and `transport` merges only where its pieces meet
-(`_merge_onto`). Gates are built with the trusted constructor `_gate`
-(Fourier gates shared, `_fourier`), and the library's own programs skip
-`GateSequence`'s check (`GateSequence._derived`).
+the loop's last step), the hub sums and each one-qudit map. So
+`generalized_peg` returns its gates as they are, the hub transport
+merges only where its pieces meet (`_merge_onto`), and `transport`
+concatenates pieces on disjoint qudits, which never merge. Gates are
+built with the trusted constructor `_gate` (Fourier gates shared,
+`_fourier`), and the library's own programs skip `GateSequence`'s check
+(`GateSequence._derived`).
 
 The full n-qudit decomposition works in two stages. Elimination
 (`_eliminate`) reduces the inverse of the input to the identity with
@@ -205,7 +216,12 @@ def scale_sequence(k: int, dim: Dimension) -> GateSequence:
 
 
 def _peg_gates(
-    xs: Sequence[int], zs: Sequence[int], D: int, target: int, inverse: bool = False
+    xs: Sequence[int],
+    zs: Sequence[int],
+    D: int,
+    target: int,
+    inverse: bool = False,
+    qudits: Sequence[int] | None = None,
 ) -> tuple[list[Gate], int]:
     """A reduced word (its own `merge_gates`) mapping the word with
     exponents ``xs``, ``zs`` (in [0, D), not all zero) to a power of Z on
@@ -230,6 +246,9 @@ def _peg_gates(
     Each qudit's word is reduced and no two of them share a qudit; the
     sums are reduced folds (`_sum_peg_vector`) on successive pairs, then
     hub sums on distinct pairs; no power is 0. So the whole is reduced.
+
+    The word's qudit i is the program's qudit ``qudits[i]`` (distinct
+    indices, in any order), by default i itself.
     """
     n = len(xs)
     hub = None
@@ -241,7 +260,7 @@ def _peg_gates(
             break
     chunks: list[list[Gate]] = []
     zvals: list[int] = []
-    for i, (a, b) in enumerate(zip(xs, zs)):
+    for i, a, b in zip(qudits or range(n), xs, zs):
         if a == 0:  # (0, b) is its own target
             zvals.append(b)
             continue
@@ -278,6 +297,8 @@ def _peg_gates(
             sums.append((n - 1, hub, e))
         sums.append((hub, n - 1, cur * pow(target, -1, D) % D))
         cur = target
+    if qudits is not None:
+        sums = [(qudits[c], qudits[t], e) for c, t, e in sums]
     if not inverse:
         gates = [g for chunk in chunks for g in chunk]
         gates += [_gate(Sum, s) for s in sums]
@@ -331,35 +352,196 @@ def _transport_unit(gp: int, gq: int, d: int) -> int | None:
     return next((k for k in range(k0, d, step) if gcd0(k, d) == 1), None)
 
 
+def _solve(a: int, r: int, c: int, d: int) -> int:
+    """The smallest s in [0, d) with s * a = r mod d, where gcd(a, d) = c
+    divides r: the solutions form one class mod d/c."""
+    step = d // c
+    return r % d // c * pow(a // c, -1, step) % step
+
+
+# The one-qudit shapes of `_shape_letters`, shortest first, as (length, i,
+# j, phases): F^i P^s F^j for one phase gate, F^i P^s F P^t F^j for two,
+# and F^i for none, in application order. F^2 = -I is central, so F^2 P
+# is P F^2, P F^2 P is F^2 P^(s+t) and P F^3 P is F^2 P F P: i <= 1 and
+# one middle F cover every word with at most two phase gates.
+_SHAPES = sorted(
+    [(k, k, 0, 0) for k in (1, 2, 3)]
+    + [(i + j + 1, i, j, 1) for i in (0, 1) for j in range(4)]
+    + [(i + j + 3, i, j, 2) for i in (0, 1) for j in range(4)],
+    key=lambda shape: shape[0],
+)
+
+
+def _shape_letters(x: int, z: int, x2: int, z2: int, d: int) -> list[int] | None:
+    """The letters (see `_word`) of the first of `_SHAPES` that maps (x, z)
+    to (x2, z2) mod d, or None.
+
+    A shape's phase gates act on F^i (x, z) and end on F^-j (x2, z2), so
+    each power solves one linear congruence, solvable iff the gcd of its
+    coefficient with d divides the right side. F keeps the pair of gcds
+    of a vector's entries with d, swapped at odd powers. A zero power
+    would make a shorter shape, which comes first and fits too, so a fit
+    never has one, and its word is reduced.
+    """
+    if (x, z) == (x2, z2):
+        return []
+    src = ((x, z), (-z % d, x), (-x % d, -z % d), (z, -x % d))  # F^i v
+    dst = ((x2, z2), (z2, -x2 % d), (-x2 % d, -z2 % d), (-z2 % d, x2))  # F^-j v'
+    gs, g2s = (math.gcd(x, d), math.gcd(z, d)), (math.gcd(x2, d), math.gcd(z2, d))
+    for _, i, j, phases in _SHAPES:
+        a, b = src[i]
+        a2, b2 = dst[j]
+        if phases == 2:  # P^s F P^t: (a, b) -> (-b - s a, a + t (-b - s a))
+            g, g2 = gs[i & 1], g2s[j & 1]
+            if (a2 + b) % g == 0 == (b2 - a) % g2:
+                s, t = _solve(a, -a2 - b, g, d), _solve(a2, b2 - a, g2, d)
+                if s and t:
+                    return [0] * i + [s, 0, t] + [0] * j
+        elif phases == 1:  # P^s: (a, b) -> (a, b + s a)
+            if a == a2 and (b2 - b) % gs[i & 1] == 0:
+                s = _solve(a, b2 - b, gs[i & 1], d)
+                if s:
+                    return [0] * i + [s] + [0] * j
+        elif (a, b) == (a2, b2):
+            return [0] * i
+    return None
+
+
+def _map_gates(x: int, z: int, x2: int, z2: int, c: int, d: int, qudit: int) -> list[Gate]:
+    """A reduced program on ``qudit`` alone taking its exponent vector
+    (x, z) to (x2, z2) mod d: two distinct vectors of one content
+    c = gcd(x, z, d) < d. Every power lies in [1, d).
+
+    When both X exponents have gcd c with d, the core P^s F P^t does it,
+    with s x = -x2 - z and t x2 = z2 - x mod d and zero powers dropped;
+    only P^s (for x = x2) and F F (for (x2, z2) = -(x, z)) can be
+    shorter. Otherwise the first of `_SHAPES` that fits. At composite d a
+    vector may have no entry of gcd c with d, as (2, 5) at d = 10. Then P^u
+    comes first, with the smallest u for which z + u x has gcd c (as in
+    `_closed_form`), and P^-w last for the target's w, so that a shape
+    fits between them.
+    """
+    if math.gcd(x, d) == c == math.gcd(x2, d):
+        if x == x2:
+            return [_gate(Phase, (qudit, _solve(x, z2 - z, c, d)))]
+        f = _fourier(qudit)
+        s, t = _solve(x, -x2 - z, c, d), _solve(x2, z2 - x, c, d)
+        if not s:
+            return [f, _gate(Phase, (qudit, t))] if t else [f]
+        if not t:
+            return [_gate(Phase, (qudit, s)), f]
+        if x2 == -x % d and z2 == -z % d:
+            return [f, f]
+        return [_gate(Phase, (qudit, s)), f, _gate(Phase, (qudit, t))]
+    letters = _shape_letters(x, z, x2, z2, d)
+    if letters is not None:
+        return _word(letters, qudit)
+
+    def lift(x: int, z: int) -> int:
+        if c in (math.gcd(x, d), math.gcd(z, d)):
+            return 0
+        return next(u for u in range(1, d) if math.gcd(z + u * x, d) == c)
+
+    u, w = lift(x, z), lift(x2, z2)
+    core = _shape_letters(x, (z + u * x) % d, x2, (z2 + w * x2) % d, d)
+    if core is None:
+        raise SynthesisCheckError(f"no one-qudit map ({x}, {z}) -> ({x2}, {z2}) mod {d}")
+    # the core is reduced, so only P^u and P^-w can merge, each with a
+    # phase gate at its end of the core; a zero sum drops both
+    out: list[int] = []
+    for e in ([u] if u else []) + core + ([d - w] if w else []):
+        if e and out and out[-1]:
+            e = (out.pop() + e) % d
+            if not e:
+                continue
+        out.append(e)
+    return _word(out, qudit)
+
+
+def _hub_gates(p: PauliWord, q: PauliWord, qudits: Sequence[int]) -> list[Gate]:
+    """The hub transport between p and q restricted to ``qudits``, on
+    those qudits. Neither restriction may be the identity, and a Clifford
+    on ``qudits`` must map one to the other.
+
+    The program is p's peg gates, then the gates of q's inverse peg
+    program. A word with a unit hub ends its fold on the value the other
+    word's program takes, q's gcd for p and p's value for q, so the two
+    meet on the last qudit. Only when neither word has a hub do the six
+    scale gates go between them. Each piece is a reduced word, so they
+    are merged only where they meet (`_merge_onto`).
+    """
+    d, D = p.dim.d, p.dim.D
+    pxs, pzs, qxs, qzs = ([w[i] for i in qudits] for w in (p.xexp, p.zexp, q.xexp, q.zexp))
+    gq = math.gcd(*qxs, *qzs)
+    gp = math.gcd(*pxs, *pzs)
+    k = _transport_unit(gp, gq, d)
+    if k is None:
+        raise SynthesisCheckError(f"no hub transport from gcd {gp} to gcd {gq} mod {d}")
+    gates, vp = _peg_gates(pxs, pzs, D, gq, qudits=qudits)
+    inv, vq = _peg_gates(qxs, qzs, D, vp, inverse=True, qudits=qudits)
+    if vp != vq:  # neither word has a hub: vp, vq are the gcds
+        _merge_onto(gates, _scale_gates(k, D, qudits[-1]), D, reduced=True)
+    return _merge_onto(gates, inv, D, reduced=True)
+
+
 def transport(p: PauliWord, q: PauliWord) -> GateSequence | None:
     """A program whose conjugation action maps word p to word q, if any.
 
     Feasible exactly when gcd(q's exponents) = k * gcd(p's exponents)
-    mod d for some unit k mod d; returns None otherwise. The program is
-    p's peg gates, then the gates of q's inverse peg program. A word with
-    a unit hub ends its fold on the value the other word's program takes,
-    q's gcd for p and p's value for q, so the two meet on the last qudit.
-    Only when neither word has a hub do the six scale gates for k go
-    between them. Each piece is a reduced word, so they are merged only
-    where they meet (`_merge_onto`): the program is the merged
-    concatenation, built without a second pass over the gates.
+    mod d for some unit k mod d; returns None otherwise. Local first: a
+    qudit where p and q agree takes no gate. A qudit where both are
+    nonzero with one content gcd(a, b, d) is matched, and takes a
+    one-qudit map (`_map_gates`), at most three gates when both X
+    exponents share that gcd with d. The other qudits R, where one word
+    is the identity or the contents differ, take the hub transport of
+    the two words restricted to R (`_hub_gates`). If those sub-words are
+    infeasible or one is the identity, one matched qudit joins R as an
+    anchor, the first whose content makes them feasible, trying qudits
+    where p and q agree last. With no such anchor R is every qudit, and
+    the program is the hub transport of the whole words. The pieces sit
+    on disjoint qudits, so their concatenation is a reduced word.
     """
     if p.dim != q.dim or p.n != q.n:
         raise DimensionMismatchError("transport endpoints disagree on layout")
     if p.is_identity or q.is_identity:
         raise DegenerateWordError("transport endpoints must be nonidentity words")
     n, dim = p.n, p.dim
-    if p == q:
-        return GateSequence._derived((), n, dim)
-    gq = math.gcd(*q.xexp, *q.zexp)
-    k = _transport_unit(math.gcd(*p.xexp, *p.zexp), gq, dim.d)
-    if k is None:
+    d = dim.d
+    if _transport_unit(math.gcd(*p.xexp, *p.zexp), math.gcd(*q.xexp, *q.zexp), d) is None:
         return None
-    gates, vp = _peg_gates(p.xexp, p.zexp, dim.D, gq)
-    inv, vq = _peg_gates(q.xexp, q.zexp, dim.D, vp, inverse=True)
-    if vp != vq:  # neither word has a hub: vp, vq are the gcds
-        _merge_onto(gates, _scale_gates(k, dim.D, n - 1), dim.D, reduced=True)
-    _merge_onto(gates, inv, dim.D, reduced=True)
+    gates: list[Gate] = []
+    rest: list[int] = []
+    gcd = math.gcd  # a local: the loop below runs once per qudit
+    for i, (x, z, x2, z2) in enumerate(zip(p.xexp, p.zexp, q.xexp, q.zexp)):
+        if x == x2 and z == z2:
+            continue
+        c = gcd(x, z, d)
+        if c == gcd(x2, z2, d) != d:
+            gates += _map_gates(x, z, x2, z2, c, d, i)
+        else:
+            rest.append(i)
+    if rest:
+        cp = math.gcd(d, *(p.xexp[i] for i in rest), *(p.zexp[i] for i in rest))
+        cq = math.gcd(d, *(q.xexp[i] for i in rest), *(q.zexp[i] for i in rest))
+        if cp != cq:  # infeasible on R, or one word is the identity there (content d)
+            skip = set(rest)
+            order = sorted(range(n), key=lambda i: (p.xexp[i], p.zexp[i]) == (q.xexp[i], q.zexp[i]))
+            anchor = next(
+                (
+                    i
+                    for i in order
+                    if i not in skip
+                    and (c := math.gcd(p.xexp[i], p.zexp[i], d)) != d
+                    and math.gcd(cp, c) == math.gcd(cq, c)
+                ),
+                None,
+            )
+            if anchor is None:
+                gates, rest = [], list(range(n))
+            else:
+                gates = [g for g in gates if g[0] != anchor]
+                rest = sorted(rest + [anchor])
+        gates += _hub_gates(p, q, rest)
     return GateSequence._derived(tuple(gates), n, dim)
 
 

@@ -10,11 +10,14 @@ same cases, after the pass that shortens single-qudit runs. Inputs are
 recomposed with the dense reference `gate_matrix`, so they do not depend
 on the code under test.
 
-A second digest covers `generalized_peg`, `transport` and
+Two more digests cover `generalized_peg`, `transport` and
 `GateSequence.inverse` on seeded words (d in {2, 6, 12, 97, 1024}, n in
-{1, 2, 5, 16, 64}), with feasible and infeasible pairs and composite gcds.
-A third covers the symplectic matrix of each of those programs, so a
-change that shortens word programs must keep every one the same Clifford.
+{1, 2, 5, 16, 64}), with feasible and infeasible pairs and composite gcds:
+one over the pegs and one over the transports, so that a change to one
+of them leaves the other's digest as it is. Two more cover the symplectic
+matrix of each of those programs. A transport's matrix is any Clifford
+that maps p to q, so a new transport moves its matrix digest; a peg's
+must stay. The total length of the feasible transports is pinned too.
 
 The library builds its gates with the trusted constructor, which skips
 the checks; the last tests rebuild every gate and program of both
@@ -102,8 +105,13 @@ WORD_DIMS = (2, 6, 12, 97, 1024)
 WORD_NS = (1, 2, 5, 16, 64)
 WORD_SEEDS = range(4)
 
-WORD_DIGEST = "4c3e0449d16d7ee21eb6bcc6bacbeabe4e169ef4834ef5e1e2f4158883dd5d62"
-WORD_MATRIX_DIGEST = "4fed3583b9f0e2cf9aa4bccc851825cbb889029cadc1c7e4fb54eb0439e79b7d"
+# pegs and their inverses; transports and their inverses
+PEG_DIGEST = "fcdabc31435cf0999fa427abe4adf643946244a160664793751a4f8b40a20dee"
+TRANSPORT_DIGEST = "9e6d338e0cfde9b56dcd23bbcb5421cf47fcf0d2264d571062dfe67d64dc756b"
+PEG_MATRIX_DIGEST = "c488ba1a8439565521857297740d3a55b549879264ed58c42fc3bc2aabbe70f0"
+TRANSPORT_MATRIX_DIGEST = "43d4a473ab78b321f34a42f2682e57b6ce1c32af97bf3b5cefd9103826c9b48c"
+# total gates of the 276 feasible transports
+TRANSPORT_GATES = 6651
 
 
 def divisors_below(d):
@@ -138,32 +146,44 @@ def word_cases():
 
 
 def word_digest():
-    h = hashlib.sha256()
+    """(feasible, infeasible, peg digest, transport digest): the text of
+    each program and its inverse, pegs and transports hashed apart."""
+    pegs, transports = hashlib.sha256(), hashlib.sha256()
     feasible = infeasible = 0
     for d, n, s, p, q in word_cases():
         seq, k = generalized_peg(p)
-        h.update(f"peg {d} {n} {s}\n{seq.to_text()}\n# k {k}\n{seq.inverse().to_text()}\n".encode())
+        pegs.update(f"peg {d} {n} {s}\n{seq.to_text()}\n# k {k}\n{seq.inverse().to_text()}\n".encode())
         out = transport(p, q)
         if out is None:
             infeasible += 1
-            h.update(b"transport None\n")
+            transports.update(b"transport None\n")
         else:
             feasible += 1
-            h.update(f"transport\n{out.to_text()}\n# inverse\n{out.inverse().to_text()}\n".encode())
-    return feasible, infeasible, h.hexdigest()
+            text = f"transport\n{out.to_text()}\n# inverse\n{out.inverse().to_text()}\n"
+            transports.update(text.encode())
+    return feasible, infeasible, pegs.hexdigest(), transports.hexdigest()
 
 
 def test_golden_word_programs_unchanged():
-    feasible, infeasible, digest = word_digest()
+    feasible, infeasible, pegs, transports = word_digest()
     assert (feasible, infeasible) == (276, 24)
-    assert digest == WORD_DIGEST
+    assert pegs == PEG_DIGEST
+    assert transports == TRANSPORT_DIGEST
 
 
-def word_matrix_digest():
-    """sha256 over the matrix text of every word program and its inverse."""
-    h = hashlib.sha256()
+def test_golden_transport_total():
+    # the hub transport of the whole words alone takes 16,529 gates here;
+    # a change may shorten the transports, never lengthen them in total
+    total = sum(len(out) for *_, p, q in word_cases() if (out := transport(p, q)) is not None)
+    assert total <= TRANSPORT_GATES
 
-    def add(label, seq):
+
+def word_matrix_digests():
+    """(peg digest, transport digest) over the matrix text of every word
+    program and its inverse."""
+    pegs, transports = hashlib.sha256(), hashlib.sha256()
+
+    def add(h, label, seq):
         h.update(f"{label}\n{format_matrix_text(sequence_matrix(seq))}\n".encode())
 
     pegged = set()
@@ -171,17 +191,17 @@ def word_matrix_digest():
         if (d, n, s) not in pegged:  # each p comes with three targets
             pegged.add((d, n, s))
             seq, _ = generalized_peg(p)
-            add(f"peg {d} {n} {s}", seq)
-            add("peg inverse", seq.inverse())
+            add(pegs, f"peg {d} {n} {s}", seq)
+            add(pegs, "peg inverse", seq.inverse())
         out = transport(p, q)
         if out is not None:
-            add("transport", out)
-            add("transport inverse", out.inverse())
-    return h.hexdigest()
+            add(transports, "transport", out)
+            add(transports, "transport inverse", out.inverse())
+    return pegs.hexdigest(), transports.hexdigest()
 
 
 def test_golden_word_matrices_unchanged():
-    assert word_matrix_digest() == WORD_MATRIX_DIGEST
+    assert word_matrix_digests() == (PEG_MATRIX_DIGEST, TRANSPORT_MATRIX_DIGEST)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import random
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -25,6 +26,7 @@ from cliffsynth import (
     gate_matrix,
     gcd0,
     generalized_peg,
+    parse_word,
     peg_reduce,
     scale_sequence,
     sequence_matrix,
@@ -33,13 +35,16 @@ from cliffsynth import (
     transport,
 )
 from cliffsynth.symplectic import Fourier, Phase, Sum, _PackedRows, invert_gate, merge_gates
+from cliffsynth.unitary import _maps_words
 
 from cliffsynth.synthesis import (
     MAX_TABLE_D,
     _act2,
     _closed_form,
     _eliminate,
+    _hub_gates,
     _is_unit,
+    _map_gates,
     _peg_gates,
     _peg_vector,
     _require_unit,
@@ -641,8 +646,10 @@ class TestVectorTargetWords:
             inv, _ = _peg_gates(xs, zs, D, 1, inverse=True)
             assert act_on_exponents(inv, [0] * 6, [0] * 5 + [1], D) == (list(xs), list(zs))
 
-    @pytest.mark.parametrize("d, bound", [(2, 3.5), (97, 6.5)])
+    @pytest.mark.parametrize("d, bound", [(2, 1.35), (6, 4.6), (97, 3.05), (1024, 6.1)])
     def test_transport_gates_per_qudit_at_n256(self, d, bound):
+        # measured 1.27, 4.51, 2.98 and 6.00 at most; the hub transport of
+        # the whole words takes 3.10, 6.87, 5.95 and 8.26
         dim, n = Dimension.of(d), 256
         for seed in range(3):
             p = PauliWord(dim, *random_word_exponents(n, d, 2 * seed))
@@ -688,11 +695,9 @@ def peg_words(draw):
 
 
 def transport_reference(p, q):
-    """`transport`'s program as its raw pieces concatenated and merged once,
-    and the raw length: p's peg gates, the scale gates when the two halves
-    end on different values, q's inverse peg gates. No gates when p = q."""
-    if p == q:
-        return [], 0
+    """The hub transport's program as its raw pieces concatenated and
+    merged once, and the raw length: p's peg gates, the scale gates when
+    the two halves end on different values, q's inverse peg gates."""
     D = p.dim.D
     gq = math.gcd(*q.xexp, *q.zexp)
     k = _transport_unit(math.gcd(*p.xexp, *p.zexp), gq, p.dim.d)
@@ -742,13 +747,15 @@ class TestReducedPieces:
 
 
 class TestSeamCascades:
-    """`transport` merges only where its pieces meet; the result is the
-    merged concatenation, however far the cancellation runs."""
+    """The hub transport (`_hub_gates`), which `transport` runs on the
+    qudits a one-qudit map cannot serve and on whole words when no anchor
+    fits, merges only where its pieces meet; the result is the merged
+    concatenation, however far the cancellation runs."""
 
     def check(self, p, q):
-        out = transport(p, q)
+        out = _hub_gates(p, q, range(p.n))
         merged, raw = transport_reference(p, q)
-        assert list(out.gates) == merged
+        assert out == merged
         assert act_on_exponents(out, p.xexp, p.zexp, p.dim.d) == (list(q.xexp), list(q.zexp))
         return raw - len(merged)
 
@@ -781,13 +788,195 @@ class TestSeamCascades:
         scaled = far = 0
         for p in words:
             for q in words:
-                if transport(p, q) is None:
+                if p == q or transport(p, q) is None:
                     continue
                 cancelled = self.check(p, q)
                 gp, gq = math.gcd(*p.xexp, *p.zexp), math.gcd(*q.xexp, *q.zexp)
                 scaled += gp % d != gq % d
                 far += cancelled >= 3
         assert scaled and far
+
+
+def vector_distances(v, d):
+    """The length of a shortest F / P^e word from v to each vector mod d,
+    by breadth-first search over Z_d^2: F (x, z) -> (-z, x) and P^e
+    (x, z) -> (x, z + e x)."""
+    dist = {v: 0}
+    frontier = [v]
+    while frontier:
+        found = []
+        for x, z in frontier:
+            for w in [(-z % d, x)] + [(x, (z + e * x) % d) for e in range(1, d)]:
+                if w not in dist:
+                    dist[w] = dist[(x, z)] + 1
+                    found.append(w)
+        frontier = found
+    return dist
+
+
+# (pairs, gates) by which the one-qudit maps exceed a shortest word, at the
+# d <= 16 where they do; no map is more than two gates longer
+LONGER_MAPS = {10: (8, 8), 12: (64, 80), 14: (24, 24), 15: (720, 864)}
+
+
+def content_vector(rng, d, c):
+    """A random exponent vector of content gcd(x, z, d) = c."""
+    while True:
+        v = (c * rng.randrange(d // c) % d, c * rng.randrange(d // c) % d)
+        if math.gcd(*v, d) == c:
+            return v
+
+
+class TestVectorMaps:
+    """`_map_gates`: the one-qudit map of a matched qudit."""
+
+    def check(self, v, w, d):
+        c = math.gcd(*v, d)
+        gates = _map_gates(*v, *w, c, d, 0)
+        assert act_on_exponents(gates, [v[0]], [v[1]], d) == ([w[0]], [w[1]])
+        assert merge_gates(gates, Dimension.of(d)) == gates
+        assert all(type(g) is Fourier or 0 < g.power < d for g in gates)
+        return gates
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_every_content_matched_pair(self, d):
+        vectors = [(x, z) for x in range(d) for z in range(d) if x or z]
+        longer = extra = 0
+        for v in vectors:
+            dist = vector_distances(v, d)
+            for w in vectors:
+                if w != v and math.gcd(*w, d) == math.gcd(*v, d):
+                    excess = len(self.check(v, w, d)) - dist[w]
+                    assert 0 <= excess <= 2
+                    longer += excess > 0
+                    extra += excess
+        pairs, gates = LONGER_MAPS.get(d, (0, 0))
+        assert longer <= pairs and extra <= gates
+
+    @pytest.mark.parametrize("d", [25, 97, 210, 1024])
+    def test_sampled_pairs(self, d):
+        rng = random.Random(d)
+        contents = [c for c in range(1, d) if d % c == 0]
+        lengths = []
+        for _ in range(3000):
+            c = rng.choice(contents)
+            v, w = content_vector(rng, d, c), content_vector(rng, d, c)
+            if v != w:
+                lengths.append(len(self.check(v, w, d)))
+        assert max(lengths) <= 7
+
+    def test_prime_d_unit_pairs_take_the_core(self):
+        # both X exponents units: P^s F P^t with s x = -x' - z, t x' = z' - x
+        gates = _map_gates(5, 11, 30, 2, 1, 97, 3)
+        s, t = (-30 - 11) * pow(5, -1, 97) % 97, (2 - 5) * pow(30, -1, 97) % 97
+        assert gates == [Phase(3, s), Fourier(3), Phase(3, t)]
+
+    def test_no_entry_shares_the_content(self):
+        # (2, 5) at d = 10: neither entry is a unit, so P^u comes first
+        for w in ((5, 2), (3, 4), (1, 0)):
+            self.check((2, 5), w, 10)
+            self.check(w, (2, 5), 10)
+
+
+@st.composite
+def mixed_word_pairs(draw):
+    """Two words on n <= 12 qudits, d in {2, 4, 6, 12, 97, 1024}. Each
+    qudit of each word is a multiple of its own divisor of d (or zero),
+    so contents mix; q's qudit is p's, or p's under P^e F (same content),
+    or drawn apart. Both words may share one factor throughout."""
+    dim = Dimension.of(draw(st.sampled_from((2, 4, 6, 12, 97, 1024))))
+    d = dim.d
+    n = draw(st.integers(1, 12))
+    factors = [c for c in range(1, d + 1) if d % c == 0]
+    shared = draw(st.sampled_from(factors[:-1]))
+    entry = st.integers(0, d - 1)
+
+    def vector():
+        f = draw(st.sampled_from(factors))
+        return f * draw(entry) * shared % d, f * draw(entry) * shared % d
+
+    ps, qs = [], []
+    for _ in range(n):
+        x, z = vector()
+        kind = draw(st.sampled_from(("same", "mapped", "apart")))
+        e = draw(entry)
+        ps.append((x, z))
+        qs.append((x, z) if kind == "same" else (-(z + e * x) % d, x) if kind == "mapped" else vector())
+    for vs in (ps, qs):
+        if not any(x or z for x, z in vs):
+            vs[-1] = (0, shared)
+    p = PauliWord(dim, tuple(x for x, _ in ps), tuple(z for _, z in ps))
+    q = PauliWord(dim, tuple(x for x, _ in qs), tuple(z for _, z in qs))
+    return p, q
+
+
+def needs_agreeing_anchor(p, q):
+    """True iff `transport` cannot serve the hub qudits R, where p and q
+    differ and no one-qudit map fits, by themselves or with a qudit where
+    p and q differ as anchor."""
+    d = p.dim.d
+
+    def content(w, i):
+        return math.gcd(w.xexp[i], w.zexp[i], d)
+
+    differ = [i for i in range(p.n) if (p.xexp[i], p.zexp[i]) != (q.xexp[i], q.zexp[i])]
+    matched = [i for i in differ if content(p, i) == content(q, i) != d]
+    rest = [i for i in differ if i not in matched]
+    if not rest:
+        return False
+    cp = math.gcd(d, *(content(p, i) for i in rest))
+    cq = math.gcd(d, *(content(q, i) for i in rest))
+    if cp == cq != d:
+        return False
+    return not any(math.gcd(cp, content(p, i)) == math.gcd(cq, content(p, i)) for i in matched)
+
+
+class TestLocalTransport:
+    """`transport` local first: one-qudit maps on matched qudits, the hub
+    transport on the rest."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(mixed_word_pairs())
+    def test_maps_p_to_q(self, pair):
+        p, q = pair
+        d = p.dim.d
+        out = transport(p, q)
+        gp, gq = math.gcd(*p.xexp, *p.zexp), math.gcd(*q.xexp, *q.zexp)
+        assert (out is None) == (math.gcd(gp, d) != math.gcd(gq, d))
+        if out is None:
+            return
+        assert apply_to_word(sequence_matrix(out), p) == q
+        assert merge_gates(out.gates, p.dim) == list(out.gates)
+        touched = {i for g in out for i in (g[:2] if type(g) is Sum else g[:1])}
+        agree = {i for i in range(p.n) if (p.xexp[i], p.zexp[i]) == (q.xexp[i], q.zexp[i])}
+        if not needs_agreeing_anchor(p, q):
+            assert not touched & agree
+        if d**p.n <= 256:
+            assert _maps_words(out, [(p, q)])
+
+    def test_anchor(self):
+        # X (x) I -> X (x) X: qudit 1 needs content, so qudit 0 anchors it
+        dim = Dimension.of(97)
+        p, q = PauliWord(dim, (1, 0), (0, 0)), PauliWord(dim, (1, 1), (0, 0))
+        out = transport(p, q)
+        assert apply_to_word(sequence_matrix(out), p) == q
+        assert {g[0] for g in out} == {0, 1}
+
+    def test_no_anchor_falls_back_to_the_hub_transport(self):
+        # d = 6: the matched qudits have contents 2 and 3, and qudit 2 needs
+        # content 1 from nothing; no one of them can anchor it
+        dim = Dimension.of(6)
+        p = PauliWord(dim, (2, 3, 0), (0, 0, 0))
+        q = PauliWord(dim, (4, 0, 1), (0, 3, 0))
+        out = transport(p, q)
+        assert list(out.gates) == _hub_gates(p, q, range(3))
+        assert apply_to_word(sequence_matrix(out), p) == q
+
+    def test_no_matched_qudit_keeps_the_hub_transport(self):
+        # the contents differ on both qudits: the whole words take the hub
+        p, q = parse_word("d=6 n=2 a=1,0 b=0,3"), parse_word("d=6 n=2 a=0,2 b=3,1")
+        out = transport(p, q)
+        assert list(out.gates) == _hub_gates(p, q, range(2)) and len(out) == 8
 
 
 class TestDecompose:
