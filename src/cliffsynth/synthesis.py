@@ -48,9 +48,19 @@ built with the trusted constructor `_gate` (Fourier gates shared,
 
 The full n-qudit decomposition works in two stages. Elimination
 (`_eliminate`) reduces the inverse of the input to the identity with
-row operations only, last qudit first: the normal form, taken mod D,
-takes each Z_j column to Z_j, then gates that fix Z_j clear the X_j
-column. Each step hands its gates to the one batched kernel
+row operations only, last qudit first: each Z_j column goes to Z_j,
+then gates that fix Z_j clear the X_j column. The Z_j column step has
+two forms. The pure-X hub (`_x_hub_gates`) turns each nonzero qudit
+into a pure X power with P^s or F P^s, clears the rest from one qudit
+holding a unit X power with one sum each, and ends on Z_j with two sums
+and F_j. It needs a unit among those powers, every qudit to fit one of
+the two shapes, and a count rule under which it is the shorter form:
+zf + 1 < mixed + xf, for the qudits whose column entry is pure Z, both
+X and Z, and pure X. Every other column takes the word normal form,
+taken mod D. In the X_j column a qudit with both exponents nonzero is
+cleared phase first where its X exponent's gcd with D divides its Z
+exponent: P^k zeroes the Z exponent, and one sum from j the X
+exponent. Each step hands its gates to the one batched kernel
 `_PackedRows.act` as a list and checks packed rows whole. Then one scan
 (`_shorten_runs`) replaces each qudit's run of Fourier and phase gates
 between sum gates by the shortest-known program for its 2x2 matrix when
@@ -725,6 +735,67 @@ def _is_unit(packed: _PackedRows, work: list[int], c: int, rows: Sequence[int] =
     return ok and all(work[r] == packed.unit(r) for r in rows)
 
 
+def _x_hub_gates(xs: Sequence[int], zs: Sequence[int], D: int) -> list[Gate] | None:
+    """The pure-X hub form of a Z_j column step, j the last qudit: gates
+    taking the word with exponents ``xs``, ``zs`` (in [0, D)) to a power
+    of Z on qudit j, or None where the form does not apply.
+
+    Each nonzero qudit (a, b) becomes a pure X power v: by P^s with
+    s a = -b (no gate for b = 0, v = a) when gcd(a, D) divides b, else by
+    F P^s with s b = a (v = -b) when gcd(b, D) divides a. A hub h with a
+    unit v_h clears every other qudit i with Sum(h, i, -v_i/v_h), then
+    Sum(h, j, (1 - v_j)/v_h) (none if 0) and Sum(j, h, -v_h) leave X on j
+    alone, and F_j turns it into Z. The hub is j itself when v_j = 1 or
+    when j holds the only unit; that ends on Z^(v_j), which the caller
+    rescales. None when a qudit fits neither shape, no v is a unit, or
+    the form would not save gates on the word normal form (`_peg_gates`):
+    it takes F on each pure Z qudit and one gate fewer than that form on
+    each other nonzero qudit, and one sum more, so it needs zf + 1 <
+    mixed + xf (qudits with a = 0 != b, both nonzero, a != 0 = b).
+    """
+    zf = xf = mixed = 0
+    for a, b in zip(xs, zs):
+        if a:
+            if b:
+                mixed += 1
+            else:
+                xf += 1
+        elif b:
+            zf += 1
+    if zf + 1 >= mixed + xf:
+        return None
+    gates: list[Gate] = []
+    vs: list[int] = []
+    for i, (a, b) in enumerate(zip(xs, zs)):
+        g = math.gcd(a, D)
+        if b % g == 0:  # a == b == 0 lands here too, with v = 0
+            if b:
+                gates.append(_gate(Phase, (i, _solve(a, -b, g, D))))
+            vs.append(a)
+            continue
+        g = math.gcd(b, D)
+        if a % g:
+            return None
+        gates.append(_fourier(i))
+        if a:
+            gates.append(_gate(Phase, (i, _solve(b, a, g, D))))
+        vs.append(D - b)
+    j = len(vs) - 1
+    units = [i for i, v in enumerate(vs) if math.gcd(v, D) == 1]
+    if not units:
+        return None
+    h = j if vs[j] == 1 or units == [j] else units[0]
+    vinv = pow(vs[h], -1, D)
+    sums = [(h, i, -v * vinv % D) for i, v in enumerate(vs[:j]) if v and i != h]
+    if h != j:
+        e = (1 - vs[j]) * vinv % D
+        sums += [(h, j, e)] if e else []
+        sums.append((j, h, D - vs[h]))
+    gates += [_gate(Sum, s) for s in sums]
+    gates.append(_fourier(j))
+    return gates
+
+
 def _eliminate(m: SymplecticMatrix) -> list[Gate]:
     """The unmerged elimination program of `decompose`, before `_shorten_runs`.
 
@@ -732,11 +803,14 @@ def _eliminate(m: SymplecticMatrix) -> list[Gate]:
     packed copy of ``m``'s inverse: the gates that reduce it to the
     identity are, in the order applied, a program for ``m``. A loop over
     the qudits j, last to first: the Z_j column, a word on qudits 0 to j,
-    goes to Z_j with the word normal form (`_peg_gates`, target 1 mod D),
-    rescaled when the word has no hub and its gcd is not 1.
-    The X_j column then has x_j = 1 (symplecticity), and gates that fix
-    Z_j clear the rest of it: a sum gate from j for each x_i, a Fourier
-    gate and a sum gate for each z_i, and a phase power on j for z_j.
+    goes to Z_j with the pure-X hub (`_x_hub_gates`) where that form
+    applies and saves gates, else with the word normal form (`_peg_gates`,
+    target 1 mod D); either is rescaled when it ends on a power of Z_j
+    other than 1. The X_j column then has x_j = 1 (symplecticity), and
+    gates that fix Z_j clear the rest of it: P^k (z_i + k x_i = 0) and a
+    sum gate from j for a qudit with both x_i and z_i nonzero where
+    gcd(x_i, D) divides z_i; else a sum gate from j for each x_i, a Fourier
+    gate and a sum gate for each z_i; and a phase power on j for z_j.
     The gates for qudit i touch rows i, n + i and n + j alone, so every
     x_i and z_i is read before they go to the kernel, and z_j after.
     Qudit j is then the identity and no later step touches it; j = 0 is
@@ -761,7 +835,9 @@ def _eliminate(m: SymplecticMatrix) -> list[Gate]:
         z = n + j
         at = width * z
         xs = [(row >> at) & field for row in work[: j + 1]]
-        push(_peg_gates(xs, [(row >> at) & field for row in work[n : z + 1]], D, 1)[0])
+        zs = [(row >> at) & field for row in work[n : z + 1]]
+        column = _x_hub_gates(xs, zs, D)
+        push(_peg_gates(xs, zs, D, 1)[0] if column is None else column)
         k = (work[z] >> at) & field
         kinv = mod_inverse(k, D)
         if kinv is None:
@@ -775,10 +851,12 @@ def _eliminate(m: SymplecticMatrix) -> list[Gate]:
         at = width * j
         step: list[Gate] = []
         for i in range(j):
-            e = (work[i] >> at) & field
-            if e:
-                step.append(_gate(Sum, (j, i, D - e)))
-            e = (work[n + i] >> at) & field
+            x, e = (work[i] >> at) & field, (work[n + i] >> at) & field
+            if x and e and e % (g := math.gcd(x, D)) == 0:  # P^k: (x, e) -> (x, 0)
+                step += [_gate(Phase, (i, _solve(x, -e, g, D))), _gate(Sum, (j, i, D - x))]
+                continue
+            if x:
+                step.append(_gate(Sum, (j, i, D - x)))
             if e:
                 step += [_fourier(i), _gate(Sum, (j, i, e))]
         push(step)

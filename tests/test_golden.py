@@ -17,7 +17,8 @@ one over the pegs and one over the transports, so that a change to one
 of them leaves the other's digest as it is. Two more cover the symplectic
 matrix of each of those programs. A transport's matrix is any Clifford
 that maps p to q, so a new transport moves its matrix digest; a peg's
-must stay. The total length of the feasible transports is pinned too.
+must stay. The total lengths of the feasible transports and of the
+golden `decompose` programs are pinned too.
 
 The library builds its gates with the trusted constructor, which skips
 the checks; the last tests rebuild every gate and program of both
@@ -59,8 +60,8 @@ DIMS = (2, 3, 4, 5, 6, 12, 97)
 KINDS = {"sparse": 2, "dense": 20}  # gates per qudit
 SEEDS = range(3)
 
-GOLDEN_DIGEST = "6a8a98f349ab571d2d1dcb76e61d3e72d123d4159df1edd0de7ee4baab8d7db8"
-FINAL_DIGEST = "ceb0f08e7ed2444459c7241f131dccce5ec225d0445dbac0df1c596649381709"
+GOLDEN_DIGEST = "f4f5ecf5116802c1a6ab099648f1f9ee449ceb920e19c3953d5d8193e1884dda"
+FINAL_DIGEST = "330e80dc2b8de2563e8219fb68d3108d68eeb00665c1c803d3c0c33b71fe3659"
 
 
 def golden_cases():
@@ -112,6 +113,8 @@ PEG_MATRIX_DIGEST = "c488ba1a8439565521857297740d3a55b549879264ed58c42fc3bc2aabb
 TRANSPORT_MATRIX_DIGEST = "43d4a473ab78b321f34a42f2682e57b6ce1c32af97bf3b5cefd9103826c9b48c"
 # total gates of the 276 feasible transports
 TRANSPORT_GATES = 6651
+# total gates of the 504 golden `decompose` programs
+DECOMPOSE_GATES = 36098
 
 
 def divisors_below(d):
@@ -178,6 +181,16 @@ def test_golden_transport_total():
     assert total <= TRANSPORT_GATES
 
 
+def test_golden_decompose_total():
+    # 44,211 gates without the pure-X hub and phase-first clearing; a
+    # change may shorten the programs, never lengthen them in total
+    total = 0
+    for d, n, kind, length, seed in golden_cases():
+        m = reference_matrix(random_gate_sequence(n, Dimension.of(d), length, seed))
+        total += len(decompose(m))
+    assert total <= DECOMPOSE_GATES
+
+
 def word_matrix_digests():
     """(peg digest, transport digest) over the matrix text of every word
     program and its inverse."""
@@ -233,7 +246,7 @@ def test_trusted_gates_match_checked_ones():
             assert merge_gates(seq.gates, seq.dim) == list(seq.gates)
             assert seq.inverse() == checked.inverse()
             programs += 1
-    assert programs == 504 + 2 * (300 + 276) and gates > 150_000
+    assert programs == 504 + 2 * (300 + 276) and gates > 120_000
 
 
 def test_kernel_inputs_are_in_normal_form():

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,7 +35,15 @@ from cliffsynth import (
     swap_sequence,
     transport,
 )
-from cliffsynth.symplectic import Fourier, Phase, Sum, _PackedRows, invert_gate, merge_gates
+from cliffsynth.symplectic import (
+    Fourier,
+    Phase,
+    Sum,
+    _PackedRows,
+    inverse,
+    invert_gate,
+    merge_gates,
+)
 from cliffsynth.unitary import _maps_words
 
 from cliffsynth.synthesis import (
@@ -53,6 +62,7 @@ from cliffsynth.synthesis import (
     _table_letters,
     _transport_unit,
     _word,
+    _x_hub_gates,
 )
 
 from conftest import child_env, gate_lists, random_gate_sequence, random_word_exponents
@@ -1033,7 +1043,7 @@ class TestDecomposeLargeSizes:
         seq = decompose(m)
         assert sequence_matrix(seq) == m
         assert len(seq) <= len(merge_gates(_eliminate(m), m.dim))
-        assert len(seq) <= {2: 2959, 97: 4699}[d]
+        assert len(seq) <= {2: 2053, 97: 2310}[d]
 
     @settings(deadline=None, max_examples=5)
     @given(
@@ -1050,6 +1060,234 @@ class TestDecomposeLargeSizes:
     def test_round_trip_largest_dimension(self, seed):
         m = sequence_matrix(random_gate_sequence(4, Dimension.of(1_000_000), 80, seed))
         assert sequence_matrix(decompose(m)) == m
+
+
+def column_form(xs, zs, D):
+    """The case the Z_j column step takes on exponents ``xs``, ``zs`` mod D
+    (j the last qudit), stated apart from the code: {"count"}, {"shape"}
+    or {"unit"} where it falls back to the word normal form, else the
+    qudit shapes ("P" for P^s, "F P" for F P^s, "X" for no gate) with the
+    hub: "hub j" (v_j = 1), "hub" (h != j) or "scale" (j the only unit)."""
+    pairs = list(zip(xs, zs))
+    zf = sum(a == 0 != b for a, b in pairs)
+    xf = sum(a != 0 == b for a, b in pairs)
+    mixed = sum(a != 0 != b for a, b in pairs)
+    if zf + 1 >= mixed + xf:
+        return {"count"}
+    labels, vs = set(), []
+    for a, b in pairs:
+        if b % math.gcd(a, D) == 0:
+            labels.add("P" if b else "X")
+            vs.append(a)
+        elif a % math.gcd(b, D) == 0:
+            labels.add("F P")
+            vs.append(-b % D)
+        else:
+            return {"shape"}
+    units = [i for i, v in enumerate(vs) if math.gcd(v, D) == 1]
+    if not units:
+        return {"unit"}
+    j = len(vs) - 1
+    return labels | {"hub j" if vs[j] == 1 else "scale" if units == [j] else "hub"}
+
+
+def column_after(xs, zs, D, gates):
+    """Column n + j of packed rows, the identity with that column set to
+    ``xs``, ``zs`` (n = j + 1), after ``gates``."""
+    n = len(xs)
+    rows = [[int(r == c) for c in range(2 * n)] for r in range(2 * n)]
+    for r, v in enumerate([*xs, *zs]):
+        rows[r][2 * n - 1] = v
+    packed = _PackedRows(2 * n, D)
+    work = [packed.pack(row) for row in rows]
+    packed.act(work, gates, n)
+    return [packed.entry(row, 2 * n - 1) for row in work]
+
+
+def checked_x_hub(seen):
+    """A patch of `_x_hub_gates` that checks each call against `column_form`
+    and, on packed rows, that its gates leave k e_(n+j) with k a unit, 1
+    unless j holds the only unit; the cases met go into ``seen``."""
+    step = cliffsynth.synthesis._x_hub_gates
+
+    def check(xs, zs, D):
+        form, gates = column_form(xs, zs, D), step(xs, zs, D)
+        seen.update(form)
+        assert (gates is None) == bool(form & {"count", "shape", "unit"})
+        if gates is not None:
+            *rest, k = column_after(xs, zs, D, gates)
+            assert rest == [0] * len(rest) and math.gcd(k, D) == 1
+            assert (k != 1) == ("scale" in form)
+        return gates
+
+    return mock.patch.object(cliffsynth.synthesis, "_x_hub_gates", check)
+
+
+def with_column(xs, zs, dim, seed):
+    """A seeded symplectic matrix S with column n + j equal to ``xs``,
+    ``zs`` (n = j + 1): random gates that fix Z_j, then the inverse word
+    normal form of the column, which maps Z_j to it."""
+    n, j, D = len(xs), len(xs) - 1, dim.D
+    rng = random.Random(seed)
+    fixing = []  # gates that fix Z_j: P_j, Sum(j, i) and any gate below j
+    for _ in range(10 * n):
+        i, e = rng.randrange(n), rng.randrange(1, D)
+        if i < j and rng.random() < 0.5:
+            fixing.append(Sum(j, i, e))
+        elif i < j - 1:
+            fixing.append(rng.choice([Fourier(i), Phase(i, e), Sum(i, j - 1, e)]))
+        else:
+            fixing.append(Phase(i, e))
+    gates, t = _peg_gates(xs, zs, D, 1, inverse=True)
+    assert t == 1
+    s = sequence_matrix(GateSequence(tuple(fixing + gates), n, dim))
+    assert [row[2 * n - 1] for row in s.rows] == [*xs, *zs]
+    return s
+
+
+# (d, xs, zs, the column step's gates or None, a case of `column_form`);
+# D = 12, 8, 24 and 2048 for d = 6, 4, 12 and 1024
+PURE_X_CASES = [
+    # (1, 5) takes P^7 to v = 1, (2, 1) F P^2 to v = -1, (1, 0) no gate; j = 3 is
+    # empty, so hub 0 moves X onto j with Sum(0, 3, 1) and leaves it by Sum(3, 0, -1)
+    (6, (1, 2, 1, 0), (5, 1, 0, 0),
+     [Phase(0, 7), Fourier(1), Phase(1, 2), Sum(0, 1, 1), Sum(0, 2, 11), Sum(0, 3, 1),
+      Sum(3, 0, 11), Fourier(3)], {"P", "F P", "X", "hub"}),
+    # (2, 3) mod 12 fits neither shape
+    (6, (2, 1, 1), (3, 0, 0), None, {"shape"}),
+    # v = (1, 3, 1): the hub is j, with v_j = 1
+    (4, (1, 3, 1), (0, 0, 0), [Sum(2, 0, 7), Sum(2, 1, 5), Fourier(2)], {"hub j"}),
+    # v = (3, 1, 5): the hub is qudit 0, 3^-1 = 3 mod 8
+    (4, (3, 1, 5), (0, 0, 0), [Sum(0, 1, 5), Sum(0, 2, 4), Sum(2, 0, 5), Fourier(2)], {"hub"}),
+    # v = (2, 3, 5) mod 24: j holds the only unit, 5^-1 = 5; the step ends on Z^5
+    (12, (2, 3, 5), (0, 0, 0), [Sum(2, 0, 14), Sum(2, 1, 9), Fourier(2)], {"scale"}),
+    # zf = 1, xf = 3: 2 < 3 takes the form; (0, 1) takes F alone, to v = -1
+    (1024, (0, 1, 1, 1), (1, 0, 0, 0),
+     [Fourier(0), Sum(3, 0, 1), Sum(3, 1, 2047), Sum(3, 2, 2047), Fourier(3)], {"hub j"}),
+    # zf = 1, xf = 2 and zf = 2, mixed = xf = 1: the count rule falls back
+    (1024, (0, 1, 1), (1, 0, 0), None, {"count"}),
+    (6, (0, 0, 1, 1), (1, 1, 0, 1), None, {"count"}),
+    # v = (2, 3, 4) mod 12 holds no unit
+    (6, (2, 3, 4), (0, 0, 0), None, {"unit"}),
+]
+
+
+class TestPureXHub:
+    @pytest.mark.parametrize("d, xs, zs, step, case", PURE_X_CASES)
+    def test_column_cases(self, d, xs, zs, step, case):
+        D = Dimension.of(d).D
+        assert case <= column_form(xs, zs, D)
+        assert _x_hub_gates(xs, zs, D) == step
+
+    @pytest.mark.parametrize("d, xs, zs, step, case", [c for c in PURE_X_CASES if c[3]])
+    def test_step_alone_leaves_the_unit_column(self, d, xs, zs, step, case):
+        # the scale case ends on Z^(v_j), and the scale gates take it to Z_j
+        D = Dimension.of(d).D
+        gates = _x_hub_gates(xs, zs, D)
+        k = xs[-1] if case == {"scale"} else 1
+        unit = [0] * (2 * len(xs) - 1) + [1]
+        assert column_after(xs, zs, D, gates) == [k * u for u in unit]
+        assert column_after(xs, zs, D, gates + _scale_gates(pow(k, -1, D), D, len(xs) - 1)) == unit
+
+    @pytest.mark.parametrize("d, xs, zs, step, case", PURE_X_CASES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_elimination_takes_the_step(self, d, xs, zs, step, case, seed):
+        dim = Dimension.of(d)
+        m = inverse(with_column(xs, zs, dim, seed))  # `_eliminate` reduces inverse(m)
+        gates = _eliminate(m)
+        first = _peg_gates(xs, zs, dim.D, 1)[0] if step is None else step
+        assert gates[: len(first)] == first
+        assert sequence_matrix(GateSequence(tuple(gates), len(xs), dim)) == m
+        assert sequence_matrix(decompose(m)) == m
+
+    @pytest.mark.parametrize(
+        "gates, step",
+        [
+            # X_1 column (2, 4) on qudit 0 mod 12: P^4, then one sum
+            ([Sum(1, 0, 2), Phase(0, 2)], [Phase(0, 4), Sum(1, 0, 10)]),
+            # (2, 3): gcd(2, 12) does not divide 3, so Sum, F, Sum as before
+            ([Sum(1, 0, 1), Phase(0, 10), Fourier(0), Phase(0, 1)],
+             [Sum(1, 0, 10), Fourier(0), Sum(1, 0, 3)]),
+        ],
+    )
+    def test_x_column_phase_first(self, gates, step):
+        # column 3 is e_3, so the Z_1 step emits nothing and the X_1 step comes first
+        s = sequence_matrix(GateSequence(tuple(gates), 2, DIM6))
+        assert [row[3] for row in s.rows] == [0, 0, 0, 1]
+        m = inverse(s)
+        eliminated = _eliminate(m)
+        assert eliminated[: len(step)] == step
+        assert sequence_matrix(GateSequence(tuple(eliminated), 2, DIM6)) == m
+        assert sequence_matrix(decompose(m)) == m
+
+    def test_seeded_columns_reach_every_case(self):
+        seen = set()
+        with checked_x_hub(seen):
+            for d in (4, 6, 12, 1024):
+                for n in range(2, 9):
+                    for seed in range(3):
+                        m = sequence_matrix(random_gate_sequence(n, Dimension.of(d), 20 * n, seed))
+                        assert sequence_matrix(decompose(m)) == m
+        assert seen == {"count", "shape", "unit", "P", "F P", "X", "hub j", "hub", "scale"}
+
+    @settings(deadline=None, max_examples=50)
+    @given(gate_lists(dims=(4, 6, 12, 1024), max_n=8, max_size=120))
+    def test_every_column_step_property(self, case):
+        gates, n, dim = case
+        m = sequence_matrix(GateSequence(tuple(gates), n, dim))
+        with checked_x_hub(set()):
+            assert sequence_matrix(decompose(m)) == m
+
+
+def sp4_z3_depths():
+    """The length of a shortest F, P^e and C^e program for every element
+    of Sp(4, Z_3), by breadth-first search from the identity.
+
+    A matrix is one int: row r in bits 16r to 16r + 15, its entry c in the
+    4-bit field 4c of the row. ``red`` reduces each field of a row mod 3,
+    so a row operation is one add and one lookup; a tuple-of-tuples search
+    is ten times slower."""
+    red = [sum((v >> 4 * c & 15) % 3 << 4 * c for c in range(4)) for v in range(1 << 16)]
+    identity = sum(1 << 20 * r for r in range(4))
+    depth = {identity: 0}
+    frontier, level = [identity], 0
+    while frontier:
+        level += 1
+        found = []
+        for key in frontier:
+            r = [key >> s & 0xFFFF for s in (0, 16, 32, 48)]
+            images = []
+            for i in (0, 1):  # F_i and P_i^e on rows X_i = r[i], Z_i = r[2 + i]
+                x, z = r[i], r[2 + i]
+                images.append(key + (red[0x3333 - z] - x << 16 * i) + (x - z << 16 * (2 + i)))
+                images += [key + (red[z + e * x] - z << 16 * (2 + i)) for e in (1, 2)]
+            for c, t in ((0, 1), (1, 0)):  # C_(c,t)^e: X_t += e X_c, Z_c -= e Z_t
+                for e in (1, 2):
+                    x, z = red[r[t] + e * r[c]], red[r[2 + c] + (3 - e) * r[2 + t]]
+                    images.append(key + (x - r[t] << 16 * t) + (z - r[2 + c] << 16 * (2 + c)))
+            for k in images:
+                if k not in depth:
+                    depth[k] = level
+                    found.append(k)
+        frontier = found
+    return depth
+
+
+class TestOptimalYardstick:
+    def test_two_qudit_programs_against_shortest(self):
+        # decompose at n = 2, d = 3 against shortest programs: 1.25x over
+        # this sample, 1.39x without the pure-X hub and phase-first clearing
+        depth = sp4_z3_depths()
+        assert len(depth) == 51_840 and max(depth.values()) == 9
+        dim = Dimension.of(3)
+        shortest = total = 0
+        for key in random.Random(1).sample(list(depth), 2000):
+            rows = [[key >> 16 * r + 4 * c & 15 for c in range(4)] for r in range(4)]
+            length = len(decompose(SymplecticMatrix(dim, rows)))
+            assert length >= depth[key]
+            shortest += depth[key]
+            total += length
+        assert total <= 1.30 * shortest
 
 
 # A child interpreter under -O (asserts stripped) drops the last gate of
