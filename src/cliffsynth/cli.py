@@ -15,9 +15,13 @@ ambient dimension or d itself). ``--verify unitary`` and ``verify --mode
 unitary`` check the oracle's cap before any output and before numpy is
 loaded. The oracle has no
 tolerance to set: it decides each overlap at 1/2 (see ``unitary``).
-Only ``--verify unitary`` and ``verify --mode unitary`` import
-``unitary``, and with it numpy; every other call runs on exact Python
-integers alone.
+
+Each subcommand imports only the modules it runs. Every call loads
+``errors``, ``modring``, ``pauli`` and ``symplectic``; ``synth``,
+``transport`` and ``peg`` add ``synthesis``, and ``embed-check`` adds
+``embedding``. Only ``--verify unitary`` and ``verify --mode unitary``
+import ``unitary``, and with it numpy; every other call runs on exact
+Python integers alone.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from .embedding import Embedding, logical_feasible_single, logical_feasible_sum
 from .errors import (
     CliffSynthError,
     DegenerateWordError,
@@ -47,7 +50,6 @@ from .symplectic import (
     parse_matrix_text,
     sequence_matrix,
 )
-from .synthesis import decompose, generalized_peg, transport
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -109,6 +111,8 @@ def _verify_word_map(
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     # --verify symplectic adds nothing to decompose's own final recomposition.
+    from .synthesis import decompose
+
     m = _load_matrix(args.matrix)
     _check_oracle_scale(args, m)
     seq = decompose(m)
@@ -123,6 +127,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_transport(args: argparse.Namespace) -> int:
+    from .synthesis import transport
+
     p, q = parse_word(args.source), parse_word(args.target)
     _check_oracle_scale(args, p)
     seq = transport(p, q)
@@ -134,6 +140,8 @@ def _cmd_transport(args: argparse.Namespace) -> int:
 
 
 def _cmd_peg(args: argparse.Namespace) -> int:
+    from .synthesis import generalized_peg
+
     w = parse_word(args.word)
     _check_oracle_scale(args, w)
     seq, k = generalized_peg(w)
@@ -167,6 +175,8 @@ def _format_witness(m: SymplecticMatrix) -> str:
 
 
 def _cmd_embed_check(args: argparse.Namespace) -> int:
+    from .embedding import Embedding, logical_feasible_single, logical_feasible_sum
+
     emb = Embedding(args.n, args.r_x, args.r_z)
     check_scale("embed-check d", emb.d)
     qft = logical_feasible_single(emb, "qft")

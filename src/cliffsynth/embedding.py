@@ -18,12 +18,11 @@ mod D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
 from typing import TYPE_CHECKING, Literal, Sequence
 
 from .errors import CliffSynthError, DimensionMismatchError, check_scale
-from .modring import Dimension
+from .modring import Dimension, _Frozen, _set
 from .pauli import PauliWord
 from .symplectic import Fourier, GateSequence, Phase, Sum, SymplecticMatrix, _image, sequence_matrix
 
@@ -33,17 +32,20 @@ if TYPE_CHECKING:
 LogicalGate = Literal["qft", "phase"]
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(_Frozen):
     """Parameters (n, r_x, r_z) of a logical system inside a qudit."""
 
+    __match_args__ = ("n", "r_x", "r_z")
     n: int
     r_x: int
     r_z: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, r_x: int, r_z: int) -> None:
+        _set(self, "n", n)
+        _set(self, "r_x", r_x)
+        _set(self, "r_z", r_z)
         try:
-            for value in (self.n, self.r_x, self.r_z):
+            for value in (n, r_x, r_z):
                 index(value)
         except TypeError:
             raise CliffSynthError(f"embedding parameters must be integers: {self}") from None

@@ -12,27 +12,66 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 from .errors import CliffSynthError, check_scale
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Dimension:
+
+class _Frozen:
+    """Base of the library's value classes, with a frozen dataclass's behaviour.
+
+    ``Dimension``, ``PauliWord``, ``SymplecticMatrix``, ``GateSequence``,
+    ``Embedding`` and ``DenseOperator`` derive from it, so no module
+    imports ``dataclasses``. A subclass names its fields in
+    ``__match_args__`` and sets each one once, in ``__init__``, through
+    ``_set``. The repr names every field, ``==`` and ``hash`` read the
+    one tuple of field values, and a value of another class compares as
+    ``NotImplemented``. Assignment and deletion raise ``AttributeError``.
+    Instances keep their ``__dict__``, so pickle and copy restore the
+    fields without going through ``__setattr__``.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = operator.attrgetter(*cls.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = zip(self.__match_args__, self._fields(self))
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields(self) == self._fields(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Dimension(_Frozen):
     """The pair (d, D): Hilbert-space dimension and phase/matrix modulus."""
 
+    __match_args__ = ("d", "D")
     d: int
     D: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.d, int) or self.d < 2:
-            raise CliffSynthError(f"dimension d must be an integer >= 2, got {self.d}")
-        check_scale("dimension d", self.d)
-        expected = self.d if self.d % 2 == 1 else 2 * self.d
-        if self.D != expected:
-            raise CliffSynthError(
-                f"phase modulus must be {expected} for d={self.d}, got {self.D}"
-            )
+    def __init__(self, d: int, D: int) -> None:
+        if not isinstance(d, int) or d < 2:
+            raise CliffSynthError(f"dimension d must be an integer >= 2, got {d}")
+        check_scale("dimension d", d)
+        expected = d if d % 2 == 1 else 2 * d
+        if D != expected:
+            raise CliffSynthError(f"phase modulus must be {expected} for d={d}, got {D}")
+        _set(self, "d", d)
+        _set(self, "D", D)
 
     @classmethod
     def of(cls, d: int) -> "Dimension":

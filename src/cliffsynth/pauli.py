@@ -12,39 +12,40 @@ mod d, and commutation is captured by the symplectic inner product.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from operator import index
 from typing import Sequence
 
 from .errors import DimensionMismatchError, MalformedMatrixError, ParseError
-from .modring import Dimension
+from .modring import Dimension, _Frozen, _set
 
 _WORD_RE = re.compile(
     r"^\s*d=(\d+)\s+n=(\d+)\s+a=([0-9,\s]*?)\s+b=([0-9,\s]*?)\s*$"
 )
 
 
-@dataclass(frozen=True)
-class PauliWord:
+class PauliWord(_Frozen):
     """Exponent-vector form of an n-qudit Pauli operator, modulo phase."""
 
+    __match_args__ = ("dim", "xexp", "zexp")
     dim: Dimension
     xexp: tuple[int, ...]
     zexp: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.xexp) != len(self.zexp) or len(self.xexp) < 1:
+    def __init__(self, dim: Dimension, xexp: Sequence[int], zexp: Sequence[int]) -> None:
+        if len(xexp) != len(zexp) or len(xexp) < 1:
             raise DimensionMismatchError(
                 f"exponent vectors must share a positive length, got "
-                f"{len(self.xexp)} and {len(self.zexp)}"
+                f"{len(xexp)} and {len(zexp)}"
             )
-        d = self.dim.d
+        _set(self, "dim", dim)
+        d = dim.d
         try:
-            xexp, zexp = (tuple(index(v) % d for v in vec) for vec in (self.xexp, self.zexp))
+            _set(self, "xexp", tuple(index(v) % d for v in xexp))
+            _set(self, "zexp", tuple(index(v) % d for v in zexp))
         except TypeError:
+            _set(self, "xexp", xexp)  # the message shows the exponents as given
+            _set(self, "zexp", zexp)
             raise MalformedMatrixError(f"exponents must be integers: {self}") from None
-        object.__setattr__(self, "xexp", xexp)
-        object.__setattr__(self, "zexp", zexp)
 
     @property
     def n(self) -> int:

@@ -39,7 +39,6 @@ any size; numpy is imported only for the dense references (``gate_matrix``,
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from operator import index, itemgetter, mul
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
@@ -49,7 +48,7 @@ from .errors import (
     NonSymplecticError,
     ParseError,
 )
-from .modring import Dimension
+from .modring import Dimension, _Frozen, _set
 from .pauli import PauliWord, _qudit_count
 
 if TYPE_CHECKING:
@@ -458,8 +457,7 @@ def is_symplectic(mat: object, dim: Dimension) -> bool:
     return _symplectic_defect(_as_rows(mat, dim), dim.D) is None
 
 
-@dataclass(frozen=True)
-class SymplecticMatrix:
+class SymplecticMatrix(_Frozen):
     """A validated symplectic matrix over Z_D, stored as rows of Python ints.
 
     The constructor takes an ndarray or nested integer sequences, reduces
@@ -468,21 +466,23 @@ class SymplecticMatrix:
     symplectic by construction and skip the check (``_derived``).
     """
 
+    __match_args__ = ("dim", "rows")
     dim: Dimension
     rows: Rows
 
-    def __post_init__(self) -> None:
-        rows = _as_rows(self.rows, self.dim)
-        defect = _symplectic_defect(rows, self.dim.D)
+    def __init__(self, dim: Dimension, rows: object) -> None:
+        rows = _as_rows(rows, dim)
+        defect = _symplectic_defect(rows, dim.D)
         if defect is not None:
-            raise NonSymplecticError(f"matrix is not symplectic mod {self.dim.D}: {defect}")
-        object.__setattr__(self, "rows", rows)
+            raise NonSymplecticError(f"matrix is not symplectic mod {dim.D}: {defect}")
+        _set(self, "dim", dim)
+        _set(self, "rows", rows)
 
     @classmethod
     def _derived(cls, dim: Dimension, rows: Rows) -> "SymplecticMatrix":
         m = object.__new__(cls)
-        object.__setattr__(m, "dim", dim)
-        object.__setattr__(m, "rows", rows)
+        _set(m, "dim", dim)
+        _set(m, "rows", rows)
         return m
 
     @property
@@ -551,28 +551,29 @@ def apply_to_word(m: SymplecticMatrix, w: PauliWord) -> PauliWord:
 # sequences
 
 
-@dataclass(frozen=True)
-class GateSequence:
+class GateSequence(_Frozen):
     """An ordered gate program; the first gate listed is applied first."""
 
+    __match_args__ = ("gates", "n", "dim")
     gates: tuple[Gate, ...]
     n: int
     dim: Dimension
 
-    def __post_init__(self) -> None:
-        n = _positive_count(self.n)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "gates", _normal_gates(self.gates, self.dim.D, n))
+    def __init__(self, gates: Iterable[Gate], n: int, dim: Dimension) -> None:
+        n = _positive_count(n)
+        _set(self, "gates", _normal_gates(gates, dim.D, n))
+        _set(self, "n", n)
+        _set(self, "dim", dim)
 
     @classmethod
     def _derived(cls, gates: tuple[Gate, ...], n: int, dim: Dimension) -> "GateSequence":
         """A program the library emits already checked: ``n`` an int >= 1
         and every gate in normal form and in range. It skips the walk over
-        the gates in ``__post_init__``."""
+        the gates in ``__init__``."""
         seq = object.__new__(cls)
-        object.__setattr__(seq, "gates", gates)
-        object.__setattr__(seq, "n", n)
-        object.__setattr__(seq, "dim", dim)
+        _set(seq, "gates", gates)
+        _set(seq, "n", n)
+        _set(seq, "dim", dim)
         return seq
 
     def __len__(self) -> int:

@@ -620,6 +620,12 @@ def _shortest_table(D: int) -> bytearray:
     table is deterministic. Entry ((p*D + q)*D + r)*D + s holds the last
     letter of a shortest program for [[p, q], [r, s]]: 1 for F, 1 + e for
     P^e, D + 1 for the identity and 0 for a matrix outside the group.
+
+    Only the identity and the matrices first reached by F run the P^e
+    loop. A matrix first reached as P^e M' was found by the P^e loop of
+    M', which left every matrix of the coset {P^f M'} in the table. Its
+    own loop would reach only that coset again and write nothing, so
+    skipping it leaves every byte as it was.
     """
     table = bytearray(D**4)
     frontier = [D**3 + 1]  # indices, not tuples: a level holds thousands
@@ -632,6 +638,8 @@ def _shortest_table(D: int) -> bytearray:
             if not table[j]:
                 table[j] = 1
                 found.append(j)
+            if 1 < table[i] <= D:
+                continue
             row = i - i % (D * D)
             for e in range(1, D):  # P^e M
                 r, s = (r + p) % D, (s + q) % D

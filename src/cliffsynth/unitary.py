@@ -36,13 +36,12 @@ against kron references. The dense comparisons (``equal_up_to_phase``,
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, check_scale
-from .modring import Dimension
+from .modring import Dimension, _Frozen, _set
 from .pauli import PauliWord
 from .symplectic import Gate, GateSequence, Phase, Sum, SymplecticMatrix, _normal_gates
 
@@ -50,25 +49,27 @@ from .symplectic import Gate, GateSequence, Phase, Sum, SymplecticMatrix, _norma
 _OVERLAP_CUT = 0.5
 
 
-@dataclass(frozen=True)
-class DenseOperator:
+class DenseOperator(_Frozen):
     """A d^n x d^n complex matrix tagged with its qudit layout."""
 
+    __match_args__ = ("dim", "n", "matrix")
     dim: Dimension
     n: int
     matrix: np.ndarray
 
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        side = self.dim.d**self.n
+    def __init__(self, dim: Dimension, n: int, matrix: np.ndarray) -> None:
+        m = np.asarray(matrix, dtype=np.complex128)
+        side = dim.d**n
         if m.shape != (side, side):
             raise DimensionMismatchError(
-                f"operator for d={self.dim.d}, n={self.n} must be {side}x{side}, got {m.shape}"
+                f"operator for d={dim.d}, n={n} must be {side}x{side}, got {m.shape}"
             )
         # freeze a view, so the caller's own array stays writeable and nothing is copied
         m = m.view()
         m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        _set(self, "dim", dim)
+        _set(self, "n", n)
+        _set(self, "matrix", m)
 
     @property
     def side(self) -> int:

@@ -304,8 +304,8 @@ class TestUnitaryWordMapRejection:
     )
     def test_wrong_program_exit_4(self, capsys, monkeypatch, argv):
         wrong = GateSequence((Phase(0, 1),), 2, Dimension.of(6))
-        monkeypatch.setattr(cliffsynth.cli, "transport", lambda p, q: wrong)
-        monkeypatch.setattr(cliffsynth.cli, "generalized_peg", lambda w: (wrong, 1))
+        monkeypatch.setattr(cliffsynth.synthesis, "transport", lambda p, q: wrong)
+        monkeypatch.setattr(cliffsynth.synthesis, "generalized_peg", lambda w: (wrong, 1))
         code, out, err = run(capsys, *argv, "--verify", "unitary")
         assert code == 4 and out.startswith("P 0 1\n# gates: 1\n")
         assert err == "verification failed: unitary oracle mismatch\n"
@@ -461,3 +461,59 @@ class TestNumpyOnlyForTheOracle:
         assert proc.returncode == 5 and proc.stdout == ""
         assert f"scale limit: {cap_message('dense oracle side', 289)}\n" in proc.stderr
         assert not self._loads_numpy(proc.stderr)
+
+
+class TestModuleLoads:
+    """A cold child loads the modules its subcommand runs and no others.
+
+    The child runs ``cli.main`` as ``python -m cliffsynth`` does, then
+    writes the names in ``sys.modules`` to stderr.
+    """
+
+    CHILD = (
+        "import sys\n"
+        "from cliffsynth.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(*sys.modules, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    NO_SYNTHESIS = {"cliffsynth.synthesis", "dataclasses"}
+    NO_EMBEDDING = {"cliffsynth.embedding", "cliffsynth.unitary", "dataclasses"}
+
+    def test_bare_import_loads_no_submodule(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, cliffsynth; print(*sys.modules)"],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        modules = proc.stdout.split()
+        assert "cliffsynth" in modules
+        assert [m for m in modules if m.startswith("cliffsynth.")] == []
+        assert "dataclasses" not in modules
+
+    @pytest.mark.parametrize(
+        "argv, absent",
+        [
+            (["verify", "m.txt", "good.txt", "--mode", "symplectic"], NO_SYNTHESIS),
+            (["embed-check", "2", "3", "4"], NO_SYNTHESIS),
+            (["synth", "m.txt", "--verify", "symplectic"], NO_EMBEDDING),
+            (["transport", "d=6 n=2 a=1,0 b=0,3", "d=6 n=2 a=0,2 b=3,1"], NO_EMBEDDING),
+            (["peg", "d=7 n=2 a=1,2 b=3,4"], NO_EMBEDDING),
+        ],
+    )
+    def test_subcommand_loads_only_what_it_runs(self, tmp_path, argv, absent):
+        (tmp_path / "m.txt").write_text(SWAP_D3_TEXT)
+        (tmp_path / "good.txt").write_text("C 0 1 1\nF 0\nF 1\nC 0 1 1\nF 0\nF 1\nC 0 1 1\nF 1\nF 1\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD, *argv],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        modules = set(proc.stderr.split())
+        assert "cliffsynth.symplectic" in modules
+        assert modules & absent == set()

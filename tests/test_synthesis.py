@@ -58,6 +58,7 @@ from cliffsynth.synthesis import (
     _peg_vector,
     _require_unit,
     _scale_gates,
+    _shortest_table,
     _shorten_runs,
     _table_letters,
     _transport_unit,
@@ -304,6 +305,35 @@ class TestShortestTable:
 
         walk((1, 0, 0, 1), 0)
         return best
+
+    @staticmethod
+    def full_search_table(D):
+        """The breadth-first table with the P^e loop run from every matrix."""
+        table = bytearray(D**4)
+        frontier = [D**3 + 1]
+        table[frontier[0]] = D + 1
+        while frontier:
+            found = []
+            for i in frontier:
+                p, q, r, s = i // D**3, i // D**2 % D, i // D % D, i % D
+                j = ((-r % D * D + -s % D) * D + p) * D + q  # F M
+                if not table[j]:
+                    table[j] = 1
+                    found.append(j)
+                row = i - i % (D * D)
+                for e in range(1, D):  # P^e M
+                    r, s = (r + p) % D, (s + q) % D
+                    j = row + r * D + s
+                    if not table[j]:
+                        table[j] = 1 + e
+                        found.append(j)
+            frontier = found
+        return table
+
+    @pytest.mark.parametrize("D", range(2, MAX_TABLE_D + 1))
+    def test_table_equals_the_full_search(self, D):
+        # only F-reached matrices run the P^e loop; the bytes must not move
+        assert _shortest_table(D) == self.full_search_table(D)
 
     @pytest.mark.parametrize("D", [3, 4, 5, 12, 24])
     def test_every_element_recomposes(self, D):
