@@ -477,8 +477,9 @@ class TestModuleLoads:
         "print(*sys.modules, file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
+    # modules a call must not load; no call loads dataclasses
     NO_SYNTHESIS = {"cliffsynth.synthesis", "dataclasses"}
-    NO_EMBEDDING = {"cliffsynth.embedding", "cliffsynth.unitary", "dataclasses"}
+    NO_EMBEDDING_OR_UNITARY = {"cliffsynth.embedding", "cliffsynth.unitary", "dataclasses"}
 
     def test_bare_import_loads_no_submodule(self):
         proc = subprocess.run(
@@ -498,9 +499,9 @@ class TestModuleLoads:
         [
             (["verify", "m.txt", "good.txt", "--mode", "symplectic"], NO_SYNTHESIS),
             (["embed-check", "2", "3", "4"], NO_SYNTHESIS),
-            (["synth", "m.txt", "--verify", "symplectic"], NO_EMBEDDING),
-            (["transport", "d=6 n=2 a=1,0 b=0,3", "d=6 n=2 a=0,2 b=3,1"], NO_EMBEDDING),
-            (["peg", "d=7 n=2 a=1,2 b=3,4"], NO_EMBEDDING),
+            (["synth", "m.txt", "--verify", "symplectic"], NO_EMBEDDING_OR_UNITARY),
+            (["transport", "d=6 n=2 a=1,0 b=0,3", "d=6 n=2 a=0,2 b=3,1"], NO_EMBEDDING_OR_UNITARY),
+            (["peg", "d=7 n=2 a=1,2 b=3,4"], NO_EMBEDDING_OR_UNITARY),
         ],
     )
     def test_subcommand_loads_only_what_it_runs(self, tmp_path, argv, absent):
