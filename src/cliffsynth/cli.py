@@ -8,7 +8,8 @@ Exit codes (the table in ``main``): 0 success, 1 infeasible transport,
 2 parse/usage error (ParseError: also an input that is not UTF-8, or
 ``verify`` with both inputs on stdin; any other library error), 3 invalid
 input (NonSymplecticError, DegenerateWordError, DimensionMismatchError,
-MalformedMatrixError), 4 verification failure (also SynthesisCheckError),
+MalformedMatrixError), 4 verification failure (``verify``'s mismatch; a
+failed ``--verify`` raises SynthesisCheckError, as decompose's own check does),
 5 scale cap exceeded (ScaleLimitError: a need above one of the caps in
 ``errors.SCALE_CAPS``, such as the dense oracle's side, embed-check's
 ambient dimension or d itself). ``--verify unitary`` and ``verify --mode
@@ -21,7 +22,8 @@ Each subcommand imports only the modules it runs. Every call loads
 ``transport`` and ``peg`` add ``synthesis``, and ``embed-check`` adds
 ``embedding``. Only ``--verify unitary`` and ``verify --mode unitary``
 import ``unitary``, and with it numpy; every other call runs on exact
-Python integers alone.
+Python integers alone. ``TestModuleLoads`` in ``tests/test_cli.py`` is the
+one check of this load policy.
 """
 
 from __future__ import annotations
@@ -96,17 +98,14 @@ def _check_oracle_scale(args: argparse.Namespace, layout: SymplecticMatrix | Pau
 
 def _verify_word_map(
     args: argparse.Namespace, seq: GateSequence, source: PauliWord, target: PauliWord, what: str
-) -> int:
+) -> None:
     if args.verify == "symplectic" and apply_to_word(sequence_matrix(seq), source) != target:
-        print(f"verification failed: program does not {what}", file=sys.stderr)
-        return EXIT_VERIFY
+        raise SynthesisCheckError(f"program does not {what}")
     if args.verify == "unitary":
         from .unitary import _maps_words
 
         if not _maps_words(seq, [(source, target)]):
-            print("verification failed: unitary oracle mismatch", file=sys.stderr)
-            return EXIT_VERIFY
-    return EXIT_OK
+            raise SynthesisCheckError("unitary oracle mismatch")
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -121,8 +120,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         from .unitary import check_program
 
         if not check_program(seq, m):
-            print("verification failed: unitary oracle mismatch", file=sys.stderr)
-            return EXIT_VERIFY
+            raise SynthesisCheckError("unitary oracle mismatch")
     return EXIT_OK
 
 
@@ -136,7 +134,8 @@ def _cmd_transport(args: argparse.Namespace) -> int:
         print("infeasible")
         return EXIT_INFEASIBLE
     _print_program(seq)
-    return _verify_word_map(args, seq, p, q, "map source to target")
+    _verify_word_map(args, seq, p, q, "map source to target")
+    return EXIT_OK
 
 
 def _cmd_peg(args: argparse.Namespace) -> int:
@@ -148,7 +147,8 @@ def _cmd_peg(args: argparse.Namespace) -> int:
     _print_program(seq)
     print(f"# gcd: {k}")
     normal = PauliWord(w.dim, (0,) * w.n, (0,) * (w.n - 1) + (k,))
-    return _verify_word_map(args, seq, w, normal, "normalize the word")
+    _verify_word_map(args, seq, w, normal, "normalize the word")
+    return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -170,8 +170,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _format_witness(m: SymplecticMatrix) -> str:
-    return "[" + " ".join(str(v) for row in m.rows for v in row) + "]"
+def _verdict(witness: SymplecticMatrix | None) -> str:
+    if witness is None:
+        return "infeasible"
+    return "feasible [" + " ".join(str(v) for row in witness.rows for v in row) + "]"
 
 
 def _cmd_embed_check(args: argparse.Namespace) -> int:
@@ -183,12 +185,9 @@ def _cmd_embed_check(args: argparse.Namespace) -> int:
     phase = logical_feasible_single(emb, "phase")
     summ = logical_feasible_sum(emb)
     print(f"symplectic: {'yes' if qft is not None and phase is not None else 'no'}")
-    print(f"QFT: {'feasible ' + _format_witness(qft) if qft is not None else 'infeasible'}")
-    print(
-        "PhaseShift: "
-        + (("feasible " + _format_witness(phase)) if phase is not None else "infeasible")
-    )
-    print(f"SUM: feasible {_format_witness(summ)}")
+    print(f"QFT: {_verdict(qft)}")
+    print(f"PhaseShift: {_verdict(phase)}")
+    print(f"SUM: {_verdict(summ)}")
     return EXIT_OK
 
 

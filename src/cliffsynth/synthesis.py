@@ -482,14 +482,10 @@ def _hub_gates(p: PauliWord, q: PauliWord, qudits: Sequence[int]) -> list[Gate]:
     """
     d, D = p.dim.d, p.dim.D
     pxs, pzs, qxs, qzs = ([w[i] for i in qudits] for w in (p.xexp, p.zexp, q.xexp, q.zexp))
-    gq = math.gcd(*qxs, *qzs)
-    gp = math.gcd(*pxs, *pzs)
-    k = _transport_unit(gp, gq, d)
-    if k is None:
-        raise SynthesisCheckError(f"no hub transport from gcd {gp} to gcd {gq} mod {d}")
-    gates, vp = _peg_gates(pxs, pzs, D, gq, qudits=qudits)
+    gates, vp = _peg_gates(pxs, pzs, D, math.gcd(*qxs, *qzs), qudits=qudits)
     inv, vq = _peg_gates(qxs, qzs, D, vp, inverse=True, qudits=qudits)
     if vp != vq:  # neither word has a hub: vp, vq are the gcds
+        k = _transport_unit(vp, vq, d)
         _merge_onto(gates, _scale_gates(k, D, qudits[-1]), D, reduced=True)
     return _merge_onto(gates, inv, D, reduced=True)
 
@@ -517,7 +513,7 @@ def transport(p: PauliWord, q: PauliWord) -> GateSequence | None:
         raise DegenerateWordError("transport endpoints must be nonidentity words")
     n, dim = p.n, p.dim
     d = dim.d
-    if _transport_unit(math.gcd(*p.xexp, *p.zexp), math.gcd(*q.xexp, *q.zexp), d) is None:
+    if math.gcd(d, *p.xexp, *p.zexp) != math.gcd(d, *q.xexp, *q.zexp):
         return None
     gates: list[Gate] = []
     rest: list[int] = []

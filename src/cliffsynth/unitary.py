@@ -92,11 +92,6 @@ def omega(dim: Dimension) -> complex:
     return np.exp(2j * np.pi / dim.d)
 
 
-def omega_hat(dim: Dimension) -> complex:
-    """Primitive D-th root of unity (square root of omega for even d)."""
-    return np.exp(2j * np.pi / dim.D)
-
-
 def pauli_unitaries(dim: Dimension) -> tuple[DenseOperator, DenseOperator]:
     """The single-qudit shift X and clock Z unitaries."""
     return word_unitary(PauliWord(dim, (1,), (0,))), word_unitary(PauliWord(dim, (0,), (1,)))

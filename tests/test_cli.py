@@ -2,6 +2,7 @@ import io
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +56,22 @@ class TestSynth:
         f.write_text("garbage\n")
         code, _, err = run(capsys, "synth", str(f))
         assert code == 2 and "parse error" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("d x n 1\n1 0\n0 1\n", "bad matrix header: 'd x n 1'"),
+            ("d 1 n 1\n1 0\n0 1\n", "bad matrix header values d=1 n=1"),
+            ("d 6 n 0\n", "bad matrix header values d=6 n=0"),
+        ],
+        ids=["non-integer", "d<2", "n<1"],
+    )
+    def test_bad_header_exit_2(self, tmp_path, capsys, text, message):
+        f = tmp_path / "m.txt"
+        f.write_text(text)
+        code, out, err = run(capsys, "synth", str(f))
+        assert code == 2 and out == ""
+        assert err == f"parse error: {message}\n"
 
     def test_non_utf8_file_exit_2(self, tmp_path, capsys):
         f = tmp_path / "m.txt"
@@ -117,6 +134,14 @@ class TestOracleCapBeforeOutput:
         f.write_text(IDENTITY_D17_N2_TEXT)
         argv = [a.format(matrix=f) for a in argv]
         code, out, err = run(capsys, *argv, "--verify", "unitary")
+        assert code == 5 and out == ""
+        assert err == f"scale limit: {cap_message('dense oracle side', 289)}\n"
+
+    def test_verify_mode_unitary_over_cap_prints_nothing(self, tmp_path, capsys):
+        m, prog = tmp_path / "m.txt", tmp_path / "prog.txt"
+        m.write_text(IDENTITY_D17_N2_TEXT)
+        prog.write_text("F 0\nF 0\nF 0\nF 0\n")
+        code, out, err = run(capsys, "verify", str(m), str(prog), "--mode", "unitary")
         assert code == 5 and out == ""
         assert err == f"scale limit: {cap_message('dense oracle side', 289)}\n"
 
@@ -295,20 +320,32 @@ class TestVerify:
 
 
 class TestUnitaryWordMapRejection:
+    TRANSPORT = ["transport", "d=6 n=2 a=1,0 b=0,3", "d=6 n=2 a=0,0 b=1,0"]
+    PEG = ["peg", "d=6 n=2 a=1,0 b=0,3"]
+
     @pytest.mark.parametrize(
-        "argv",
+        "argv, mode, message",
         [
-            ["transport", "d=6 n=2 a=1,0 b=0,3", "d=6 n=2 a=0,0 b=1,0"],
-            ["peg", "d=6 n=2 a=1,0 b=0,3"],
+            (TRANSPORT, "unitary", "unitary oracle mismatch"),
+            (PEG, "unitary", "unitary oracle mismatch"),
+            (TRANSPORT, "symplectic", "program does not map source to target"),
+            (PEG, "symplectic", "program does not normalize the word"),
+            (["synth", "{matrix}"], "unitary", "unitary oracle mismatch"),
         ],
+        ids=["transport-unitary", "peg-unitary", "transport-symplectic", "peg-symplectic",
+             "synth-unitary"],
     )
-    def test_wrong_program_exit_4(self, capsys, monkeypatch, argv):
+    def test_wrong_program_exit_4(self, tmp_path, capsys, monkeypatch, argv, mode, message):
+        # every command prints the wrong program, then reports the failed check
         wrong = GateSequence((Phase(0, 1),), 2, Dimension.of(6))
         monkeypatch.setattr(cliffsynth.synthesis, "transport", lambda p, q: wrong)
         monkeypatch.setattr(cliffsynth.synthesis, "generalized_peg", lambda w: (wrong, 1))
-        code, out, err = run(capsys, *argv, "--verify", "unitary")
+        monkeypatch.setattr(cliffsynth.synthesis, "decompose", lambda m: wrong)
+        f = tmp_path / "m.txt"
+        f.write_text("d 6 n 2\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
+        code, out, err = run(capsys, *[a.format(matrix=f) for a in argv], "--verify", mode)
         assert code == 4 and out.startswith("P 0 1\n# gates: 1\n")
-        assert err == "verification failed: unitary oracle mismatch\n"
+        assert err == f"verification failed: {message}\n"
 
 
 class TestEmbedCheck:
@@ -380,141 +417,79 @@ class TestSubprocess:
         assert proc.stdout == plain.stdout
 
 
-class TestNumpyOnlyForTheOracle:
-    """Child processes load numpy only for the dense oracle.
+class TestModuleLoads:
+    """The one check of the load policy: a cold child loads the modules its
+    call runs and no others.
 
-    ``-X importtime`` lists every module a child imports on stderr, so a
-    missing ``numpy`` line shows that nothing imported it.
+    Each row is (argv, exit code, stdout or None, modules that must load,
+    modules that must not). The child runs ``cliffsynth`` as ``python -m
+    cliffsynth`` does, or a ``-c`` row's own source, and on the way out,
+    however it exits, writes the names in ``sys.modules`` as the last line
+    of stderr.
     """
 
-    def _child(self, tmp_path, *args, stdin=None):
-        (tmp_path / "m.txt").write_text(SWAP_D3_TEXT)
-        (tmp_path / "good.txt").write_text("C 0 1 1\nF 0\nF 1\nC 0 1 1\nF 0\nF 1\nC 0 1 1\nF 1\nF 1\n")
-        (tmp_path / "bad.txt").write_text("C 0 1 1\n")
-        return subprocess.run(
-            [sys.executable, "-X", "importtime", *args],
-            input=stdin,
+    CHILD = "import sys\ntry:\n    {}\nfinally:\n    print(*sys.modules, file=sys.stderr)\n"
+    RUN_CLI = 'import runpy; runpy.run_module("cliffsynth", run_name="__main__", alter_sys=True)'
+    SUBMODULES = {
+        f"cliffsynth.{f.stem}" for f in Path(cliffsynth.__file__).parent.glob("*.py")
+    } - {"cliffsynth.__init__"}
+    # every CLI call loads these
+    CORE = {"cliffsynth.errors", "cliffsynth.modring", "cliffsynth.pauli", "cliffsynth.symplectic"}
+    ORACLE = {"cliffsynth.unitary", "numpy"}
+    EXACT = ORACLE | {"dataclasses"}  # what an exact call must not load
+    SYN, EMB = {"cliffsynth.synthesis"}, {"cliffsynth.embedding"}
+    WORD, WORD2 = "d=6 n=2 a=1,0 b=0,3", "d=6 n=2 a=0,2 b=3,1"
+    PEG = "d=7 n=2 a=1,2 b=3,4"
+    ROWS = [
+        (["-c", "import cliffsynth"], 0, "", {"cliffsynth"}, SUBMODULES | EXACT),
+        (["-c", "import cliffsynth.cli"], 0, "", CORE | {"cliffsynth.cli"}, EXACT | SYN | EMB),
+        (["synth", "m.txt", "--verify", "symplectic"], 0, None, CORE | SYN, EXACT | EMB),
+        (["synth", "d17.txt", "--verify", "symplectic"], 0, None, CORE | SYN, EXACT | EMB),
+        (["verify", "m.txt", "good.txt", "--mode", "symplectic"], 0, "ok\n", CORE,
+         EXACT | SYN | EMB),
+        (["verify", "d17.txt", "prog.txt", "--mode", "symplectic"], 0, "ok\n", CORE,
+         EXACT | SYN | EMB),
+        (["transport", WORD, WORD2], 0, None, CORE | SYN, EXACT | EMB),
+        (["peg", PEG], 0, None, CORE | SYN, EXACT | EMB),
+        (["embed-check", "2", "3", "4"], 0, None, CORE | EMB, EXACT | SYN),
+        (["synth", "m.txt", "--verify", "unitary"], 0, None, CORE | SYN | ORACLE, EMB),
+        (["verify", "m.txt", "good.txt", "--mode", "unitary"], 0, "ok\n", CORE | ORACLE, SYN | EMB),
+        (["verify", "m.txt", "bad.txt", "--mode", "unitary"], 4, "mismatch\n", CORE | ORACLE,
+         SYN | EMB),
+        (["peg", PEG, "--verify", "unitary"], 0, None, CORE | SYN | ORACLE, EMB),
+        (["transport", WORD, WORD2, "--verify", "unitary"], 0, None, CORE | SYN | ORACLE, EMB),
+        # side 17^2 = 289 is over the dense oracle's cap: exit 5 before numpy loads
+        (["synth", "d17.txt", "--verify", "unitary"], 5, "", CORE | SYN, EXACT | EMB),
+        (["transport", WORD_D17_N2, WORD_D17_N2, "--verify", "unitary"], 5, "", CORE | SYN,
+         EXACT | EMB),
+        (["peg", WORD_D17_N2, "--verify", "unitary"], 5, "", CORE | SYN, EXACT | EMB),
+        (["verify", "d17.txt", "prog.txt", "--mode", "unitary"], 5, "", CORE, EXACT | SYN | EMB),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, code, out, loads, skips",
+        ROWS,
+        ids=["_".join(row[0]).replace(" ", "_") for row in ROWS],
+    )
+    def test_call_loads_only_what_it_runs(self, tmp_path, argv, code, out, loads, skips):
+        for name, text in [
+            ("m.txt", SWAP_D3_TEXT),
+            ("good.txt", "C 0 1 1\nF 0\nF 1\nC 0 1 1\nF 0\nF 1\nC 0 1 1\nF 1\nF 1\n"),
+            ("bad.txt", "C 0 1 1\n"),
+            ("d17.txt", IDENTITY_D17_N2_TEXT),
+            ("prog.txt", "F 0\nF 0\nF 0\nF 0\n"),
+        ]:
+            (tmp_path / name).write_text(text)
+        source, args = (argv[1], []) if argv[0] == "-c" else (self.RUN_CLI, argv)
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD.format(source), *args],
             capture_output=True,
             text=True,
             cwd=tmp_path,
             env=child_env(),
         )
-
-    @staticmethod
-    def _loads_numpy(stderr: str) -> bool:
-        return any(line.split("|")[-1].strip() == "numpy" for line in stderr.splitlines())
-
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["-c", "import cliffsynth"],
-            ["-c", "import cliffsynth.cli"],
-            ["-m", "cliffsynth", "synth", "m.txt", "--verify", "symplectic"],
-            ["-m", "cliffsynth", "verify", "m.txt", "good.txt", "--mode", "symplectic"],
-            ["-m", "cliffsynth", "transport", "d=6 n=2 a=1,0 b=0,3", "d=6 n=2 a=0,2 b=3,1"],
-            ["-m", "cliffsynth", "peg", "d=7 n=2 a=1,2 b=3,4"],
-            ["-m", "cliffsynth", "embed-check", "2", "3", "4"],
-        ],
-    )
-    def test_exact_paths_never_load_numpy(self, tmp_path, args):
-        proc = self._child(tmp_path, *args)
-        assert proc.returncode == 0, proc.stderr
-        assert not self._loads_numpy(proc.stderr)
-
-    @pytest.mark.parametrize(
-        "args, code, out",
-        [
-            (["synth", "m.txt", "--verify", "unitary"], 0, None),
-            (["verify", "m.txt", "good.txt", "--mode", "unitary"], 0, "ok\n"),
-            (["verify", "m.txt", "bad.txt", "--mode", "unitary"], 4, "mismatch\n"),
-            (["peg", "d=7 n=2 a=1,2 b=3,4", "--verify", "unitary"], 0, None),
-            (["transport", "d=6 n=2 a=1,0 b=0,3", "d=6 n=2 a=0,2 b=3,1", "--verify", "unitary"], 0, None),
-        ],
-    )
-    def test_unitary_paths_load_numpy_and_decide(self, tmp_path, args, code, out):
-        proc = self._child(tmp_path, "-m", "cliffsynth", *args)
         assert proc.returncode == code, proc.stderr
         assert out is None or proc.stdout == out
-        assert self._loads_numpy(proc.stderr)
-
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["synth", "d17.txt"],
-            ["transport", WORD_D17_N2, WORD_D17_N2],
-            ["peg", WORD_D17_N2],
-        ],
-    )
-    def test_over_cap_unitary_exits_5_without_numpy(self, tmp_path, args):
-        (tmp_path / "d17.txt").write_text(IDENTITY_D17_N2_TEXT)
-        proc = self._child(tmp_path, "-m", "cliffsynth", *args, "--verify", "unitary")
-        assert proc.returncode == 5 and proc.stdout == ""
-        assert f"scale limit: {cap_message('dense oracle side', 289)}\n" in proc.stderr
-        assert not self._loads_numpy(proc.stderr)
-
-    def test_over_cap_verify_unitary_exits_5_without_numpy(self, tmp_path):
-        (tmp_path / "d17.txt").write_text(IDENTITY_D17_N2_TEXT)
-        (tmp_path / "prog.txt").write_text("F 0\nF 0\nF 0\nF 0\n")
-        proc = self._child(
-            tmp_path, "-m", "cliffsynth", "verify", "d17.txt", "prog.txt", "--mode", "unitary"
-        )
-        assert proc.returncode == 5 and proc.stdout == ""
-        assert f"scale limit: {cap_message('dense oracle side', 289)}\n" in proc.stderr
-        assert not self._loads_numpy(proc.stderr)
-
-
-class TestModuleLoads:
-    """A cold child loads the modules its subcommand runs and no others.
-
-    The child runs ``cli.main`` as ``python -m cliffsynth`` does, then
-    writes the names in ``sys.modules`` to stderr.
-    """
-
-    CHILD = (
-        "import sys\n"
-        "from cliffsynth.cli import main\n"
-        "code = main(sys.argv[1:])\n"
-        "print(*sys.modules, file=sys.stderr)\n"
-        "sys.exit(code)\n"
-    )
-    # modules a call must not load; no call loads dataclasses
-    NO_SYNTHESIS = {"cliffsynth.synthesis", "dataclasses"}
-    NO_EMBEDDING_OR_UNITARY = {"cliffsynth.embedding", "cliffsynth.unitary", "dataclasses"}
-
-    def test_bare_import_loads_no_submodule(self):
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, cliffsynth; print(*sys.modules)"],
-            capture_output=True,
-            text=True,
-            env=child_env(),
-        )
-        assert proc.returncode == 0, proc.stderr
-        modules = proc.stdout.split()
-        assert "cliffsynth" in modules
-        assert [m for m in modules if m.startswith("cliffsynth.")] == []
-        assert "dataclasses" not in modules
-
-    @pytest.mark.parametrize(
-        "argv, absent",
-        [
-            (["verify", "m.txt", "good.txt", "--mode", "symplectic"], NO_SYNTHESIS),
-            (["embed-check", "2", "3", "4"], NO_SYNTHESIS),
-            (["synth", "m.txt", "--verify", "symplectic"], NO_EMBEDDING_OR_UNITARY),
-            (["transport", "d=6 n=2 a=1,0 b=0,3", "d=6 n=2 a=0,2 b=3,1"], NO_EMBEDDING_OR_UNITARY),
-            (["peg", "d=7 n=2 a=1,2 b=3,4"], NO_EMBEDDING_OR_UNITARY),
-        ],
-    )
-    def test_subcommand_loads_only_what_it_runs(self, tmp_path, argv, absent):
-        (tmp_path / "m.txt").write_text(SWAP_D3_TEXT)
-        (tmp_path / "good.txt").write_text("C 0 1 1\nF 0\nF 1\nC 0 1 1\nF 0\nF 1\nC 0 1 1\nF 1\nF 1\n")
-        proc = subprocess.run(
-            [sys.executable, "-c", self.CHILD, *argv],
-            capture_output=True,
-            text=True,
-            cwd=tmp_path,
-            env=child_env(),
-        )
-        assert proc.returncode == 0, proc.stderr
-        modules = set(proc.stderr.split())
-        assert "cliffsynth.symplectic" in modules
-        assert modules & absent == set()
+        modules = set(proc.stderr.splitlines()[-1].split())
+        assert loads <= modules, loads - modules
+        assert not modules & skips, modules & skips

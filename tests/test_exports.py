@@ -38,6 +38,7 @@ class TestExportList:
             assert not hasattr(cliffsynth, name) and not hasattr(module, name)
         assert not hasattr(cliffsynth.PauliWord, "vector")
         assert "omega_hat" not in cliffsynth.__all__ and not hasattr(cliffsynth, "omega_hat")
+        assert not hasattr(unitary, "omega_hat")
         assert not hasattr(cliffsynth.Embedding, "shift_protection")
         # `sequence_matrix(seq)` is the one spelling
         assert not hasattr(cliffsynth.GateSequence, "matrix")

@@ -165,6 +165,10 @@ class TestWordBasics:
         with pytest.raises(MalformedMatrixError, match="must be integers"):
             PauliWord.from_vector(list(xs + zs), Dimension.of(5))
 
+    def test_exponent_vectors_of_different_lengths_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="share a positive length, got 2 and 1"):
+            PauliWord(Dimension.of(5), (1, 0), (0,))
+
     def test_from_vector_takes_integer_sequences(self):
         w = word(6, [1, 0], [0, 3])
         for vec in ([1, 0, 0, 3], (1, 0, 0, 3), np.array([7, 6, 0, 9]), [np.int32(1), 0, 0, 3]):
@@ -195,7 +199,15 @@ class TestWordBasics:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "d=6 n=2 a=1 b=0,3", "d=6 n=2 a=1,9 b=0,3", "nonsense", "d=x n=1 a=1 b=0"],
+        [
+            "",
+            "d=6 n=2 a=1 b=0,3",
+            "d=6 n=2 a=1,9 b=0,3",
+            "nonsense",
+            "d=x n=1 a=1 b=0",
+            "d=6 n=3 a=1,,0 b=0,0,0",  # empty exponent
+            "d=6 n=1 a= b=0",
+        ],
     )
     def test_parse_rejects(self, text):
         with pytest.raises(ParseError):

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import operator
 import pickle
 
 import numpy as np
@@ -359,6 +360,30 @@ class TestCompose:
         r = SymplecticMatrix(DIM6, gate_matrix(Fourier(0), 1, DIM6))
         p = SymplecticMatrix(DIM6, gate_matrix(Phase(0, 1), 1, DIM6))
         assert np.array_equal(compose(r, p).mat, np.array([[11, 11], [1, 0]]))
+        assert r @ p == compose(r, p)
+
+
+class TestLayoutMismatch:
+    EYE1, EYE2 = SymplecticMatrix.identity(1, DIM6), SymplecticMatrix.identity(2, DIM6)
+    EYE1_D5 = SymplecticMatrix.identity(1, Dimension.of(5))
+    X = PauliWord.x_generator(0, 1, DIM6)
+    EMPTY1 = GateSequence((), 1, DIM6)
+
+    @pytest.mark.parametrize(
+        "op, args, message",
+        [
+            (compose, (EYE1, EYE2), "cannot compose matrices"),
+            (compose, (EYE1, EYE1_D5), "cannot compose matrices"),
+            (apply_to_word, (EYE1_D5, X), "matrix dim .* != word dim"),
+            (apply_to_word, (EYE2, X), "matrix n=2 != word n=1"),
+            (operator.add, (EMPTY1, GateSequence((), 2, DIM6)), "cannot concatenate"),
+            (operator.add, (EMPTY1, GateSequence((), 1, Dimension.of(5))), "cannot concatenate"),
+        ],
+        ids=["compose-n", "compose-d", "apply-d", "apply-n", "add-n", "add-d"],
+    )
+    def test_raises(self, op, args, message):
+        with pytest.raises(DimensionMismatchError, match=message):
+            op(*args)
 
 
 class TestSequenceMatrix:

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 
 import numpy as np
@@ -29,7 +30,7 @@ from cliffsynth import (
 )
 from cliffsynth.symplectic import Fourier, Phase, Sum
 from cliffsynth.errors import SCALE_CAPS
-from cliffsynth.unitary import _maps_words, omega_hat
+from cliffsynth.unitary import _maps_words
 
 from conftest import cap_message, gate_lists, random_gate_sequence
 
@@ -216,7 +217,7 @@ class TestCheckProgram:
         x, _ = pauli_unitaries(dim)
         conj = p @ x @ p.dagger()
         lam = relative_phase(conj, word_unitary(PauliWord(dim, (1,), (1,))))
-        assert abs(lam - omega_hat(dim)) < 1e-9
+        assert abs(lam - np.exp(2j * np.pi / dim.D)) < 1e-9  # omega_hat, the D-th root
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_sum_gate(self, d):
@@ -609,6 +610,31 @@ class TestDenseOperator:
         op = DenseOperator(Dimension.of(2), 2, a)
         assert a.flags.writeable and not op.matrix.flags.writeable
         assert op.matrix is not a and np.shares_memory(op.matrix, a)
+
+
+class TestLayoutMismatch:
+    D3, D5 = Dimension.of(3), Dimension.of(5)
+    F1, F2 = gate_unitary(Fourier(0), 1, D3), gate_unitary(Fourier(0), 2, D3)
+
+    @pytest.mark.parametrize(
+        "op, args, message",
+        [
+            (check_program, (GateSequence((), 1, D3), SymplecticMatrix.identity(2, D3)),
+             "program and matrix disagree on layout"),
+            (check_program, (GateSequence((), 1, D3), SymplecticMatrix.identity(1, D5)),
+             "program and matrix disagree on layout"),
+            (equal_up_to_phase, (F1, F2), "operator sizes differ: 3 vs 9"),
+            # one side, 4, for two layouts
+            (operator.matmul, (DenseOperator(Dimension.of(2), 2, np.eye(4)),
+                               DenseOperator(Dimension.of(4), 1, np.eye(4))),
+             "cannot compose operators of different layout"),
+            (DenseOperator, (D3, 2, np.eye(3)), r"must be 9x9, got \(3, 3\)"),
+        ],
+        ids=["check-n", "check-d", "phase-side", "matmul", "shape"],
+    )
+    def test_raises(self, op, args, message):
+        with pytest.raises(DimensionMismatchError, match=message):
+            op(*args)
 
 
 class TestScaleCaps:
