@@ -22,8 +22,8 @@ Each subcommand imports only the modules it runs. Every call loads
 ``transport`` and ``peg`` add ``synthesis``, and ``embed-check`` adds
 ``embedding``. Only ``--verify unitary`` and ``verify --mode unitary``
 import ``unitary``, and with it numpy; every other call runs on exact
-Python integers alone. ``TestModuleLoads`` in ``tests/test_cli.py`` is the
-one check of this load policy.
+Python integers alone. ``TestModuleLoads.ROWS`` in ``tests/test_cli.py`` is
+the one table of this load policy.
 """
 
 from __future__ import annotations

@@ -466,12 +466,14 @@ class TestModuleLoads:
         (["verify", "d17.txt", "prog.txt", "--mode", "unitary"], 5, "", CORE, EXACT | SYN | EMB),
     ]
 
-    @pytest.mark.parametrize(
-        "argv, code, out, loads, skips",
-        ROWS,
-        ids=["_".join(row[0]).replace(" ", "_") for row in ROWS],
-    )
-    def test_call_loads_only_what_it_runs(self, tmp_path, argv, code, out, loads, skips):
+    @classmethod
+    def row(cls, argv):
+        """The row of ``ROWS`` whose call is ``argv``."""
+        return next(row for row in cls.ROWS if row[0] == argv)
+
+    @classmethod
+    def check(cls, tmp_path, argv, code, out, loads, skips):
+        """Run one row's call in a cold child and check its exit, stdout and modules."""
         for name, text in [
             ("m.txt", SWAP_D3_TEXT),
             ("good.txt", "C 0 1 1\nF 0\nF 1\nC 0 1 1\nF 0\nF 1\nC 0 1 1\nF 1\nF 1\n"),
@@ -480,9 +482,9 @@ class TestModuleLoads:
             ("prog.txt", "F 0\nF 0\nF 0\nF 0\n"),
         ]:
             (tmp_path / name).write_text(text)
-        source, args = (argv[1], []) if argv[0] == "-c" else (self.RUN_CLI, argv)
+        source, args = (argv[1], []) if argv[0] == "-c" else (cls.RUN_CLI, argv)
         proc = subprocess.run(
-            [sys.executable, "-c", self.CHILD.format(source), *args],
+            [sys.executable, "-c", cls.CHILD.format(source), *args],
             capture_output=True,
             text=True,
             cwd=tmp_path,
@@ -493,3 +495,74 @@ class TestModuleLoads:
         modules = set(proc.stderr.splitlines()[-1].split())
         assert loads <= modules, loads - modules
         assert not modules & skips, modules & skips
+
+    @pytest.mark.parametrize(
+        "argv, code, out, loads, skips",
+        ROWS,
+        ids=["_".join(row[0]).replace(" ", "_") for row in ROWS],
+    )
+    def test_call_loads_only_what_it_runs(self, tmp_path, argv, code, out, loads, skips):
+        self.check(tmp_path, argv, code, out, loads, skips)
+
+    # The tests below keep the names that earlier checks of these calls had;
+    # each runs its call's row of ROWS through the same check.
+
+    def test_bare_import_loads_no_submodule(self, tmp_path):
+        self.check(tmp_path, *self.row(["-c", "import cliffsynth"]))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "m.txt", "good.txt", "--mode", "symplectic"],
+            ["embed-check", "2", "3", "4"],
+            ["synth", "m.txt", "--verify", "symplectic"],
+            ["transport", WORD, WORD2],
+            ["peg", PEG],
+        ],
+        ids=[f"argv{i}-absent{i}" for i in range(5)],  # the ids of the earlier (argv, absent) table
+    )
+    def test_subcommand_loads_only_what_it_runs(self, tmp_path, argv):
+        self.check(tmp_path, *self.row(argv))
+
+
+class TestNumpyOnlyForTheOracle:
+    """Exact calls never load numpy; unitary calls load it and decide.
+
+    Each case checks that its call's row of ``TestModuleLoads.ROWS`` says
+    so, then runs that row through ``TestModuleLoads.check``.
+    """
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["-c", "import cliffsynth"],
+            ["-c", "import cliffsynth.cli"],
+            ["synth", "m.txt", "--verify", "symplectic"],
+            ["verify", "m.txt", "good.txt", "--mode", "symplectic"],
+            ["transport", TestModuleLoads.WORD, TestModuleLoads.WORD2],
+            ["peg", TestModuleLoads.PEG],
+            ["embed-check", "2", "3", "4"],
+        ],
+    )
+    def test_exact_paths_never_load_numpy(self, tmp_path, args):
+        row = TestModuleLoads.row(args)
+        assert row[1] == 0 and "numpy" in row[4]
+        TestModuleLoads.check(tmp_path, *row)
+
+    @pytest.mark.parametrize(
+        "args, code, out",
+        [
+            TestModuleLoads.row(argv)[:3]
+            for argv in [
+                ["synth", "m.txt", "--verify", "unitary"],
+                ["verify", "m.txt", "good.txt", "--mode", "unitary"],
+                ["verify", "m.txt", "bad.txt", "--mode", "unitary"],
+                ["peg", TestModuleLoads.PEG, "--verify", "unitary"],
+                ["transport", TestModuleLoads.WORD, TestModuleLoads.WORD2, "--verify", "unitary"],
+            ]
+        ],
+    )
+    def test_unitary_paths_load_numpy_and_decide(self, tmp_path, args, code, out):
+        loads, skips = TestModuleLoads.row(args)[3:]
+        assert "numpy" in loads
+        TestModuleLoads.check(tmp_path, args, code, out, loads, skips)
