@@ -35,12 +35,12 @@ recomposed = sequence_matrix(seq)
 print("\nrecomposed matrix equals the target:", recomposed == m)
 
 # above the table: a unit top-right entry admits the five-gate closed form
-m2 = SymplecticMatrix(Dimension.of(29), np.array([[1, 1], [1, 2]]))
+m2 = SymplecticMatrix(Dimension.of(29), np.array([[2, 1], [1, 1]]))
 print("\nclosed form over Z_29:", [format_gate(g) for g in decompose_single(m2)])
 
-# no unit entry mod 28: s + t*q = 2 + 21 is a unit for t = 1, so the
+# no unit entry mod 28: s + t*q = 2 + 7 is a unit for t = 1, so the
 # program for F^3 P^1 M is followed by F and P^-1 = P^27
-m3 = SymplecticMatrix(Dimension.of(14), np.array([[4, 21], [7, 2]]))
+m3 = SymplecticMatrix(Dimension.of(14), np.array([[4, 7], [21, 2]]))
 seq3 = decompose_single(m3)
 print("no unit entry over Z_28:", [format_gate(g) for g in seq3])
 print("recomposed matrix equals the target:", sequence_matrix(seq3) == m3)

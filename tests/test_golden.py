@@ -16,9 +16,10 @@ Two more digests cover `generalized_peg`, `transport` and
 one over the pegs and one over the transports, so that a change to one
 of them leaves the other's digest as it is. Two more cover the symplectic
 matrix of each of those programs. A transport's matrix is any Clifford
-that maps p to q, so a new transport moves its matrix digest; a peg's
-must stay. The total lengths of the feasible transports and of the
-golden `decompose` programs are pinned too.
+that maps p to q, and a peg's any Clifford that maps w to Z^k on the
+last qudit, so a new transport or peg moves its matrix digest. The total
+lengths of the pegs, of the feasible transports and of the golden
+`decompose` programs are pinned too.
 
 The library builds its gates with the trusted constructor, which skips
 the checks; the last tests rebuild every gate and program of both
@@ -60,8 +61,8 @@ DIMS = (2, 3, 4, 5, 6, 12, 97)
 KINDS = {"sparse": 2, "dense": 20}  # gates per qudit
 SEEDS = range(3)
 
-GOLDEN_DIGEST = "f4f5ecf5116802c1a6ab099648f1f9ee449ceb920e19c3953d5d8193e1884dda"
-FINAL_DIGEST = "330e80dc2b8de2563e8219fb68d3108d68eeb00665c1c803d3c0c33b71fe3659"
+GOLDEN_DIGEST = "e227b898476e9516ef0a4bdad04c45c8bdf793eadcebd9a0804170552b654927"
+FINAL_DIGEST = "fda5ad515a2df745a0d23b1f7461210c4c39a27a0daedfda75f091790db194a3"
 
 
 def golden_cases():
@@ -107,14 +108,16 @@ WORD_NS = (1, 2, 5, 16, 64)
 WORD_SEEDS = range(4)
 
 # pegs and their inverses; transports and their inverses
-PEG_DIGEST = "fcdabc31435cf0999fa427abe4adf643946244a160664793751a4f8b40a20dee"
-TRANSPORT_DIGEST = "9e6d338e0cfde9b56dcd23bbcb5421cf47fcf0d2264d571062dfe67d64dc756b"
-PEG_MATRIX_DIGEST = "c488ba1a8439565521857297740d3a55b549879264ed58c42fc3bc2aabbe70f0"
-TRANSPORT_MATRIX_DIGEST = "43d4a473ab78b321f34a42f2682e57b6ce1c32af97bf3b5cefd9103826c9b48c"
-# total gates of the 276 feasible transports
-TRANSPORT_GATES = 6651
+PEG_DIGEST = "6b9cd703e3c9e1d1d0f949c389c028bb8e3ffdda7af3904472e9cdff7daa55d9"
+TRANSPORT_DIGEST = "82ce49e942f21ab386e77c5f259823754bbc073702d8ec8cdb03deae72891921"
+PEG_MATRIX_DIGEST = "0c0b70018f5b8669fdbb2cf5934cb5f121f45cdf3bc93817ed68bb53b42de78e"
+TRANSPORT_MATRIX_DIGEST = "10996fed5d9d1aee9274fa76dcf84d432d4ec86e69e552302a90a4d1a87c6592"
+# total gates of the 300 pegs (each word once per target) and of the 276
+# feasible transports
+PEG_GATES = 15153
+TRANSPORT_GATES = 6490
 # total gates of the 504 golden `decompose` programs
-DECOMPOSE_GATES = 36098
+DECOMPOSE_GATES = 35805
 
 
 def divisors_below(d):
@@ -179,6 +182,13 @@ def test_golden_transport_total():
     # a change may shorten the transports, never lengthen them in total
     total = sum(len(out) for *_, p, q in word_cases() if (out := transport(p, q)) is not None)
     assert total <= TRANSPORT_GATES
+
+
+def test_golden_peg_total():
+    # 16,623 gates with a Euclid word on each qudit without a unit hub; a
+    # change may shorten the pegs, never lengthen them in total
+    total = sum(len(generalized_peg(p)[0]) for *_, p, q in word_cases())
+    assert total <= PEG_GATES
 
 
 def test_golden_decompose_total():

@@ -41,7 +41,6 @@ from cliffsynth.symplectic import (
     Sum,
     _PackedRows,
     inverse,
-    invert_gate,
     merge_gates,
 )
 from cliffsynth.unitary import _maps_words
@@ -55,7 +54,6 @@ from cliffsynth.synthesis import (
     _is_unit,
     _map_gates,
     _peg_gates,
-    _peg_vector,
     _require_unit,
     _scale_gates,
     _shortest_table,
@@ -150,28 +148,31 @@ def matrix2(gates, D):
     return acc
 
 
-def check_peg_vector(a, b, dim):
-    """The emitted word, and the inverse word `transport` uses, against the
-    raw chain: the same matrix, the same map and never more gates."""
+def check_peg_word(a, b, dim):
+    """The word normal form of the one-qudit word (a, b), which has no hub,
+    so its qudit takes `_map_gates`, and the inverse word `transport` uses:
+    each maps its vector, is reduced, and is never longer than the raw
+    chain (the inverse chain starts with F^3 for a closing F)."""
     D = dim.D
     chain = euclid_chain(a, b, D)
-    word, g = _peg_vector(a, b, D, 0)
+    word, g = _peg_gates([a], [b], D, 1)
     assert g == gcd0(a, b)
     p, q, r, s = matrix2(word, D)
-    assert (p, q, r, s) == matrix2(chain, D)
     assert ((p * a + q * b) % D, (r * a + s * b) % D) == (0, g)
+    assert merge_gates(word, dim) == word
     assert len(word) <= len(chain)
 
-    inverted = merge_gates([h for x in reversed(chain) for h in invert_gate(x, dim)], dim)
-    inv, g_inv = _peg_vector(a, b, D, 0, inverse=True)
+    inv, g_inv = _peg_gates([a], [b], D, 1, inverse=True)
     assert g_inv == g
     p, q, r, s = matrix2(inv, D)
-    assert (p, q, r, s) == matrix2(inverted, D)
     assert (q * g % D, s * g % D) == (a, b)
-    assert len(inv) <= len(inverted)
+    assert merge_gates(inv, dim) == inv
+    assert len(inv) <= len(chain) + 2
 
 
 class TestPegVector:
+    """The word normal form of one qudit's exponent vector (`check_peg_word`)."""
+
     @pytest.mark.parametrize(
         "d", [d for d in range(2, MAX_TABLE_D) if Dimension.of(d).D <= MAX_TABLE_D]
     )
@@ -179,7 +180,7 @@ class TestPegVector:
         dim = Dimension.of(d)
         for a, b in itertools.product(range(dim.D), repeat=2):
             if (a, b) != (0, 0):
-                check_peg_vector(a, b, dim)
+                check_peg_word(a, b, dim)
 
     @settings(deadline=None)
     @given(st.sampled_from((97, 1024, 10**6)), st.data())
@@ -188,7 +189,7 @@ class TestPegVector:
         a, b = data.draw(
             st.tuples(st.integers(0, dim.D - 1), st.integers(0, dim.D - 1)).filter(any)
         )
-        check_peg_vector(a, b, dim)
+        check_peg_word(a, b, dim)
 
 
 class TestDecomposeSingle:
@@ -201,7 +202,7 @@ class TestDecomposeSingle:
             h.update(f"{a} {b} {c} {e}\n{seq.to_text()}\n".encode())
             lengths.append(len(seq))
         assert (len(lengths), sum(lengths), max(lengths)) == (1152, 5324, 7)
-        assert h.hexdigest() == "e259fe80138ced1a28e61be74726faeb79a845499a240b990e492e1c4df2feeb"
+        assert h.hexdigest() == "29b3d33b9d61f9aa913c07fe25deed60b8dad0983264080aca319a35f04bb5e7"
 
     def test_worked_matrix(self):
         m = SymplecticMatrix(DIM6, GOLDEN_MATRIX)
@@ -212,16 +213,16 @@ class TestDecomposeSingle:
         assert len(decompose_single(SymplecticMatrix.identity(1, DIM6))) == 0
 
     def test_closed_form_pattern(self):
-        # D = 29 is above the table: the six-gate elimination run gives way
-        # to the closed form P^3 F P^1 F P^2, the entries m = 3 and n = 2
-        # read off the unit top-right entry q = 1
+        # D = 29 is above the table: the 11-gate elimination run, which
+        # rescales its Z column, gives way to the closed form P^2 F P^1 F
+        # P^3, the entries m = 2 and n = 3 read off the unit top-right q = 1
         dim = Dimension.of(29)
-        m = SymplecticMatrix(dim, np.array([[1, 1], [1, 2]]))
+        m = SymplecticMatrix(dim, np.array([[2, 1], [1, 1]]))
         seq = decompose_single(m)
         assert seq.gates == (
-            Phase(0, 2), Fourier(0), Phase(0, 1), Fourier(0), Phase(0, 3)
+            Phase(0, 3), Fourier(0), Phase(0, 1), Fourier(0), Phase(0, 2)
         )
-        assert len(merge_gates(_eliminate(m), dim)) == 6
+        assert len(merge_gates(_eliminate(m), dim)) == 11
 
     @pytest.mark.parametrize("d", [4, 6, 8])
     def test_framing_is_small_when_some_entry_invertible(self, d):
@@ -274,7 +275,7 @@ class TestDecomposeSingle:
             assert len(closed) <= 7
             closed_total += len(closed)
             no_unit += all(gcd0(v, dim.D) != 1 for v in (p, q, r, s))
-        assert (no_unit, total, closed_total) == (96, 87258, 89602)
+        assert (no_unit, total, closed_total) == (96, 82084, 89602)
 
     def test_closed_form_rejects_non_symplectic(self):
         # every entry even mod 28: no s + t*q is a unit
@@ -636,14 +637,37 @@ class TestVectorTargetWords:
             assert act_on_exponents(out, p.xexp, p.zexp, d) == (list(q.xexp), list(q.zexp))
         return seq
 
-    def test_one_qudit_keeps_the_euclid_word(self):
+    def test_one_qudit_takes_the_vector_map(self):
         for a, b in ((3, 5), (1, 0), (0, 4), (96, 2)):
             seq = self.check(97, [a], [b])
-            assert list(seq) == merge_gates(_peg_vector(a, b, 97, 0)[0], Dimension.of(97))
+            g = math.gcd(a, b)
+            assert list(seq) == (_map_gates(a, b, 0, g, 1, 97, 0) if a else [])
 
-    def test_unit_only_on_the_last_qudit_folds_as_before(self):
+    def test_unit_only_on_the_last_qudit_takes_the_vector_map(self):
+        # no hub, since the unit is on the last qudit: (5, 1) mod 24 maps to (0, 1)
         seq = self.check(12, [2, 0, 5], [4, 6, 1])
-        assert len(single_qudit_gates(seq, 2)) == len(_peg_vector(5, 1, 24, 2)[0])
+        assert single_qudit_gates(seq, 2) == _map_gates(5, 1, 0, 1, 1, 24, 2)
+
+    @pytest.mark.parametrize("d", [2, 3, 6, 12, 97, 1024])
+    def test_unit_branches_emit_the_vector_map(self, d):
+        # qudit 0 is X, so it is the hub, and qudit 1, with a unit entry,
+        # takes its inline word to (0, v), v the value it folds: a for a
+        # unit a (-a under inverse), else -b. That is `_map_gates`' word
+        D = Dimension.of(d).D
+        pairs = itertools.product(range(1, D), range(D))
+        if D > MAX_TABLE_D:
+            rng = random.Random(d)
+            pairs = [(rng.randrange(1, D), rng.randrange(D)) for _ in range(800)]
+        for a, b in pairs:
+            unit_a = math.gcd(a, D) == 1
+            if not unit_a and math.gcd(b, D) != 1:
+                continue
+            v = a if unit_a else D - b
+            gates, _ = _peg_gates([1, a], [0, b], D, 1)
+            assert single_qudit_gates(gates, 1) == _map_gates(a, b, 0, v, 1, D, 1)
+            v = D - a if unit_a else D - b
+            inv, _ = _peg_gates([1, a], [0, b], D, 1, inverse=True)
+            assert single_qudit_gates(inv, 1) == _map_gates(0, v, a, b, 1, D, 1)
 
     def test_no_unit_at_composite_d(self):
         # gcd 2: no hub, so the fold ends on the gcd itself
@@ -1016,7 +1040,7 @@ class TestLocalTransport:
         # the contents differ on both qudits: the whole words take the hub
         p, q = parse_word("d=6 n=2 a=1,0 b=0,3"), parse_word("d=6 n=2 a=0,2 b=3,1")
         out = transport(p, q)
-        assert list(out.gates) == _hub_gates(p, q, range(2)) and len(out) == 8
+        assert list(out.gates) == _hub_gates(p, q, range(2)) and len(out) == 7
 
 
 class TestDecompose:
