@@ -82,9 +82,6 @@ _EXPORTS = {
             "decompose",
             "decompose_single",
             "generalized_peg",
-            "peg_reduce",
-            "scale_sequence",
-            "sum_peg",
             "swap_sequence",
             "transport",
         ),

@@ -20,10 +20,11 @@ for a unit a and F P^(a/b) F for a unit b; every other qudit takes the
 map to (0, gcd(a, b)). One sum gate from the hub then clears each later
 qudit, and one more leaves a chosen unit t on the last qudit: the gcd
 for `generalized_peg`, 1 for elimination, and for `transport` the value
-the other word's program ends on, so no scale gates are needed unless
-neither word has a hub. Without a hub (one qudit, no unit, or a unit on
-the last qudit only) every qudit takes the map to (0, gcd(a, b)) and
-the sum loop folds the values onto the last qudit.
+the other word's program ends on, so the two halves meet unless
+neither word has a hub; then the one-qudit map takes the one gcd to the
+other. Without a hub (one qudit, no unit, or a unit on the last qudit
+only) every qudit takes the map to (0, gcd(a, b)) and the sum loop
+folds the values onto the last qudit.
 
 Word-to-word transport is local first. A qudit where the two words agree
 takes no gate, and one where both are nonzero with one content
@@ -82,7 +83,7 @@ from .errors import (
     NonSymplecticError,
     SynthesisCheckError,
 )
-from .modring import Dimension, gcd0, mod_inverse
+from .modring import Dimension, gcd0
 from .pauli import PauliWord, _qudit_count
 from .symplectic import (
     Fourier,
@@ -145,25 +146,8 @@ def _sum_peg_vector(a: int, b: int, D: int, i: int, j: int) -> list[tuple[int, i
     return sums
 
 
-def _scale_gates(k: int, D: int, qudit: int) -> list[Gate]:
-    """The six gates of `scale_sequence` on ``qudit``."""
-    k = k % D
-    kinv = mod_inverse(k, D)
-    if kinv is None:
-        raise NonSymplecticError(f"scale factor {k} is not a unit mod {D}")
-    f = _fourier(qudit)
-    p, pinv = _gate(Phase, (qudit, k)), _gate(Phase, (qudit, kinv))
-    return [pinv, f, p, f, pinv, f]
-
-
 # ---------------------------------------------------------------------------
 # single-qudit word reduction and transport building blocks
-
-
-def scale_sequence(k: int, dim: Dimension) -> GateSequence:
-    """Single-qudit program for diag(k^-1, k), mapping Z to Z^k, for a
-    unit k mod D: the matrix F P^(k^-1) F P^k F P^(k^-1)."""
-    return GateSequence(tuple(_scale_gates(k, dim.D, 0)), 1, dim)
 
 
 def _peg_gates(
@@ -283,33 +267,6 @@ def generalized_peg(w: PauliWord) -> tuple[GateSequence, int]:
     return GateSequence._derived(tuple(gates), w.n, w.dim), k
 
 
-def peg_reduce(a: int, b: int, dim: Dimension) -> tuple[GateSequence, int]:
-    """`generalized_peg` of the one-qudit word X^a Z^b: a program to Z^g, and g."""
-    return generalized_peg(PauliWord(dim, (a,), (b,)))
-
-
-def sum_peg(a: int, b: int, dim: Dimension) -> GateSequence:
-    """`generalized_peg` of Z^a (x) Z^b: a sum-only program to I (x) Z^gcd0(a, b)."""
-    return generalized_peg(PauliWord(dim, (0, 0), (a, b)))[0]
-
-
-def _transport_unit(gp: int, gq: int, d: int) -> int | None:
-    """The smallest unit k mod d with k * gp = gq mod d, or None.
-
-    Such a k exists exactly when gcd(gp, d) = gcd(gq, d) = g. The
-    solutions of k * gp = gq mod d are then k0 + t * (d/g), with k0 the
-    solution mod d/g, and some of them are units, since every unit mod d/g
-    lifts to one mod d. Walking t upwards from 0 finds the smallest of
-    them within a few gcds; a scan of every k below d would cost O(d).
-    """
-    g = gcd0(gp, d)
-    if gcd0(gq, d) != g:
-        return None
-    step = d // g
-    k0 = (gq // g) * mod_inverse(gp // g, step) % step
-    return next((k for k in range(k0, d, step) if gcd0(k, d) == 1), None)
-
-
 def _solve(a: int, r: int, c: int, d: int) -> int:
     """The smallest s in [0, d) with s * a = r mod d, where gcd(a, d) = c
     divides r: the solutions form one class mod d/c."""
@@ -369,9 +326,9 @@ def _map_gates(x: int, z: int, x2: int, z2: int, c: int, d: int, qudit: int) -> 
     """A reduced program on ``qudit`` alone taking its exponent vector
     (x, z) to (x2, z2) mod d: two distinct vectors of one content
     c = gcd(x, z, d) < d. Every power lies in [1, d). The modulus is
-    the word's d for `transport`'s matched qudits, and D in the word
-    normal form (`_peg_gates`), which maps a qudit to or from (0, v) and
-    runs mod D for `generalized_peg` and inside `_eliminate` alike.
+    the word's d for `transport`'s matched qudits and its hub seam
+    (`_hub_gates`), and D in the word normal form (`_peg_gates`) and in
+    `_eliminate`'s rescale of Z^k to Z.
 
     When both X exponents have gcd c with d, the core P^s F P^t does it,
     with s x = -x2 - z and t x2 = z2 - x mod d and zero powers dropped;
@@ -427,17 +384,19 @@ def _hub_gates(p: PauliWord, q: PauliWord, qudits: Sequence[int]) -> list[Gate]:
     The program is p's peg gates, then the gates of q's inverse peg
     program. A word with a unit hub ends its fold on the value the other
     word's program takes, q's gcd for p and p's value for q, so the two
-    meet on the last qudit. Only when neither word has a hub do the six
-    scale gates go between them. Each piece is a reduced word, so they
-    are merged only where they meet (`_merge_onto`).
+    meet on the last qudit. Only when neither word has a hub does the
+    one-qudit map take Z^vp to Z^vq between them, mod d as on
+    `transport`'s matched qudits: the gcds share their content with d,
+    not always with D (2 and 4 at d = 6). Each piece is a reduced word,
+    so they are merged only where they meet (`_merge_onto`).
     """
     d, D = p.dim.d, p.dim.D
     pxs, pzs, qxs, qzs = ([w[i] for i in qudits] for w in (p.xexp, p.zexp, q.xexp, q.zexp))
     gates, vp = _peg_gates(pxs, pzs, D, math.gcd(*qxs, *qzs), qudits=qudits)
     inv, vq = _peg_gates(qxs, qzs, D, vp, inverse=True, qudits=qudits)
     if vp != vq:  # neither word has a hub: vp, vq are the gcds
-        k = _transport_unit(vp, vq, d)
-        _merge_onto(gates, _scale_gates(k, D, qudits[-1]), D, reduced=True)
+        seam = _map_gates(0, vp, 0, vq, math.gcd(vp, d), d, qudits[-1])
+        _merge_onto(gates, seam, D, reduced=True)
     return _merge_onto(gates, inv, D, reduced=True)
 
 
@@ -702,11 +661,12 @@ def _x_hub_gates(xs: Sequence[int], zs: Sequence[int], D: int) -> list[Gate] | N
     Sum(h, j, (1 - v_j)/v_h) (none if 0) and Sum(j, h, -v_h) leave X on j
     alone, and F_j turns it into Z. The hub is j itself when v_j = 1 or
     when j holds the only unit; that ends on Z^(v_j), which the caller
-    rescales. None when a qudit fits neither shape, no v is a unit, or
-    the form would not save gates on the word normal form (`_peg_gates`):
-    it takes F on each pure Z qudit and one gate fewer than that form on
-    each other nonzero qudit, and one sum more, so it needs zf + 1 <
-    mixed + xf (qudits with a = 0 != b, both nonzero, a != 0 = b).
+    rescales with the one-qudit map (`_map_gates`). None when a qudit
+    fits neither shape, no v is a unit, or the form would not save gates
+    on the word normal form (`_peg_gates`): it takes F on each pure Z
+    qudit and one gate fewer than that form on each other nonzero qudit,
+    and one sum more, so it needs zf + 1 < mixed + xf (qudits with
+    a = 0 != b, both nonzero, a != 0 = b).
     """
     zf = xf = mixed = 0
     for a, b in zip(xs, zs):
@@ -760,12 +720,13 @@ def _eliminate(m: SymplecticMatrix) -> list[Gate]:
     the qudits j, last to first: the Z_j column, a word on qudits 0 to j,
     goes to Z_j with the pure-X hub (`_x_hub_gates`) where that form
     applies and saves gates, else with the word normal form (`_peg_gates`,
-    target 1 mod D); either is rescaled when it ends on a power of Z_j
-    other than 1. The X_j column then has x_j = 1 (symplecticity), and
-    gates that fix Z_j clear the rest of it: P^k (z_i + k x_i = 0) and a
-    sum gate from j for a qudit with both x_i and z_i nonzero where
-    gcd(x_i, D) divides z_i; else a sum gate from j for each x_i, a Fourier
-    gate and a sum gate for each z_i; and a phase power on j for z_j.
+    target 1 mod D); either is rescaled by the one-qudit map
+    (`_map_gates`, mod D) when it ends on a power of Z_j other than 1.
+    The X_j column then has x_j = 1 (symplecticity), and gates that fix
+    Z_j clear the rest of it: P^k (z_i + k x_i = 0) and a sum gate from
+    j for a qudit with both x_i and z_i nonzero where gcd(x_i, D)
+    divides z_i; else a sum gate from j for each x_i, a Fourier gate and
+    a sum gate for each z_i; and a phase power on j for z_j.
     The gates for qudit i touch rows i, n + i and n + j alone, so every
     x_i and z_i is read before they go to the kernel, and z_j after.
     Qudit j is then the identity and no later step touches it; j = 0 is
@@ -794,11 +755,10 @@ def _eliminate(m: SymplecticMatrix) -> list[Gate]:
         column = _x_hub_gates(xs, zs, D)
         push(_peg_gates(xs, zs, D, 1)[0] if column is None else column)
         k = (work[z] >> at) & field
-        kinv = mod_inverse(k, D)
-        if kinv is None:
+        if math.gcd(k, D) != 1:
             raise NonSymplecticError(f"column gcd {k} is not a unit mod {D}")
         if k != 1:
-            push(_scale_gates(kinv, D, j))
+            push(_map_gates(0, k, 0, 1, 1, D, j))
         if not _is_unit(packed, work, z):
             _require_unit([packed.entry(row, z) for row in work], z, j, "column")
 

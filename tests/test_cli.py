@@ -179,6 +179,15 @@ class TestTransport:
         assert code == 0
         assert "# gates:" in out
 
+    @pytest.mark.parametrize("mode", ["symplectic", "unitary"])
+    def test_seam_at_even_d(self, capsys, mode):
+        # neither word has a hub, so Z^2 goes to Z^4 on the last qudit by the
+        # one-qudit map mod d = 6: the two have gcds 2 and 4 with D = 12
+        p, q = "d=6 n=2 a=2,0 b=0,0", "d=6 n=2 a=0,0 b=0,4"
+        code, out, _ = run(capsys, "transport", p, q, "--verify", mode)
+        assert code == 0
+        assert out.splitlines()[-1] == "# gates: 5"
+
     def test_infeasible_pair_exit_1(self, capsys):
         code, out, _ = run(capsys, "transport", "d=4 n=1 a=0 b=2", "d=4 n=1 a=0 b=1")
         assert code == 1

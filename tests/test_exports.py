@@ -17,7 +17,7 @@ class TestExportList:
         assert set(cliffsynth.__all__) <= set(dir(cliffsynth))
 
     def test_retired_names_are_gone(self):
-        from cliffsynth import cli, embedding, modring, pauli, unitary
+        from cliffsynth import cli, embedding, modring, pauli, synthesis, unitary
 
         for name in ("act_left", "symplectic_form"):
             assert not hasattr(cliffsynth, name)
@@ -42,3 +42,9 @@ class TestExportList:
         assert not hasattr(cliffsynth.Embedding, "shift_protection")
         # `sequence_matrix(seq)` is the one spelling
         assert not hasattr(cliffsynth.GateSequence, "matrix")
+        # `generalized_peg` is the one peg, and `_map_gates` every rescale
+        for name in ("peg_reduce", "sum_peg", "scale_sequence"):
+            assert name not in cliffsynth.__all__ and not hasattr(cliffsynth, name)
+            assert not hasattr(synthesis, name)
+        for name in ("_scale_gates", "_transport_unit"):
+            assert not hasattr(synthesis, name)

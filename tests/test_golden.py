@@ -53,7 +53,7 @@ from cliffsynth.symplectic import (
     merge_gates,
     sequence_matrix,
 )
-from cliffsynth.synthesis import _eliminate, _scale_gates, _shorten_runs
+from cliffsynth.synthesis import _eliminate, _map_gates, _shorten_runs
 
 from conftest import random_gate_sequence
 
@@ -61,8 +61,8 @@ DIMS = (2, 3, 4, 5, 6, 12, 97)
 KINDS = {"sparse": 2, "dense": 20}  # gates per qudit
 SEEDS = range(3)
 
-GOLDEN_DIGEST = "e227b898476e9516ef0a4bdad04c45c8bdf793eadcebd9a0804170552b654927"
-FINAL_DIGEST = "fda5ad515a2df745a0d23b1f7461210c4c39a27a0daedfda75f091790db194a3"
+GOLDEN_DIGEST = "4db00fa750adc9de37101178f252698f152e7263598e6f063882afcb02671e7c"
+FINAL_DIGEST = "5be11816b9d8fa2c90b1d005179b3779cf067c6241366e498432bfbb7019a017"
 
 
 def golden_cases():
@@ -109,15 +109,15 @@ WORD_SEEDS = range(4)
 
 # pegs and their inverses; transports and their inverses
 PEG_DIGEST = "6b9cd703e3c9e1d1d0f949c389c028bb8e3ffdda7af3904472e9cdff7daa55d9"
-TRANSPORT_DIGEST = "82ce49e942f21ab386e77c5f259823754bbc073702d8ec8cdb03deae72891921"
+TRANSPORT_DIGEST = "7d1159743ba8d4f1856eedfd4e18440d912c269ff9a52a794f44dfd6b53b8426"
 PEG_MATRIX_DIGEST = "0c0b70018f5b8669fdbb2cf5934cb5f121f45cdf3bc93817ed68bb53b42de78e"
-TRANSPORT_MATRIX_DIGEST = "10996fed5d9d1aee9274fa76dcf84d432d4ec86e69e552302a90a4d1a87c6592"
+TRANSPORT_MATRIX_DIGEST = "bd16e0304fff1e9cdc652cfb5ba1bfdd77c788df657507797174e79cda4d5e30"
 # total gates of the 300 pegs (each word once per target) and of the 276
 # feasible transports
 PEG_GATES = 15153
-TRANSPORT_GATES = 6490
+TRANSPORT_GATES = 6482
 # total gates of the 504 golden `decompose` programs
-DECOMPOSE_GATES = 35805
+DECOMPOSE_GATES = 35717
 
 
 def divisors_below(d):
@@ -261,7 +261,8 @@ def test_trusted_gates_match_checked_ones():
 
 def test_kernel_inputs_are_in_normal_form():
     # `_merge_onto` checks nothing: decompose hands it the shortened
-    # elimination program, and transport the scale gates at a seam
+    # elimination program, with its rescales of Z^k to Z mod D, and
+    # transport the one-qudit map of Z^gp to Z^gq mod d at a seam
     for d, n, kind, length, seed in golden_cases():
         dim = Dimension.of(d)
         m = reference_matrix(random_gate_sequence(n, dim, length, seed))
@@ -269,7 +270,14 @@ def test_kernel_inputs_are_in_normal_form():
         assert _normal_gates(gates, dim.D, n) is gates
     for d in DIMS + (1024,):
         D = Dimension.of(d).D
-        for k in range(-D, 2 * D):
+        for k in range(1, D):
             if gcd(k, D) == 1:
-                gates = tuple(_scale_gates(k, D, 2))
+                gates = tuple(_map_gates(0, k, 0, 1, 1, D, 2))
                 assert _normal_gates(gates, D, 3) is gates
+    for d in DIMS:
+        D = Dimension.of(d).D
+        for gp in range(1, d):
+            for gq in range(1, d):
+                if gq != gp and gcd(gq, d) == gcd(gp, d):
+                    gates = tuple(_map_gates(0, gp, 0, gq, gcd(gp, d), d, 2))
+                    assert _normal_gates(gates, D, 3) is gates

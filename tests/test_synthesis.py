@@ -28,10 +28,7 @@ from cliffsynth import (
     gcd0,
     generalized_peg,
     parse_word,
-    peg_reduce,
-    scale_sequence,
     sequence_matrix,
-    sum_peg,
     swap_sequence,
     transport,
 )
@@ -55,11 +52,9 @@ from cliffsynth.synthesis import (
     _map_gates,
     _peg_gates,
     _require_unit,
-    _scale_gates,
     _shortest_table,
     _shorten_runs,
     _table_letters,
-    _transport_unit,
     _word,
     _x_hub_gates,
 )
@@ -90,24 +85,26 @@ def sl2(D):
 
 
 class TestPegReduce:
+    """`generalized_peg` of the one-qudit word X^a Z^b: a program to Z^g."""
+
     def test_already_reduced(self):
         dim = Dimension.of(7)
-        seq, g = peg_reduce(0, 5, dim)
+        seq, g = generalized_peg(PauliWord(dim, (0,), (5,)))
         assert len(seq) == 0 and g == 5
 
     def test_worked_pair(self):
-        seq, g = peg_reduce(9, 4, DIM12)
+        seq, g = generalized_peg(PauliWord(DIM12, (9,), (4,)))
         assert g == 1
         assert np.array_equal(apply_seq_to_vector(seq, [9, 4]), [0, 1])
 
     def test_common_factor(self):
-        seq, g = peg_reduce(2, 4, DIM6)
+        seq, g = generalized_peg(PauliWord(DIM6, (2,), (4,)))
         assert g == 2
         assert np.array_equal(apply_seq_to_vector(seq, [2, 4]), [0, 2])
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateWordError):
-            peg_reduce(0, 0, DIM6)
+            generalized_peg(PauliWord(DIM6, (0,), (0,)))
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
     def test_exhaustive_small(self, d):
@@ -115,7 +112,7 @@ class TestPegReduce:
         for a, b in itertools.product(range(d), repeat=2):
             if (a, b) == (0, 0):
                 continue
-            seq, g = peg_reduce(a, b, dim)
+            seq, g = generalized_peg(PauliWord(dim, (a,), (b,)))
             assert g == gcd0(a, b)
             assert np.array_equal(apply_seq_to_vector(seq, [a, b]), [0, g])
 
@@ -202,7 +199,7 @@ class TestDecomposeSingle:
             h.update(f"{a} {b} {c} {e}\n{seq.to_text()}\n".encode())
             lengths.append(len(seq))
         assert (len(lengths), sum(lengths), max(lengths)) == (1152, 5324, 7)
-        assert h.hexdigest() == "29b3d33b9d61f9aa913c07fe25deed60b8dad0983264080aca319a35f04bb5e7"
+        assert h.hexdigest() == "4c8d5c60536d65ffeee32e7da488567c8fae35b8e3b96e82b190f3a9906cb4c1"
 
     def test_worked_matrix(self):
         m = SymplecticMatrix(DIM6, GOLDEN_MATRIX)
@@ -213,7 +210,7 @@ class TestDecomposeSingle:
         assert len(decompose_single(SymplecticMatrix.identity(1, DIM6))) == 0
 
     def test_closed_form_pattern(self):
-        # D = 29 is above the table: the 11-gate elimination run, which
+        # D = 29 is above the table: the 10-gate elimination run, which
         # rescales its Z column, gives way to the closed form P^2 F P^1 F
         # P^3, the entries m = 2 and n = 3 read off the unit top-right q = 1
         dim = Dimension.of(29)
@@ -222,7 +219,7 @@ class TestDecomposeSingle:
         assert seq.gates == (
             Phase(0, 3), Fourier(0), Phase(0, 1), Fourier(0), Phase(0, 2)
         )
-        assert len(merge_gates(_eliminate(m), dim)) == 11
+        assert len(merge_gates(_eliminate(m), dim)) == 10
 
     @pytest.mark.parametrize("d", [4, 6, 8])
     def test_framing_is_small_when_some_entry_invertible(self, d):
@@ -275,7 +272,7 @@ class TestDecomposeSingle:
             assert len(closed) <= 7
             closed_total += len(closed)
             no_unit += all(gcd0(v, dim.D) != 1 for v in (p, q, r, s))
-        assert (no_unit, total, closed_total) == (96, 82084, 89602)
+        assert (no_unit, total, closed_total) == (96, 81829, 89602)
 
     def test_closed_form_rejects_non_symplectic(self):
         # every entry even mod 28: no s + t*q is a unit
@@ -395,52 +392,66 @@ class TestShortenRuns:
 
 
 class TestScaleSequence:
+    """`_eliminate`'s rescale of Z^k to Z, for a unit k mod D: the
+    one-qudit map `_map_gates(0, k, 0, 1, 1, D, j)`."""
+
     def test_unit_scale_is_identity_matrix(self):
-        seq = scale_sequence(1, DIM5)
+        gates = _map_gates(0, 1, 0, 1, 1, DIM5.D, 0)
+        assert gates == []
+        seq = GateSequence(tuple(gates), 1, DIM5)
         assert sequence_matrix(seq) == SymplecticMatrix.identity(1, DIM5)
 
     def test_d5_k2(self):
-        assert np.array_equal(
-            sequence_matrix(scale_sequence(2, DIM5)).mat, np.diag([3, 2])
-        )
+        gates = _map_gates(0, 2, 0, 1, 1, DIM5.D, 0)
+        assert gates == [Fourier(0), Phase(0, 3), Fourier(0), Phase(0, 2), Fourier(0)]
+        seq = GateSequence(tuple(gates), 1, DIM5)
+        assert np.array_equal(apply_seq_to_vector(seq, [0, 2]), [0, 1])
 
     def test_d6_k5(self):
-        assert np.array_equal(
-            sequence_matrix(scale_sequence(5, DIM6)).mat, np.diag([5, 5])
-        )
+        # mod D = 12, not d
+        gates = _map_gates(0, 5, 0, 1, 1, DIM6.D, 0)
+        assert gates == [Fourier(0), Phase(0, 5), Fourier(0), Phase(0, 5), Fourier(0)]
+        assert act_on_exponents(gates, [0], [5], 12) == ([0], [1])
 
-    def test_non_unit_rejected(self):
-        with pytest.raises(NonSymplecticError):
-            scale_sequence(2, DIM6)
+    def test_non_unit_rejected(self, monkeypatch):
+        # a Z column that ends on Z^2 mod 12, which no rescale takes to Z
+        monkeypatch.setattr(
+            cliffsynth.synthesis, "inverse", lambda m: SimpleNamespace(rows=[[1, 0], [0, 2]])
+        )
+        with pytest.raises(NonSymplecticError, match="column gcd 2 is not a unit mod 12"):
+            _eliminate(SymplecticMatrix.identity(1, DIM6))
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 9])
     def test_all_units(self, d):
         dim = Dimension.of(d)
-        for k in range(1, dim.D):
-            if gcd0(k, dim.D) != 1:
+        D = dim.D
+        for k in range(1, D):
+            if gcd0(k, D) != 1:
                 continue
-            m = sequence_matrix(scale_sequence(k, dim)).mat
-            kinv = pow(k, -1, dim.D)
-            assert np.array_equal(m, np.diag([kinv, k]) % dim.D)
+            gates = _map_gates(0, k, 0, 1, 1, D, 0)
+            assert act_on_exponents(gates, [0], [k], D) == ([0], [1]), k
+            assert merge_gates(gates, dim) == gates and len(gates) <= 5
 
 
 class TestSumPeg:
+    """`generalized_peg` of Z^a (x) Z^b: sum gates alone, to I (x) Z^gcd0(a, b)."""
+
     def test_already_in_slot(self):
-        seq = sum_peg(0, 3, DIM6)
+        seq = generalized_peg(PauliWord(DIM6, (0, 0), (0, 3)))[0]
         assert len(seq) == 0
 
     def test_worked_pair(self):
-        seq = sum_peg(4, 6, DIM12)
+        seq = generalized_peg(PauliWord(DIM12, (0, 0), (4, 6)))[0]
         assert all(isinstance(g, Sum) for g in seq)
         assert np.array_equal(apply_seq_to_vector(seq, [0, 0, 4, 6]), [0, 0, 0, 2])
 
     def test_fix_up_moves_slot(self):
-        seq = sum_peg(1, 0, DIM5)
+        seq = generalized_peg(PauliWord(DIM5, (0, 0), (1, 0)))[0]
         assert np.array_equal(apply_seq_to_vector(seq, [0, 0, 1, 0]), [0, 0, 0, 1])
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateWordError):
-            sum_peg(0, 0, DIM5)
+            generalized_peg(PauliWord(DIM5, (0, 0), (0, 0)))
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
     def test_exhaustive_small(self, d):
@@ -448,7 +459,7 @@ class TestSumPeg:
         for a, b in itertools.product(range(d), repeat=2):
             if (a, b) == (0, 0):
                 continue
-            seq = sum_peg(a, b, dim)
+            seq = generalized_peg(PauliWord(dim, (0, 0), (a, b)))[0]
             assert all(isinstance(g, Sum) for g in seq)
             assert np.array_equal(apply_seq_to_vector(seq, [0, 0, a, b]), [0, 0, 0, gcd0(a, b)])
 
@@ -571,23 +582,21 @@ class TestTransportProperty:
             assert apply_to_word(sequence_matrix(prog), p) == q
 
 
-def scan_units(d):
-    """{(gp, gq): smallest unit k in range(1, d) with k * gp = gq mod d}."""
-    units = [k for k in range(1, d) if gcd0(k, d) == 1]
-    table = {}
-    for gp in range(1, d):
-        for k in units:
-            table.setdefault((gp, k * gp % d), k)
-    return table
-
-
 class TestTransportUnit:
+    """The hub transport's seam, where neither word has a hub: the
+    one-qudit map from Z^gp to Z^gq mod d."""
+
     @pytest.mark.parametrize("d", range(2, 61))
     def test_matches_linear_scan(self, d):
-        table = scan_units(d)
-        for gp in range(1, d):
-            for gq in range(1, d):
-                assert _transport_unit(gp, gq, d) == table.get((gp, gq)), (gp, gq)
+        dim = Dimension.of(d)
+        for gp, gq in itertools.product(range(1, d), repeat=2):
+            c = math.gcd(gp, d)
+            if gp == gq or math.gcd(gq, d) != c:
+                continue
+            gates = _map_gates(0, gp, 0, gq, c, d, 0)
+            assert act_on_exponents(gates, [0], [gp], d) == ([0], [gq]), (gp, gq)
+            assert merge_gates(gates, dim) == gates and len(gates) <= 5
+            assert all(0 < g.power < d for g in gates if type(g) is Phase)
 
     def test_large_d(self):
         dim = Dimension.of(10**6)
@@ -760,14 +769,14 @@ def peg_words(draw):
 
 def transport_reference(p, q):
     """The hub transport's program as its raw pieces concatenated and
-    merged once, and the raw length: p's peg gates, the scale gates when
-    the two halves end on different values, q's inverse peg gates."""
-    D = p.dim.D
-    gq = math.gcd(*q.xexp, *q.zexp)
-    k = _transport_unit(math.gcd(*p.xexp, *p.zexp), gq, p.dim.d)
-    gates, vp = _peg_gates(p.xexp, p.zexp, D, gq)
+    merged once, and the raw length: p's peg gates, the one-qudit map
+    from Z^vp to Z^vq mod d when the two halves end on different values,
+    q's inverse peg gates."""
+    d, D = p.dim.d, p.dim.D
+    gates, vp = _peg_gates(p.xexp, p.zexp, D, math.gcd(*q.xexp, *q.zexp))
     inv, vq = _peg_gates(q.xexp, q.zexp, D, vp, inverse=True)
-    raw = gates + (_scale_gates(k, D, p.n - 1) if vp != vq else []) + inv
+    seam = _map_gates(0, vp, 0, vq, math.gcd(vp, d), d, p.n - 1) if vp != vq else []
+    raw = gates + seam + inv
     return merge_gates(raw, p.dim), len(raw)
 
 
@@ -846,7 +855,8 @@ class TestSeamCascades:
     @pytest.mark.parametrize("d", [5, 6, 9, 12])
     def test_every_one_qudit_pair(self, d):
         # one qudit has no hub: a pair whose gcds differ by a unit other
-        # than 1 takes the six scale gates between its halves
+        # than 1 takes the one-qudit map from one gcd to the other
+        # between its halves
         dim = Dimension.of(d)
         words = [PauliWord(dim, (a,), (b,)) for a in range(d) for b in range(d) if a or b]
         scaled = far = 0
@@ -1235,13 +1245,14 @@ class TestPureXHub:
 
     @pytest.mark.parametrize("d, xs, zs, step, case", [c for c in PURE_X_CASES if c[3]])
     def test_step_alone_leaves_the_unit_column(self, d, xs, zs, step, case):
-        # the scale case ends on Z^(v_j), and the scale gates take it to Z_j
+        # the scale case ends on Z^(v_j), and the one-qudit map takes it to Z_j
         D = Dimension.of(d).D
         gates = _x_hub_gates(xs, zs, D)
         k = xs[-1] if case == {"scale"} else 1
         unit = [0] * (2 * len(xs) - 1) + [1]
         assert column_after(xs, zs, D, gates) == [k * u for u in unit]
-        assert column_after(xs, zs, D, gates + _scale_gates(pow(k, -1, D), D, len(xs) - 1)) == unit
+        rescale = _map_gates(0, k, 0, 1, 1, D, len(xs) - 1)
+        assert column_after(xs, zs, D, gates + rescale) == unit
 
     @pytest.mark.parametrize("d, xs, zs, step, case", PURE_X_CASES)
     @pytest.mark.parametrize("seed", range(3))
@@ -1505,8 +1516,9 @@ class TestDecomposeChecks:
             decompose(SymplecticMatrix.identity(2, DIM6))
 
     def test_column_check_names_qudit_and_column(self, monkeypatch):
-        # diag(1, 3^-1, 1, 3) needs the rescaling step on qudit 1
-        monkeypatch.setattr(cliffsynth.synthesis, "_scale_gates", lambda *args: [])
+        # diag(1, 3^-1, 1, 3) needs the rescaling step on qudit 1, the
+        # only one-qudit map of its elimination
+        monkeypatch.setattr(cliffsynth.synthesis, "_map_gates", lambda *args: [])
         m = SymplecticMatrix(DIM5, np.diag([1, 2, 1, 3]))
         with pytest.raises(SynthesisCheckError, match=r"^qudit 1: column 3 "):
             decompose(m)
