@@ -39,7 +39,7 @@ any size; numpy is imported only for the dense references (``gate_matrix``,
 from __future__ import annotations
 
 import sys
-from operator import index, itemgetter, mul
+from operator import index, itemgetter, mul, or_
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
 from .errors import (
@@ -220,6 +220,10 @@ class _PackedRows:
     x <= top, ``x * recip >> shift`` is x // D exactly (division by a
     scaled reciprocal, Granlund and Montgomery, PLDI 1994), and masked to
     each field by ``quot_mask`` it gives every quotient at once.
+
+    An entry in [0, D) fills only the low ``lanes`` = ceil(bitlen(D-1)/8)
+    bytes of its field, so `pack` and `unpack` move one byte lane of every
+    entry at a time, ``buf[k::nbytes]``, not one int per entry.
     """
 
     def __init__(self, size: int, D: int, terms: int = 1) -> None:
@@ -230,18 +234,31 @@ class _PackedRows:
         self.nbytes = (bits + self.shift + 8) // 8
         self.width = 8 * self.nbytes
         self.field = (1 << self.width) - 1
-        ones = int.from_bytes((b"\x01" + bytes(self.nbytes - 1)) * size, "little")
-        self.quot_mask = ((1 << (self.width - self.shift)) - 1) * ones
-        self.all_D = D * ones
+        self.lanes = -(-(D - 1).bit_length() // 8)
+        self.ones = int.from_bytes((b"\x01" + bytes(self.nbytes - 1)) * size, "little")
+        self.quot_mask = ((1 << (self.width - self.shift)) - 1) * self.ones
+        self.all_D = D * self.ones
 
-    def pack(self, row: Iterable[int]) -> int:
-        nb = self.nbytes
-        return int.from_bytes(b"".join(v.to_bytes(nb, "little") for v in row), "little")
+    def pack(self, row: Sequence[int]) -> int:
+        """The packed row of ``size`` entries in [0, 256^lanes). The top
+        lane is not masked, so a negative or wider entry makes the
+        `bytes` call raise `ValueError`, as does a row of another length."""
+        nb, top = self.nbytes, self.lanes - 1
+        buf = bytearray(nb * self.size)
+        for k in range(top):
+            buf[k::nb] = bytes([v & 255 for v in row])
+            row = [v >> 8 for v in row]
+        buf[top::nb] = bytes(row)
+        return int.from_bytes(buf, "little")
 
     def unpack(self, x: int) -> tuple[int, ...]:
+        """The entries of a packed row whose fields are reduced, in [0, D)."""
         nb = self.nbytes
         data = x.to_bytes(nb * self.size, "little")
-        return tuple(int.from_bytes(data[k : k + nb], "little") for k in range(0, len(data), nb))
+        out = tuple(data[0::nb])
+        for k in range(1, self.lanes):
+            out = tuple(map(or_, out, [v << 8 * k for v in data[k::nb]]))
+        return out
 
     def unit(self, c: int) -> int:
         """The packed unit row e_c."""

@@ -46,16 +46,20 @@ built with the trusted constructor `_gate` (Fourier gates shared,
 
 The full n-qudit decomposition works in two stages. Elimination
 (`_eliminate`) reduces the inverse of the input to the identity with
-row operations only, last qudit first: each Z_j column goes to Z_j,
-then gates that fix Z_j clear the X_j column. The Z_j column step has
-two forms. The pure-X hub (`_x_hub_gates`) turns each nonzero qudit
-into a pure X power with P^s or F P^s, clears the rest from one qudit
-holding a unit X power with one sum each, and ends on Z_j with two sums
-and F_j. It needs a unit among those powers, every qudit to fit one of
-the two shapes, and a count rule under which it is the shorter form:
-zf + 1 < mixed + xf, for the qudits whose column entry is pure Z, both
-X and Z, and pure X. Every other column takes the word normal form,
-taken mod D. In the X_j column a qudit with both exponents nonzero is
+row operations only, one pivot qudit j at a time: each Z_j column goes
+to Z_j, then gates that fix Z_j clear the X_j column. The pivot is the
+remaining qudit whose Z column has the fewest nonzero entries in the
+remaining Z rows, counted on packed rows for all columns at once, ties
+to the largest index; qudits keep the input's labels throughout. The
+Z_j column step has two forms. The pure-X hub (`_x_hub_gates`) turns
+each nonzero qudit into a pure X power with P^s, F P^s or, for a qudit
+that fits neither at composite D, the lift P^u F P^s; clears the rest
+from one qudit holding a unit X power with one sum each; and ends on
+Z_j with two sums and F_j. It needs a unit among those powers and a
+count rule under which it is the shorter form: zf + 1 < mixed + xf, for
+the qudits whose column entry is pure Z, both X and Z, and pure X.
+Every other column takes the word normal form, taken mod D. In the X_j
+column a qudit with both exponents nonzero is
 cleared phase first where its X exponent's gcd with D divides its Z
 exponent: P^k zeroes the Z exponent, and one sum from j the X
 exponent. Each step hands its gates to the one batched kernel
@@ -649,24 +653,41 @@ def _is_unit(packed: _PackedRows, work: list[int], c: int, rows: Sequence[int] =
     return ok and all(work[r] == packed.unit(r) for r in rows)
 
 
-def _x_hub_gates(xs: Sequence[int], zs: Sequence[int], D: int) -> list[Gate] | None:
-    """The pure-X hub form of a Z_j column step, j the last qudit: gates
-    taking the word with exponents ``xs``, ``zs`` (in [0, D)) to a power
-    of Z on qudit j, or None where the form does not apply.
+def _x_hub_gates(
+    xs: Sequence[int], zs: Sequence[int], D: int, qudits: Sequence[int] | None = None
+) -> list[Gate] | None:
+    """The pure-X hub form of a Z_j column step, j the last qudit of the
+    word: gates taking the word with exponents ``xs``, ``zs`` (in [0, D))
+    to a power of Z on qudit j, or None where the form does not apply.
 
     Each nonzero qudit (a, b) becomes a pure X power v: by P^s with
     s a = -b (no gate for b = 0, v = a) when gcd(a, D) divides b, else by
-    F P^s with s b = a (v = -b) when gcd(b, D) divides a. A hub h with a
-    unit v_h clears every other qudit i with Sum(h, i, -v_i/v_h), then
-    Sum(h, j, (1 - v_j)/v_h) (none if 0) and Sum(j, h, -v_h) leave X on j
-    alone, and F_j turns it into Z. The hub is j itself when v_j = 1 or
-    when j holds the only unit; that ends on Z^(v_j), which the caller
-    rescales with the one-qudit map (`_map_gates`). None when a qudit
-    fits neither shape, no v is a unit, or the form would not save gates
-    on the word normal form (`_peg_gates`): it takes F on each pure Z
-    qudit and one gate fewer than that form on each other nonzero qudit,
-    and one sum more, so it needs zf + 1 < mixed + xf (qudits with
-    a = 0 != b, both nonzero, a != 0 = b).
+    F P^s with s b = a (v = -b) when gcd(b, D) divides a. A qudit that
+    fits neither shape is lifted: P^u, u the smallest in [1, D) with
+    gcd(b + u a, D) dividing a, takes it to (a, b + u a), which fits the
+    second shape, so it takes P^u F P^s with v = -(b + u a). Such a u
+    always exists. By CRT it is enough to pick u mod each prime p of D:
+    u = 0 mod p when v_p(b) <= v_p(a), so b + u a keeps valuation v_p(b),
+    else a unit mod p, so it has valuation v_p(a) (valuations capped at
+    that of D). Either way v_p(b + u a) <= v_p(a) at every p, so
+    gcd(b + u a, D) divides a; and u = 0 mod D would mean gcd(b, D)
+    divides a. At a prime power D the two gcds divide one another, so a
+    qudit always fits a shape and no lift happens.
+
+    A hub h with a unit v_h clears every other qudit i with
+    Sum(h, i, -v_i/v_h), then Sum(h, j, (1 - v_j)/v_h) (none if 0) and
+    Sum(j, h, -v_h) leave X on j alone, and F_j turns it into Z. The hub
+    is j itself when v_j = 1 or when j holds the only unit; that ends on
+    Z^(v_j), which the caller rescales with the one-qudit map
+    (`_map_gates`). None when no v is a unit, or the form would not save
+    gates on the word normal form (`_peg_gates`): it takes F on each pure
+    Z qudit and one gate fewer than that form on each other nonzero
+    qudit, and one sum more, so it needs zf + 1 < mixed + xf (qudits with
+    a = 0 != b, both nonzero, a != 0 = b). The rule does not count a
+    lift's P^u.
+
+    The word's qudit i is the program's qudit ``qudits[i]``, as for
+    `_peg_gates`, by default i itself.
     """
     zf = xf = mixed = 0
     for a, b in zip(xs, zs):
@@ -679,21 +700,23 @@ def _x_hub_gates(xs: Sequence[int], zs: Sequence[int], D: int) -> list[Gate] | N
             zf += 1
     if zf + 1 >= mixed + xf:
         return None
+    labels = qudits or range(len(xs))
     gates: list[Gate] = []
     vs: list[int] = []
-    for i, (a, b) in enumerate(zip(xs, zs)):
+    for i, a, b in zip(labels, xs, zs):
         g = math.gcd(a, D)
         if b % g == 0:  # a == b == 0 lands here too, with v = 0
             if b:
                 gates.append(_gate(Phase, (i, _solve(a, -b, g, D))))
             vs.append(a)
             continue
-        g = math.gcd(b, D)
-        if a % g:
-            return None
+        if a % math.gcd(b, D):  # neither shape: lift by P^u
+            u = next(u for u in range(1, D) if a % math.gcd(b + u * a, D) == 0)
+            gates.append(_gate(Phase, (i, u)))
+            b = (b + u * a) % D
         gates.append(_fourier(i))
         if a:
-            gates.append(_gate(Phase, (i, _solve(b, a, g, D))))
+            gates.append(_gate(Phase, (i, _solve(b, a, math.gcd(b, D), D))))
         vs.append(D - b)
     j = len(vs) - 1
     units = [i for i, v in enumerate(vs) if math.gcd(v, D) == 1]
@@ -706,8 +729,8 @@ def _x_hub_gates(xs: Sequence[int], zs: Sequence[int], D: int) -> list[Gate] | N
         e = (1 - vs[j]) * vinv % D
         sums += [(h, j, e)] if e else []
         sums.append((j, h, D - vs[h]))
-    gates += [_gate(Sum, s) for s in sums]
-    gates.append(_fourier(j))
+    gates += [_gate(Sum, (labels[c], labels[t], e)) for c, t, e in sums]
+    gates.append(_fourier(labels[j]))
     return gates
 
 
@@ -716,72 +739,89 @@ def _eliminate(m: SymplecticMatrix) -> list[Gate]:
 
     Row operations (`_PackedRows.act`, a list per step) only, on one
     packed copy of ``m``'s inverse: the gates that reduce it to the
-    identity are, in the order applied, a program for ``m``. A loop over
-    the qudits j, last to first: the Z_j column, a word on qudits 0 to j,
-    goes to Z_j with the pure-X hub (`_x_hub_gates`) where that form
-    applies and saves gates, else with the word normal form (`_peg_gates`,
-    target 1 mod D); either is rescaled by the one-qudit map
-    (`_map_gates`, mod D) when it ends on a power of Z_j other than 1.
-    The X_j column then has x_j = 1 (symplecticity), and gates that fix
-    Z_j clear the rest of it: P^k (z_i + k x_i = 0) and a sum gate from
-    j for a qudit with both x_i and z_i nonzero where gcd(x_i, D)
-    divides z_i; else a sum gate from j for each x_i, a Fourier gate and
-    a sum gate for each z_i; and a phase power on j for z_j.
-    The gates for qudit i touch rows i, n + i and n + j alone, so every
-    x_i and z_i is read before they go to the kernel, and z_j after.
-    Qudit j is then the identity and no later step touches it; j = 0 is
-    the same step on a one-qudit word.
+    identity are, in the order applied, a program for ``m``. Each step
+    eliminates one pivot p from the set S of remaining qudits, in the
+    input's labels; nothing is relabelled. The pivot is the qudit c of S
+    whose Z column n + c has the fewest nonzero entries in the Z rows of
+    S, ties to the largest label, so that the order by index, last first,
+    is the tie-break. The Z_p column, the word on the rest of S in index
+    order and then p, goes to Z_p with the pure-X hub (`_x_hub_gates`)
+    where that form applies and saves gates, else with the word normal
+    form (`_peg_gates`, target 1 mod D), both placed on S by their
+    ``qudits`` map; either is rescaled by the one-qudit map (`_map_gates`,
+    mod D) when it ends on a power of Z_p other than 1. The X_p column
+    then has x_p = 1 (symplecticity), and gates that fix Z_p clear the
+    rest of it: P^k (z_i + k x_i = 0) and a sum gate from p for a qudit
+    with both x_i and z_i nonzero where gcd(x_i, D) divides z_i; else a
+    sum gate from p for each x_i, a Fourier gate and a sum gate for each
+    z_i; and a phase power on p for z_p. The gates for qudit i touch rows
+    i, n + i and n + p alone, so every x_i and z_i is read before they go
+    to the kernel, and z_p after. Qudit p is then the identity and no
+    later step touches it; the last pivot is the same step on a one-qudit
+    word.
 
     Each elimination is checked on packed rows (`_is_unit`); a failure
-    raises `SynthesisCheckError` from `_require_unit`, and a column gcd
-    that is not a unit raises `NonSymplecticError`.
+    raises `SynthesisCheckError` from `_require_unit`, naming the input's
+    qudit and column, and a column gcd that is not a unit raises
+    `NonSymplecticError`.
     """
     n, dim = m.n, m.dim
     D = dim.D
     packed = _PackedRows(2 * n, D)
     work = [packed.pack(row) for row in inverse(m).rows]
-    width, field = packed.width, packed.field
+    width, field, ones = packed.width, packed.field, packed.ones
+    # A field in [0, D), D <= 2^(width - 1), plus half sets the field's top
+    # bit iff it is nonzero, so ((row + half) >> top) & ones has a 1 in each
+    # nonzero field. Summed over the |S| <= n Z rows, the count fields
+    # cannot carry for n < 2^(width - 1), and width >= 16 at every D >= 3.
+    # A carry could only cost gates: every column of S is a valid pivot.
+    half, top = ((1 << (width - 1)) - 1) * ones, width - 1
+    rest = list(range(n))
     gates: list[Gate] = []
 
     def push(step: list[Gate]) -> None:
         packed.act(work, step, n)
         gates.extend(step)
 
-    for j in range(n - 1, -1, -1):
-        z = n + j
+    while rest:
+        counts = sum(((work[n + q] + half) >> top) & ones for q in rest) >> width * n
+        p = min(reversed(rest), key=lambda c: (counts >> width * c) & field)
+        rest.remove(p)
+        qudits = rest + [p]
+        z = n + p
         at = width * z
-        xs = [(row >> at) & field for row in work[: j + 1]]
-        zs = [(row >> at) & field for row in work[n : z + 1]]
-        column = _x_hub_gates(xs, zs, D)
-        push(_peg_gates(xs, zs, D, 1)[0] if column is None else column)
+        xs = [(work[q] >> at) & field for q in qudits]
+        zs = [(work[n + q] >> at) & field for q in qudits]
+        column = _x_hub_gates(xs, zs, D, qudits)
+        push(_peg_gates(xs, zs, D, 1, qudits=qudits)[0] if column is None else column)
         k = (work[z] >> at) & field
         if math.gcd(k, D) != 1:
             raise NonSymplecticError(f"column gcd {k} is not a unit mod {D}")
         if k != 1:
-            push(_map_gates(0, k, 0, 1, 1, D, j))
+            push(_map_gates(0, k, 0, 1, 1, D, p))
         if not _is_unit(packed, work, z):
-            _require_unit([packed.entry(row, z) for row in work], z, j, "column")
+            _require_unit([packed.entry(row, z) for row in work], z, p, "column")
 
-        # clear column j with gates that fix Z_j; each reads x_j = 1
-        at = width * j
+        # clear column p with gates that fix Z_p; each reads x_p = 1
+        at = width * p
         step: list[Gate] = []
-        for i in range(j):
+        for i in rest:
             x, e = (work[i] >> at) & field, (work[n + i] >> at) & field
             if x and e and e % (g := math.gcd(x, D)) == 0:  # P^k: (x, e) -> (x, 0)
-                step += [_gate(Phase, (i, _solve(x, -e, g, D))), _gate(Sum, (j, i, D - x))]
+                step += [_gate(Phase, (i, _solve(x, -e, g, D))), _gate(Sum, (p, i, D - x))]
                 continue
             if x:
-                step.append(_gate(Sum, (j, i, D - x)))
+                step.append(_gate(Sum, (p, i, D - x)))
             if e:
-                step += [_fourier(i), _gate(Sum, (j, i, e))]
+                step += [_fourier(i), _gate(Sum, (p, i, e))]
         push(step)
         e = (work[z] >> at) & field
         if e:
-            push([_gate(Phase, (j, D - e))])
-        if not _is_unit(packed, work, j, (z, j)):
-            _require_unit([packed.entry(row, j) for row in work], j, j, "column")
-            _require_unit(packed.unpack(work[z]), z, j, "row")
-            _require_unit(packed.unpack(work[j]), j, j, "row")
+            push([_gate(Phase, (p, D - e))])
+        if not _is_unit(packed, work, p, (z, p)):
+            _require_unit([packed.entry(row, p) for row in work], p, p, "column")
+            _require_unit(packed.unpack(work[z]), z, p, "row")
+            _require_unit(packed.unpack(work[p]), p, p, "row")
     return gates
 
 

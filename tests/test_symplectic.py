@@ -37,6 +37,7 @@ from cliffsynth.symplectic import (
     _merge_onto,
     _normal_gates,
     _PackedRows,
+    _symplectic_defect,
     format_gate,
     invert_gate,
     parse_gate_line,
@@ -277,6 +278,62 @@ class TestGateAction:
         work = [packed.pack(row) for row in w.tolist()]
         packed.act(work, gates, n)
         assert [list(packed.unpack(x)) for x in work] == _dense_product(gates, n, dim, w)
+
+
+# d with D = 255, 256, 257, 65536, 65537 and the cap's 2 * MAX_D: one byte
+# lane up to D = 256, two up to 65536, three above
+LANE_DIMS = [255, 128, 257, 32768, 65537, MAX_D]
+LANES = {255: 1, 256: 1, 257: 2, 65536: 2, 65537: 3, 2 * MAX_D: 3}
+
+
+class TestPackedLanes:
+    """`pack` and `unpack` at the byte-lane boundaries of D, on the
+    ``terms = 2n`` rows of `_symplectic_defect` at n = 64."""
+
+    @pytest.mark.parametrize("d", LANE_DIMS)
+    def test_round_trip(self, d):
+        D = Dimension.of(d).D
+        packed = _PackedRows(128, D, terms=128)
+        assert packed.lanes == LANES[D]
+        rng = np.random.default_rng(d)
+        row = [0, 1, D - 1, *(int(v) for v in rng.integers(0, D, size=125))]
+        x = packed.pack(row)
+        assert x == sum(v << packed.width * c for c, v in enumerate(row))
+        assert packed.unpack(x) == tuple(row)
+
+    @pytest.mark.parametrize("d", LANE_DIMS)
+    def test_bad_entries_raise(self, d):
+        D = Dimension.of(d).D
+        packed = _PackedRows(128, D, terms=128)
+        for v in (-1, -D, 256 ** packed.lanes):
+            for c in (0, 127):
+                row = [0] * 128
+                row[c] = v
+                with pytest.raises(ValueError):
+                    packed.pack(row)
+        with pytest.raises(ValueError):
+            packed.pack([0] * 127)
+
+    @pytest.mark.parametrize("d", LANE_DIMS)
+    def test_symplectic_defect(self, d):
+        # the first entry of N^T S N that differs, against int64 numpy
+        # (entries below 2^21, sums of 128 products below 2^49)
+        dim = Dimension.of(d)
+        n, D = 64, dim.D
+        m = sequence_matrix(random_gate_sequence(n, dim, 4 * n, d))
+        assert _symplectic_defect(m.rows, D) is None
+        rows = [list(row) for row in m.rows]
+        rows[5][70] = (rows[5][70] + D // 2) % D
+        N = np.array(rows, dtype=np.int64)
+        S = np.block([[np.zeros((n, n), np.int64), np.eye(n, dtype=np.int64)],
+                      [-np.eye(n, dtype=np.int64), np.zeros((n, n), np.int64)]])
+        diff = np.argwhere((N.T @ S @ N - S) % D)
+        r, c = (int(v) for v in diff[0])
+        gen_r, gen_c = (f"{'XZ'[k >= n]}_{k % n}" for k in (r, c))
+        assert _symplectic_defect(rows, D) == (
+            f"the images of {gen_r} and {gen_c} (columns {r} and {c}) have symplectic "
+            f"product {(N.T @ S @ N)[r, c] % D}, not {S[r, c] % D}"
+        )
 
 
 def _act_on_list_rows(rows, g, n, D):

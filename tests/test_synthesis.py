@@ -1109,6 +1109,18 @@ class TestDecomposeLargeSizes:
         assert len(seq) <= len(merge_gates(_eliminate(m), m.dim))
         assert len(seq) <= {2: 2053, 97: 2310}[d]
 
+    @pytest.mark.parametrize(
+        "d, bound", [(2, 1.117), (4, 1.662), (6, 1.676), (12, 2.093), (97, 1.942)]
+    )
+    def test_gates_per_n_squared_at_n64(self, d, bound):
+        # products of 20n gates, seed 7; in index order without the lifted
+        # shape these took 1.571, 1.925, 2.669, 3.092 and 2.015 gates per n^2
+        n = 64
+        m = sequence_matrix(random_gate_sequence(n, Dimension.of(d), 20 * n, 7))
+        seq = decompose(m)
+        assert sequence_matrix(seq) == m
+        assert len(seq) <= bound * n * n
+
     @settings(deadline=None, max_examples=5)
     @given(
         st.sampled_from((2, 12, 97)),
@@ -1128,10 +1140,11 @@ class TestDecomposeLargeSizes:
 
 def column_form(xs, zs, D):
     """The case the Z_j column step takes on exponents ``xs``, ``zs`` mod D
-    (j the last qudit), stated apart from the code: {"count"}, {"shape"}
-    or {"unit"} where it falls back to the word normal form, else the
-    qudit shapes ("P" for P^s, "F P" for F P^s, "X" for no gate) with the
-    hub: "hub j" (v_j = 1), "hub" (h != j) or "scale" (j the only unit)."""
+    (j the last qudit), stated apart from the code: {"count"} or {"unit"}
+    where it falls back to the word normal form, else the qudit shapes
+    ("P" for P^s, "F P" for F P^s, "P F P" for the lift P^u F P^s, "X"
+    for no gate) with the hub: "hub j" (v_j = 1), "hub" (h != j) or
+    "scale" (j the only unit)."""
     pairs = list(zip(xs, zs))
     zf = sum(a == 0 != b for a, b in pairs)
     xf = sum(a != 0 == b for a, b in pairs)
@@ -1147,12 +1160,19 @@ def column_form(xs, zs, D):
             labels.add("F P")
             vs.append(-b % D)
         else:
-            return {"shape"}
+            labels.add("P F P")
+            u = next(u for u in range(1, D) if lifts(a, b, u, D))
+            vs.append(-(b + u * a) % D)
     units = [i for i, v in enumerate(vs) if math.gcd(v, D) == 1]
     if not units:
         return {"unit"}
     j = len(vs) - 1
     return labels | {"hub j" if vs[j] == 1 else "scale" if units == [j] else "hub"}
+
+
+def lifts(a, b, u, D):
+    """True iff P^u takes the qudit (a, b) to a vector that fits F P^s."""
+    return a % math.gcd(b + u * a, D) == 0
 
 
 def column_after(xs, zs, D, gates):
@@ -1168,21 +1188,38 @@ def column_after(xs, zs, D, gates):
     return [packed.entry(row, 2 * n - 1) for row in work]
 
 
+def on_qudits(gates, qudits):
+    """``gates`` with each qudit i of a word moved to ``qudits[i]``."""
+    out = []
+    for g in gates:
+        if type(g) is Sum:
+            out.append(Sum(qudits[g.control], qudits[g.target], g.power))
+        elif type(g) is Phase:
+            out.append(Phase(qudits[g.qudit], g.power))
+        else:
+            out.append(Fourier(qudits[g.qudit]))
+    return out
+
+
 def checked_x_hub(seen):
     """A patch of `_x_hub_gates` that checks each call against `column_form`
     and, on packed rows, that its gates leave k e_(n+j) with k a unit, 1
-    unless j holds the only unit; the cases met go into ``seen``."""
+    unless j holds the only unit, placed on the call's ``qudits``; the cases
+    met go into ``seen``."""
     step = cliffsynth.synthesis._x_hub_gates
 
-    def check(xs, zs, D):
+    def check(xs, zs, D, qudits=None):
         form, gates = column_form(xs, zs, D), step(xs, zs, D)
         seen.update(form)
-        assert (gates is None) == bool(form & {"count", "shape", "unit"})
-        if gates is not None:
-            *rest, k = column_after(xs, zs, D, gates)
-            assert rest == [0] * len(rest) and math.gcd(k, D) == 1
-            assert (k != 1) == ("scale" in form)
-        return gates
+        assert (gates is None) == bool(form & {"count", "unit"})
+        if gates is None:
+            return None
+        *rest, k = column_after(xs, zs, D, gates)
+        assert rest == [0] * len(rest) and math.gcd(k, D) == 1
+        assert (k != 1) == ("scale" in form)
+        placed = step(xs, zs, D, qudits)
+        assert placed == on_qudits(gates, qudits or range(len(xs)))
+        return placed
 
     return mock.patch.object(cliffsynth.synthesis, "_x_hub_gates", check)
 
@@ -1209,6 +1246,15 @@ def with_column(xs, zs, dim, seed):
     return s
 
 
+def first_pivot(s):
+    """The first pivot of `_eliminate` on the rows of ``s``, stated apart
+    from the code: the column c whose Z column has the fewest nonzero
+    entries in the Z rows, ties to the largest c."""
+    n = s.n
+    costs = [sum(s.rows[n + q][n + c] != 0 for q in range(n)) for c in range(n)]
+    return min(reversed(range(n)), key=costs.__getitem__)
+
+
 # (d, xs, zs, the column step's gates or None, a case of `column_form`);
 # D = 12, 8, 24 and 2048 for d = 6, 4, 12 and 1024
 PURE_X_CASES = [
@@ -1217,8 +1263,11 @@ PURE_X_CASES = [
     (6, (1, 2, 1, 0), (5, 1, 0, 0),
      [Phase(0, 7), Fourier(1), Phase(1, 2), Sum(0, 1, 1), Sum(0, 2, 11), Sum(0, 3, 1),
       Sum(3, 0, 11), Fourier(3)], {"P", "F P", "X", "hub"}),
-    # (2, 3) mod 12 fits neither shape
-    (6, (2, 1, 1), (3, 0, 0), None, {"shape"}),
+    # (2, 3) mod 12 fits neither shape: P^1 lifts it to (2, 5), which F P^10
+    # takes to v = -5 = 7; v_j = 1, so the hub is j
+    (6, (2, 1, 1), (3, 0, 0),
+     [Phase(0, 1), Fourier(0), Phase(0, 10), Sum(2, 0, 5), Sum(2, 1, 11), Fourier(2)],
+     {"P F P", "X", "hub j"}),
     # v = (1, 3, 1): the hub is j, with v_j = 1
     (4, (1, 3, 1), (0, 0, 0), [Sum(2, 0, 7), Sum(2, 1, 5), Fourier(2)], {"hub j"}),
     # v = (3, 1, 5): the hub is qudit 0, 3^-1 = 3 mod 8
@@ -1233,7 +1282,25 @@ PURE_X_CASES = [
     (6, (0, 0, 1, 1), (1, 1, 0, 1), None, {"count"}),
     # v = (2, 3, 4) mod 12 holds no unit
     (6, (2, 3, 4), (0, 0, 0), None, {"unit"}),
+    # (4, 5) mod 20: gcds 4 and 5; P^1 lifts it to (4, 9), then F P^16 to
+    # v = 11, the hub, as v_j = 0
+    (10, (4, 1, 0), (5, 0, 0),
+     [Phase(0, 1), Fourier(0), Phase(0, 16), Sum(0, 1, 9), Sum(0, 2, 11), Sum(2, 0, 9),
+      Fourier(2)], {"P F P", "X", "hub"}),
+    # (2, 3) mod 24: P^1 lifts it to (2, 5), then F P^10 to v = 19, the hub
+    (12, (2, 3, 5), (3, 0, 0),
+     [Phase(0, 1), Fourier(0), Phase(0, 10), Sum(0, 1, 15), Sum(0, 2, 20), Sum(2, 0, 5),
+      Fourier(2)], {"P F P", "X", "hub"}),
+    # (12, 2) and (2, 12) mod 2048: at a prime power one gcd divides the
+    # other, so every qudit fits a shape and none is lifted
+    (1024, (12, 2, 1), (2, 12, 0),
+     [Fourier(0), Phase(0, 6), Phase(1, 1018), Sum(2, 0, 2), Sum(2, 1, 2046), Fourier(2)],
+     {"F P", "P", "X", "hub j"}),
 ]
+
+# the rows whose step is not None, the lifted ones last
+STEP_CASES = [c for c in PURE_X_CASES if c[3] and "P F P" not in c[4]]
+STEP_CASES += [c for c in PURE_X_CASES if "P F P" in c[4]]
 
 
 class TestPureXHub:
@@ -1243,7 +1310,7 @@ class TestPureXHub:
         assert case <= column_form(xs, zs, D)
         assert _x_hub_gates(xs, zs, D) == step
 
-    @pytest.mark.parametrize("d, xs, zs, step, case", [c for c in PURE_X_CASES if c[3]])
+    @pytest.mark.parametrize("d, xs, zs, step, case", STEP_CASES)
     def test_step_alone_leaves_the_unit_column(self, d, xs, zs, step, case):
         # the scale case ends on Z^(v_j), and the one-qudit map takes it to Z_j
         D = Dimension.of(d).D
@@ -1258,9 +1325,18 @@ class TestPureXHub:
     @pytest.mark.parametrize("seed", range(3))
     def test_elimination_takes_the_step(self, d, xs, zs, step, case, seed):
         dim = Dimension.of(d)
-        m = inverse(with_column(xs, zs, dim, seed))  # `_eliminate` reduces inverse(m)
+        s = with_column(xs, zs, dim, seed)
+        m = inverse(s)  # `_eliminate` reduces inverse(m) = s
         gates = _eliminate(m)
-        first = _peg_gates(xs, zs, dim.D, 1)[0] if step is None else step
+        n, D = len(xs), dim.D
+        p = first_pivot(s)
+        if p == n - 1:
+            first = _peg_gates(xs, zs, D, 1)[0] if step is None else step
+        else:  # a cheaper Z column comes first
+            qudits = [q for q in range(n) if q != p] + [p]
+            pxs, pzs = ([s.rows[r + q][n + p] for q in qudits] for r in (0, n))
+            first = _x_hub_gates(pxs, pzs, D, qudits)
+            first = first or _peg_gates(pxs, pzs, D, 1, qudits=qudits)[0]
         assert gates[: len(first)] == first
         assert sequence_matrix(GateSequence(tuple(gates), len(xs), dim)) == m
         assert sequence_matrix(decompose(m)) == m
@@ -1293,7 +1369,38 @@ class TestPureXHub:
                     for seed in range(3):
                         m = sequence_matrix(random_gate_sequence(n, Dimension.of(d), 20 * n, seed))
                         assert sequence_matrix(decompose(m)) == m
-        assert seen == {"count", "shape", "unit", "P", "F P", "X", "hub j", "hub", "scale"}
+        assert seen == {"count", "unit", "P", "F P", "P F P", "X", "hub j", "hub", "scale"}
+
+    def test_every_unfit_qudit_lifts(self):
+        # the existence proof of `_x_hub_gates`, for every D <= 120: a u
+        # built prime by prime (0 mod p where v_p(b) <= v_p(a), else 1 mod
+        # p) is in [1, D) with gcd(b + u a, D) dividing a, so the smallest
+        # such u exists, and P^u F P^s takes the qudit to a pure X power
+        def valuation(x, p, e):
+            k = 0
+            while k < e and x % p == 0:
+                x //= p
+                k += 1
+            return k
+
+        lifted = 0
+        for D in range(2, 121):
+            primes = prime_factors(D)
+            exps = [valuation(D, p, D) for p in primes]
+            for a, b in itertools.product(range(D), repeat=2):
+                if b % math.gcd(a, D) == 0 or a % math.gcd(b, D) == 0:
+                    continue
+                assert len(primes) > 1  # at a prime power the gcds divide one another
+                zero = [valuation(b, p, e) <= valuation(a, p, e) for p, e in zip(primes, exps)]
+                u = next(u for u in range(D) if [u % p == 0 for p in primes] == zero)
+                assert 0 < u and a % math.gcd(b + u * a, D) == 0
+                gates = _x_hub_gates([a, 1], [b, 0], D)
+                assert [type(g) for g in gates[:3]] == [Phase, Fourier, Phase]
+                w = gates[0].power
+                assert w <= u and all(not lifts(a, b, t, D) for t in range(1, w))
+                assert act_on_exponents(gates[:3], [a], [b], D) == ([-(b + w * a) % D], [0])
+                lifted += 1
+        assert lifted == 32_700
 
     @settings(deadline=None, max_examples=50)
     @given(gate_lists(dims=(4, 6, 12, 1024), max_n=8, max_size=120))
@@ -1340,8 +1447,9 @@ def sp4_z3_depths():
 
 class TestOptimalYardstick:
     def test_two_qudit_programs_against_shortest(self):
-        # decompose at n = 2, d = 3 against shortest programs: 1.25x over
-        # this sample, 1.39x without the pure-X hub and phase-first clearing
+        # decompose at n = 2, d = 3 against shortest programs: 1.23x over
+        # this sample, 1.25x in index order without the lifted shape, 1.39x
+        # without the pure-X hub and phase-first clearing
         depth = sp4_z3_depths()
         assert len(depth) == 51_840 and max(depth.values()) == 9
         dim = Dimension.of(3)
@@ -1514,6 +1622,17 @@ class TestDecomposeChecks:
         )
         with pytest.raises(NonSymplecticError, match="column gcd 2 is not a unit mod 12"):
             decompose(SymplecticMatrix.identity(2, DIM6))
+
+    def test_fault_names_the_input_qudit_not_the_last(self, monkeypatch):
+        # Sum(0, 1, 1) times diag(2, 1, 3, 1) mod 5: the Z_1 column has two
+        # nonzero Z entries and Z_0 one, so qudit 0 is the first pivot. Its
+        # column is Z_0^3, which needs the one-qudit rescale, here dropped
+        s = SymplecticMatrix(DIM5, [[2, 0, 0, 0], [2, 1, 0, 0], [0, 0, 3, 4], [0, 0, 0, 1]])
+        assert first_pivot(s) == 0
+        monkeypatch.setattr(cliffsynth.synthesis, "_map_gates", lambda *args: [])
+        message = r"^qudit 0: column 2 is not the unit vector e_2: \[0, 0, 3, 0\]$"
+        with pytest.raises(SynthesisCheckError, match=message):
+            decompose(inverse(s))
 
     def test_column_check_names_qudit_and_column(self, monkeypatch):
         # diag(1, 3^-1, 1, 3) needs the rescaling step on qudit 1, the
