@@ -13,18 +13,21 @@ else one closed form of at most 7 gates (`_closed_form`).
 The word normal form (`_peg_gates`) takes any word to a power of Z on
 its last qudit. A word program only has to map one exponent vector, not
 realize a 2x2 matrix, so each qudit (a, b) with a != 0 goes to a pure Z
-power by a one-qudit map, and a qudit with a = 0 takes no gate. Once a
+power by a one-qudit word, and a qudit with a = 0 takes no gate. Once a
 unit hub exists, the first qudit before the last at which the running
-fold value is a unit mod D, a qudit with a unit entry takes P^(-b/a) F
-for a unit a and F P^(a/b) F for a unit b; every other qudit takes the
-map to (0, gcd(a, b)). One sum gate from the hub then clears each later
-qudit, and one more leaves a chosen unit t on the last qudit: the gcd
-for `generalized_peg`, 1 for elimination, and for `transport` the value
-the other word's program ends on, so the two halves meet unless
-neither word has a hub; then the one-qudit map takes the one gcd to the
-other. Without a hub (one qudit, no unit, or a unit on the last qudit
-only) every qudit takes the map to (0, gcd(a, b)) and the sum loop
-folds the values onto the last qudit.
+fold value is a unit mod D, any pure Z power will do, so each qudit
+takes the shortest word to one: the pure-X word of the elimination's
+hub form (`_x_hub_gates`), then F. That is P^s F when gcd(a, D) divides
+b, F P^s F when gcd(b, D) divides a, and else P^u F P^s F with the lift
+u (`_lift`). One sum gate from the hub then clears each later qudit,
+and one more leaves a chosen unit t on the last qudit: the gcd for
+`generalized_peg`, 1 for elimination, and for `transport` the value the
+other word's program ends on, so the two halves meet unless neither
+word has a hub; then the one-qudit map takes the one gcd to the other.
+Without a hub (one qudit, no unit, or a unit on the last qudit only)
+every qudit takes the map to (0, gcd(a, b)) and the sum loop folds the
+values onto the last qudit, which then holds the gcd of all the
+exponents.
 
 Word-to-word transport is local first. A qudit where the two words agree
 takes no gate, and one where both are nonzero with one content
@@ -169,25 +172,34 @@ def _peg_gates(
     The hub is the first qudit h before the last at which the fold's
     running value u is a unit mod D, that is gcd(D, the exponents of
     qudits 0 to h) = 1. Each qudit (a, b) with a != 0 maps one vector to
-    a pure Z power, and a qudit with a = 0 takes no gate. With a hub, a
-    unit a takes P^(-b/a) F to (0, a) and a unit b F P^(a/b) F to
-    (0, -b); every other qudit takes `_map_gates`' word to (0, v),
-    v = gcd(a, b). The unit words are the ones `_map_gates` gives for
-    the same ends, written inline for speed: through `_map_gates` a
-    pure-Z end misses its fast core and pays `_shape_letters`' set-up,
-    which cut the `words` benchmark's ops per second by 37% (about
-    1,650 to 1,040 on a 2-core host). The sum fold
-    runs up to h, then Sum(j, h, z_j/u) clears each later qudit j, and
-    Sum(h, last, u/t) moves the value ``target`` = t, a unit mod D, to
-    the last qudit (the last clearing sum also adds t there). The power
-    is then t. With no hub the fold runs to the end: the power is the
-    gcd of all the exponents.
+    a pure Z power, and a qudit with a = 0 takes no gate. With a hub,
+    any power will do, since the hub sums clear every value, so each
+    such qudit takes the shortest Fourier/phase word to a pure Z power:
+    the pure-X word of `_x_hub_gates`, then F. That is P^s F with
+    s a = -b to (0, a) when gcd(a, D) divides b (F alone for b = 0),
+    else F P^s F with s b = a to (0, -b) when gcd(b, D) divides a, else
+    P^u F P^s F to (0, -c), c = b + u a, with the lift u (`_lift`) and
+    s c = a. No word is shorter: a shortest word ends in F, as P fixes
+    the X exponent, and holds no F F, as F^2 = -I only negates, so the
+    only shorter candidates are F, P^s F and F P^s F, and each fits
+    just where the rule takes it. Without a hub each qudit takes
+    `_map_gates`' word to (0, v), v = gcd(a, b), so that the fold ends
+    on the gcd of all the exponents.
+
+    Each of these words keeps the content gcd(a, b, D), so the fold's
+    value at the hub is a unit whichever power each qudit ends on. The
+    sum fold runs up to h, then Sum(j, h, z_j/u) clears each later
+    qudit j, and Sum(h, last, u/t) moves the value ``target`` = t, a
+    unit mod D, to the last qudit (the last clearing sum also adds t
+    there). The power is then t. With no hub the fold runs to the end:
+    the power is the gcd of all the exponents.
 
     With ``inverse``, the gates of the inverse program: the sums
     inverted gate by gate, then each qudit's inverse word, which maps
-    its pure Z power back. A unit a then gets F P^(b/a) from (0, -a), a
-    unit b F P^(-a/b) F, and any other qudit `_map_gates`' word from
-    (0, v).
+    its pure Z power back. A hub-case word is inverted letter by letter,
+    F for F^-1 = -F, so its power is negated once per F: F P^-s from
+    (0, -a), F P^-s F from (0, -b) and F P^-s F P^-u from (0, -c). A
+    qudit without a hub takes `_map_gates`' word from (0, v).
 
     Each qudit's word is reduced and no two of them share a qudit; the
     sums are reduced folds (`_sum_peg_vector`) on successive pairs, then
@@ -206,27 +218,40 @@ def _peg_gates(
             break
     chunks: list[list[Gate]] = []
     zvals: list[int] = []
+    gcd = math.gcd  # a local: the loop below runs once per qudit
     for i, a, b in zip(qudits or range(n), xs, zs):
         if a == 0:  # (0, b) is its own target
             zvals.append(b)
             continue
-        if hub is not None and math.gcd(a, D) == 1:
-            f, e = _fourier(i), b * pow(a, -1, D) % D
+        if hub is None:
+            v = gcd(a, b)
+            ends = (0, v, a, b) if inverse else (a, b, 0, v)
+            chunks.append(_map_gates(*ends, gcd(v, D), D, i))
+            zvals.append(v)
+            continue
+        f, g = _fourier(i), gcd(a, D)
+        if b % g == 0:  # P^s F
+            s = (D - b) * pow(a, -1, D) % D if g == 1 else _solve(a, -b, g, D)
             if inverse:
-                chunks.append([f, _gate(Phase, (i, e))] if e else [f])
+                chunks.append([f, _gate(Phase, (i, D - s))] if s else [f])
                 zvals.append(D - a)
             else:
-                chunks.append([_gate(Phase, (i, D - e)), f] if e else [f])
+                chunks.append([_gate(Phase, (i, s)), f] if s else [f])
                 zvals.append(a)
-        elif hub is not None and math.gcd(b, D) == 1:
-            f, e = _fourier(i), a * pow(b, -1, D) % D
-            chunks.append([f, _gate(Phase, (i, D - e if inverse else e)), f])
-            zvals.append(D - b)
+            continue
+        # F P^s F, after the lift P^u where gcd(b, D) does not divide a
+        u = 0 if a % (g := gcd(b, D)) == 0 else _lift(a, b, D)
+        if u:
+            b = (b + u * a) % D
+            g = gcd(b, D)
+        s = a * pow(b, -1, D) % D if g == 1 else _solve(b, a, g, D)
+        if inverse:
+            chunk = [f, _gate(Phase, (i, D - s)), f]
+            chunks.append(chunk + [_gate(Phase, (i, D - u))] if u else chunk)
         else:
-            v = math.gcd(a, b)
-            ends = (0, v, a, b) if inverse else (a, b, 0, v)
-            chunks.append(_map_gates(*ends, math.gcd(v, D), D, i))
-            zvals.append(v)
+            chunk = [f, _gate(Phase, (i, s)), f]
+            chunks.append([_gate(Phase, (i, u))] + chunk if u else chunk)
+        zvals.append(D - b)
     sums: list[tuple[int, int, int]] = []  # (control, target, power)
     cur = zvals[0]
     for i in range(n - 1 if hub is None else hub):
@@ -276,6 +301,23 @@ def _solve(a: int, r: int, c: int, d: int) -> int:
     divides r: the solutions form one class mod d/c."""
     step = d // c
     return r % d // c * pow(a // c, -1, step) % step
+
+
+def _lift(a: int, b: int, D: int) -> int:
+    """The smallest u in [1, D) with gcd(b + u a, D) dividing a, for a
+    qudit (a, b) where gcd(b, D) does not divide a: P^u takes it to a
+    vector (a, c) that F P^s, s c = a, takes to the pure X power (-c, 0).
+
+    Such a u always exists. By CRT it is enough to pick u mod each prime
+    p of D: u = 0 mod p when v_p(b) <= v_p(a), so b + u a keeps valuation
+    v_p(b), else a unit mod p, so it has valuation v_p(a) (valuations
+    capped at that of D). Either way v_p(b + u a) <= v_p(a) at every p,
+    so gcd(b + u a, D) divides a; and u = 0 mod D would mean gcd(b, D)
+    divides a. The callers try P^s, s a = -b, first, so they lift only
+    where gcd(a, D) does not divide b either. At a prime power D the two
+    gcds divide one another, so no lift happens there.
+    """
+    return next(u for u in range(1, D) if a % math.gcd(b + u * a, D) == 0)
 
 
 # The one-qudit shapes of `_shape_letters`, shortest first, as (length, i,
@@ -660,19 +702,11 @@ def _x_hub_gates(
     word: gates taking the word with exponents ``xs``, ``zs`` (in [0, D))
     to a power of Z on qudit j, or None where the form does not apply.
 
-    Each nonzero qudit (a, b) becomes a pure X power v: by P^s with
-    s a = -b (no gate for b = 0, v = a) when gcd(a, D) divides b, else by
-    F P^s with s b = a (v = -b) when gcd(b, D) divides a. A qudit that
-    fits neither shape is lifted: P^u, u the smallest in [1, D) with
-    gcd(b + u a, D) dividing a, takes it to (a, b + u a), which fits the
-    second shape, so it takes P^u F P^s with v = -(b + u a). Such a u
-    always exists. By CRT it is enough to pick u mod each prime p of D:
-    u = 0 mod p when v_p(b) <= v_p(a), so b + u a keeps valuation v_p(b),
-    else a unit mod p, so it has valuation v_p(a) (valuations capped at
-    that of D). Either way v_p(b + u a) <= v_p(a) at every p, so
-    gcd(b + u a, D) divides a; and u = 0 mod D would mean gcd(b, D)
-    divides a. At a prime power D the two gcds divide one another, so a
-    qudit always fits a shape and no lift happens.
+    Each nonzero qudit (a, b) becomes a pure X power v by the shortest
+    such word: P^s with s a = -b (no gate for b = 0, v = a) when
+    gcd(a, D) divides b, else F P^s with s b = a (v = -b) when gcd(b, D)
+    divides a, else the lift P^u (`_lift`) and then F P^s, with
+    v = -(b + u a).
 
     A hub h with a unit v_h clears every other qudit i with
     Sum(h, i, -v_i/v_h), then Sum(h, j, (1 - v_j)/v_h) (none if 0) and
@@ -711,7 +745,7 @@ def _x_hub_gates(
             vs.append(a)
             continue
         if a % math.gcd(b, D):  # neither shape: lift by P^u
-            u = next(u for u in range(1, D) if a % math.gcd(b + u * a, D) == 0)
+            u = _lift(a, b, D)
             gates.append(_gate(Phase, (i, u)))
             b = (b + u * a) % D
         gates.append(_fourier(i))

@@ -61,8 +61,8 @@ DIMS = (2, 3, 4, 5, 6, 12, 97)
 KINDS = {"sparse": 2, "dense": 20}  # gates per qudit
 SEEDS = range(3)
 
-GOLDEN_DIGEST = "29e1c27d3f46ef3fa7a6ae55c96754a758cb842e52013c3a2fec953e02d2922f"
-FINAL_DIGEST = "65db7dcb76923bcbcc1ffb94513d9a09514da6e24155978872eff716672b9ffe"
+GOLDEN_DIGEST = "92d57c3724797c07b77d2b198ca0b1b831e6554322f4b503033b87adc0ddb37b"
+FINAL_DIGEST = "0454c23d2ba47559f8259fb31ffbd581825e86fc4e27e1524f4e43dae634a4f4"
 
 
 def golden_cases():
@@ -108,16 +108,16 @@ WORD_NS = (1, 2, 5, 16, 64)
 WORD_SEEDS = range(4)
 
 # pegs and their inverses; transports and their inverses
-PEG_DIGEST = "6b9cd703e3c9e1d1d0f949c389c028bb8e3ffdda7af3904472e9cdff7daa55d9"
-TRANSPORT_DIGEST = "7d1159743ba8d4f1856eedfd4e18440d912c269ff9a52a794f44dfd6b53b8426"
-PEG_MATRIX_DIGEST = "0c0b70018f5b8669fdbb2cf5934cb5f121f45cdf3bc93817ed68bb53b42de78e"
-TRANSPORT_MATRIX_DIGEST = "bd16e0304fff1e9cdc652cfb5ba1bfdd77c788df657507797174e79cda4d5e30"
+PEG_DIGEST = "acbc0c72e7b02e4e861de4ec4e41141bd19ec7547c38028bec2edcc73ac2565f"
+TRANSPORT_DIGEST = "77a06f210ff80a6186648b9c932e641cc5aa2e999e78ac89867c246baf64d0a3"
+PEG_MATRIX_DIGEST = "ba2786c794ec5a67bbebdbb86404731e5aeb9f85ee2de9a1cfd389276e979a47"
+TRANSPORT_MATRIX_DIGEST = "3a1e7a1bfd0c4a63e969678fad87bca00e418859e57b9287da80e240e9aae0f0"
 # total gates of the 300 pegs (each word once per target) and of the 276
 # feasible transports
-PEG_GATES = 15153
-TRANSPORT_GATES = 6482
+PEG_GATES = 14940
+TRANSPORT_GATES = 6441
 # total gates of the 504 golden `decompose` programs
-DECOMPOSE_GATES = 31350
+DECOMPOSE_GATES = 31333
 
 
 def divisors_below(d):
@@ -185,8 +185,9 @@ def test_golden_transport_total():
 
 
 def test_golden_peg_total():
-    # 16,623 gates with a Euclid word on each qudit without a unit hub; a
-    # change may shorten the pegs, never lengthen them in total
+    # 16,623 gates with a Euclid word on each qudit without a unit hub,
+    # and 15,153 with the map to (0, gcd) on each hub qudit that has no
+    # unit entry; a change may shorten the pegs, never lengthen them in total
     total = sum(len(generalized_peg(p)[0]) for *_, p, q in word_cases())
     assert total <= PEG_GATES
 
@@ -257,7 +258,8 @@ def test_trusted_gates_match_checked_ones():
             assert merge_gates(seq.gates, seq.dim) == list(seq.gates)
             assert seq.inverse() == checked.inverse()
             programs += 1
-    assert programs == 504 + 2 * (300 + 276) and gates > 120_000
+    # the floor only shows that the corpora are not trivial: 119,995 gates
+    assert programs == 504 + 2 * (300 + 276) and gates > 100_000
 
 
 def test_kernel_inputs_are_in_normal_form():

@@ -627,6 +627,30 @@ def single_qudit_gates(seq, qudit):
     return [g for g in seq if type(g) is not Sum and g.qudit == qudit]
 
 
+def hub_z_word(a, b, D):
+    """The word normal form's word on qudit 1 for a hub qudit (a, b),
+    a != 0, and the Z power it ends on, found by search apart from the
+    library: the first of P^s F (F for s = 0), F P^s F and P^u F P^s F
+    that ends on a pure Z power, with the smallest u, then s. P^s F ends
+    on (-(b + s a), a), F P^s F on (s b - a, -b)."""
+    f = Fourier(1)
+
+    def search():
+        for s in range(D):
+            if (b + s * a) % D == 0:
+                return ([Phase(1, s), f] if s else [f]), a
+        for u in range(D):
+            c = (b + u * a) % D
+            for s in range(1, D):
+                if (s * c - a) % D == 0:
+                    return ([Phase(1, u)] if u else []) + [f, Phase(1, s), f], -c % D
+        raise AssertionError(f"no word takes ({a}, {b}) mod {D} to a pure Z power")
+
+    word, v = search()
+    assert act_on_exponents(word, [0, a], [0, b], D) == ([0, 0], [0, v])
+    return word, v
+
+
 class TestVectorTargetWords:
     """Word programs with and without a unit hub, each checked by
     `act_on_exponents`; transport covers the inverse words."""
@@ -659,28 +683,72 @@ class TestVectorTargetWords:
 
     @pytest.mark.parametrize("d", [2, 3, 6, 12, 97, 1024])
     def test_unit_branches_emit_the_vector_map(self, d):
-        # qudit 0 is X, so it is the hub, and qudit 1, with a unit entry,
-        # takes its inline word to (0, v), v the value it folds: a for a
-        # unit a (-a under inverse), else -b. That is `_map_gates`' word
+        # qudits 0 and 2 are Z, so qudit 0 is the hub, and qudit 1 takes the
+        # word of `hub_z_word` to (0, v), v the value it folds: Sum(1, 0, v)
+        # clears it. The inverse word is that word inverted letter by
+        # letter, from (0, v'), v' = -v after an odd number of F, and the
+        # inverse program holds Sum(1, 0, -v'). A unit a takes P^s F to
+        # (0, a), which is `_map_gates`' word for the same ends
         D = Dimension.of(d).D
         pairs = itertools.product(range(1, D), range(D))
         if D > MAX_TABLE_D:
             rng = random.Random(d)
             pairs = [(rng.randrange(1, D), rng.randrange(D)) for _ in range(800)]
         for a, b in pairs:
-            unit_a = math.gcd(a, D) == 1
-            if not unit_a and math.gcd(b, D) != 1:
-                continue
-            v = a if unit_a else D - b
+            word, v = hub_z_word(a, b, D)
+            gates, _ = _peg_gates([0, a, 0], [1, b, 1], D, 1)
+            assert single_qudit_gates(gates, 1) == word
+            assert Sum(1, 0, v) in gates
+            inv, _ = _peg_gates([0, a, 0], [1, b, 1], D, 1, inverse=True)
+            inv_word = [g if type(g) is Fourier else Phase(1, -g.power % D) for g in word[::-1]]
+            assert single_qudit_gates(inv, 1) == inv_word
+            v_inv = -v % D if sum(type(g) is Fourier for g in word) % 2 else v
+            assert Sum(1, 0, -v_inv % D) in inv
+            if math.gcd(a, D) == 1:
+                assert word == _map_gates(a, b, 0, v, 1, D, 1)
+                assert inv_word == _map_gates(0, v_inv, a, b, 1, D, 1)
+
+    @pytest.mark.parametrize(
+        "d", [d for d in range(2, MAX_TABLE_D) if Dimension.of(d).D <= MAX_TABLE_D]
+    )
+    def test_hub_words_are_shortest(self, d):
+        # every hub qudit (a, b), a != 0, at D <= 24: the rule's word is as
+        # long as a shortest Fourier/phase word to any pure Z power (a
+        # breadth-first search back from those), never longer than the map
+        # to (0, gcd), reduced, and keeps the content; its inverse maps back
+        dim = Dimension.of(d)
+        D = dim.D
+        dist = {(0, z): 0 for z in range(D)}
+        frontier = list(dist)
+        while frontier:
+            found = []
+            for x, z in frontier:  # (z, -x) -> (x, z) by F, (x, z - e x) by P^e
+                for v in [(z, -x % D)] + [(x, (z - e * x) % D) for e in range(1, D)]:
+                    if v not in dist:
+                        dist[v] = dist[(x, z)] + 1
+                        found.append(v)
+            frontier = found
+        for a, b in itertools.product(range(1, D), range(D)):
             gates, _ = _peg_gates([1, a], [0, b], D, 1)
-            assert single_qudit_gates(gates, 1) == _map_gates(a, b, 0, v, 1, D, 1)
-            v = D - a if unit_a else D - b
+            word = single_qudit_gates(gates, 1)
+            x, z = act_on_exponents(word, [0, a], [0, b], D)
+            assert x == [0, 0] and math.gcd(z[1], D) == math.gcd(a, b, D)
+            assert len(word) == dist[(a, b)]
+            g = math.gcd(a, b)
+            assert len(word) <= len(_map_gates(a, b, 0, g, math.gcd(g, D), D, 1))
+            assert merge_gates(word, dim) == word
             inv, _ = _peg_gates([1, a], [0, b], D, 1, inverse=True)
-            assert single_qudit_gates(inv, 1) == _map_gates(0, v, a, b, 1, D, 1)
+            inv_word = single_qudit_gates(inv, 1)
+            assert merge_gates(inv_word, dim) == inv_word
+            v = z[1] if sum(type(h) is Fourier for h in word) % 2 == 0 else -z[1] % D
+            assert act_on_exponents(inv_word, [0, 0], [0, v], D) == ([0, a], [0, b])
 
     def test_no_unit_at_composite_d(self):
-        # gcd 2: no hub, so the fold ends on the gcd itself
-        self.check(12, [2, 4, 0], [6, 8, 10])
+        # gcd 2: no hub, so the fold ends on the gcd itself, and each qudit
+        # with a != 0 takes the one-qudit map to (0, gcd(a, b))
+        seq = self.check(12, [2, 4, 0], [6, 8, 10])
+        assert single_qudit_gates(seq, 0) == _map_gates(2, 6, 0, 2, 2, 24, 0)
+        assert single_qudit_gates(seq, 1) == _map_gates(4, 8, 0, 4, 4, 24, 1)
 
     def test_unit_after_non_unit_qudits(self):
         # qudits 0 and 1 share the factor 2 with D = 24; qudit 2 is the hub
